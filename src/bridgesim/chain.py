@@ -374,9 +374,6 @@ class Chain:
         held = sum(c.held_balance() for c in self.contracts.values())
         return sum(self.accounts.values()) + held
 
-    def contract_addresses(self) -> set[Address]:
-        return set(self.contracts)
-
     def events_at(self, height: int) -> list[Event]:
         return self.blocks[height].events
 

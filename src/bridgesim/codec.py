@@ -66,10 +66,6 @@ def digest(value: Any) -> bytes:
     return hashlib.sha256(canonical_bytes(value)).digest()
 
 
-def digest_hex(value: Any) -> str:
-    return "0x" + digest(value).hex()
-
-
 def parse_hex(text: str, *, length: int | None = None) -> bytes:
     """Parse a ``0x``-prefixed lowercase hex string, enforcing length if given."""
     if not isinstance(text, str) or not text.startswith("0x"):

@@ -23,10 +23,14 @@ Native-gas side chain:
                         transfers go through it, and its column sum must equal
                         the bridge head's locked amount at rest.
 
-Every quorum is tallied per (round, subject digest): one vote per witness per
-round, votes from other rounds are rejected, and a subject only ever executes
-once.  Per-event origin keys make payouts exactly-once even across merged
-resend batches.
+Every contract implements the ``Contract`` protocol.  Witness votes all go
+through one kind of lane, ``QuorumStream``: it admits a vote (witness, round,
+duplicate echo, subject check, tally, threshold) and concludes a round (result
+payload, execution log).  A contract with lanes keeps only its own payout or
+gate step and its pre-checks.  Votes tally per (round, subject digest): one
+vote per witness per round, votes from other rounds are rejected, and a
+subject only ever executes once.  Per-event origin keys make payouts
+exactly-once even across merged resend batches.
 """
 
 from __future__ import annotations
@@ -174,15 +178,32 @@ class QuorumStream:
     concludes (success, failure or timeout), and votes carrying any other
     round number are rejected, which is what keeps stragglers and replays from
     pooling across consensus instances.
+
+    A lane is plain data, because a chain rollback swaps each contract's
+    state for a deep copy: it holds no callables and no reference back to its
+    contract.  ``witnesses`` is the contract's own roster tuple, shared.
     """
 
     name: str
     threshold: int
     timeout: int
+    witnesses: tuple[Address, ...] = ()
     round: int = 0
     deadline: int | None = None
     tallies: dict[bytes, QuorumTally] = field(default_factory=dict)
     executed: set[bytes] = field(default_factory=set)
+    # One record per quorum that executed, for the quorum-safety invariant.
+    log: list[dict] = field(default_factory=list)
+
+    @property
+    def topic(self) -> EventTopic:
+        """Topic of the results this lane concludes with."""
+        if self.name == REGISTRATION:
+            return EventTopic.REGISTRATION_RESULT
+        return EventTopic.CONSENSUS_RESULT
+
+    def busy(self) -> bool:
+        return bool(self.tallies) or self.deadline is not None
 
     def check_round(self, tx_round: int | None) -> None:
         if tx_round is None:
@@ -210,17 +231,98 @@ class QuorumStream:
     def reached(self, tally: QuorumTally) -> bool:
         return len(tally.yes) >= self.threshold
 
-    def conclude(self, subject: bytes | None = None) -> int:
-        """Close the current round; returns the new round number."""
-        if subject is not None:
+    def expired(self, now: int) -> bool:
+        return self.deadline is not None and now >= self.deadline
+
+    def admit(
+        self,
+        ctx: ApplyContext,
+        tx: Transaction,
+        address: Address,
+        announced: bytes | None,
+        echo_topic: EventTopic,
+    ) -> QuorumTally | None:
+        """Take one witness vote; return its tally once that reaches quorum.
+
+        A relay batch for an already-executed subject is echoed back to
+        ``address`` as a duplicate result under ``echo_topic``; a repeated
+        confirm is dropped silently.  A relay batch must carry the digest of
+        its entries.  A confirm is tallied under whatever subject it names,
+        but only the subject the contract ``announced`` can fire.
+        """
+        vote = tx.payload
+        if tx.sender not in self.witnesses:
+            raise UnknownWitness(f"{tx.sender} not in witness list")
+        self.check_round(tx.round)
+        if vote.subject in self.executed:
+            if isinstance(vote, Transferring):
+                ctx.emit(address, echo_topic, self._payload(
+                    echo_topic, self.round - 1, vote.subject, True, [], True, None))
+            return None
+        if isinstance(vote, Confirm):
+            if announced is None:
+                raise MalformedVote("no registration awaiting confirmation")
+            tally = self.record(tx.sender, vote.subject, vote.verdict, ctx.now)
+            if vote.subject != announced:
+                return None  # votes for a subject the contract never announced cannot fire
+        else:
+            if entries_subject(self.name, vote.entries) != vote.subject:
+                raise MalformedVote("subject digest does not match the carried entries")
+            tally = self.record(tx.sender, vote.subject, True, ctx.now, vote.entries)
+        return tally if self.reached(tally) else None
+
+    def conclude(
+        self,
+        subject: bytes = b"",
+        tally: QuorumTally | None = None,
+        *,
+        success: bool = False,
+        error: str | None = None,
+        **extra,
+    ) -> dict:
+        """Close the current round and return its result payload.
+
+        A quorum that executed (``tally`` given, no ``error``) is logged.  A
+        concluded ``subject`` never executes again; a timeout concludes none.
+        """
+        round_no = self.round
+        if subject:
             self.executed.add(subject)
         self.round += 1
         self.deadline = None
         self.tallies.clear()
-        return self.round
+        if tally is not None and error is None:
+            self.log.append({
+                "stream": self.name,
+                "round": round_no,
+                "subject": "0x" + subject.hex(),
+                "votes": len(tally.yes),
+                "threshold": self.threshold,
+                "witness_count": len(self.witnesses),
+                "success": success,
+            })
+        origins = [e.origin_plain() for e in tally.entries] if success and tally else []
+        return {**self._payload(self.topic, round_no, subject, success, origins, False, error),
+                **extra}
 
-    def expired(self, now: int) -> bool:
-        return self.deadline is not None and now >= self.deadline
+    def _payload(self, topic: EventTopic, round_no: int, subject: bytes, success: bool,
+                 origins: list, duplicate: bool, error: str | None) -> dict:
+        if topic == EventTopic.CONSENSUS_RESULT:
+            payload = {"stream": self.name, "origins": origins, "duplicate": duplicate}
+        else:
+            # A registration result lists origins only when its batch had
+            # entries, and marks only duplicates.
+            payload = {"origins": origins} if origins else {}
+            if duplicate:
+                payload["duplicate"] = True
+        payload.update(round=round_no, next_round=self.round, subject=subject, success=success)
+        if error:
+            payload["error"] = error
+        return payload
+
+
+def _unexecuted(tally: QuorumTally, executed_origins: set[tuple]) -> list[TransferEntry]:
+    return [e for e in tally.entries if e.origin_plain() not in executed_origins]
 
 
 @dataclass
@@ -245,12 +347,6 @@ class Multisig:
             return True
         return False
 
-    def check(self, approvals: set[Address], action: str) -> None:
-        if len(approvals & set(self.owners)) < self.required:
-            raise MultisigIncomplete(
-                f"{action}: {len(approvals & set(self.owners))} of {self.required} approvals"
-            )
-
 
 def action_key(action: str, args: tuple) -> bytes:
     return codec.digest({"action": action, "args": list(args)})
@@ -258,6 +354,85 @@ def action_key(action: str, args: tuple) -> bytes:
 
 def _addr_arg(raw: object) -> Address:
     return raw if isinstance(raw, Address) else Address.from_hex(str(raw))
+
+
+class Contract:
+    """What the chain and the scheduler ask of every hosted contract.
+
+    The chain calls ``handle`` for each transaction and ``held_balance`` for
+    token conservation.  The scheduler asks ``has_expired_deadline`` to submit
+    a deadline poke, ``busy`` to decide whether the bridge is at rest,
+    ``execution_log`` for quorum safety and ``state_view`` for the per-block
+    state digest.  The defaults fit a contract without vote lanes that holds
+    no tokens; a contract with lanes lists them in ``lanes``, in poke order.
+    """
+
+    address: Address
+    # Topic of duplicate echoes; None echoes under the lane's own topic.
+    ECHO_TOPIC: EventTopic | None = None
+
+    def lanes(self) -> tuple[QuorumStream, ...]:
+        return ()
+
+    def held_balance(self) -> int:
+        return 0
+
+    def busy(self) -> bool:
+        return any(lane.busy() for lane in self.lanes())
+
+    def has_expired_deadline(self, now: int) -> bool:
+        return any(lane.expired(now) for lane in self.lanes())
+
+    def execution_log(self) -> list[dict]:
+        return [entry for lane in self.lanes() for entry in lane.log]
+
+    def state_view(self) -> dict:
+        raise NotImplementedError
+
+    def handle(self, ctx: ApplyContext, tx: Transaction) -> None:
+        """Route a vote to its lane, a poke to the lanes' deadlines, and
+        anything else (everything, on a contract without lanes) to
+        ``transact``."""
+        payload = tx.payload
+        lanes = self.lanes()
+        if lanes and isinstance(payload, (Confirm, Transferring)):
+            _require_no_value(tx)
+            lane = self._lane(payload)
+            tally = lane.admit(ctx, tx, self.address, self._announced(),
+                               self.ECHO_TOPIC or lane.topic)
+            if tally is not None:
+                ctx.emit(self.address, lane.topic,
+                         lane.conclude(tally.subject, tally, **self._execute(ctx, lane, tally)))
+        elif lanes and isinstance(payload, MultisigAction) and payload.action == POKE_ACTION:
+            _require_no_value(tx)
+            for lane in lanes:
+                if lane.expired(ctx.now):
+                    self._expire(ctx, lane)
+        else:
+            self.transact(ctx, tx)
+
+    def transact(self, ctx: ApplyContext, tx: Transaction) -> None:
+        """Every transaction ``handle`` does not route to a lane."""
+        raise NotImplementedError
+
+    def _lane(self, payload: Confirm | Transferring) -> QuorumStream:
+        """The lane a vote is tallied in: relay batches go by direction."""
+        if isinstance(payload, Transferring):
+            for lane in self.lanes():
+                if lane.name == payload.direction:
+                    return lane
+        raise MalformedVote(f"no lane takes this {payload.TAG} vote")
+
+    def _announced(self) -> bytes | None:
+        """The subject a confirm vote may fire for (None: nothing to confirm)."""
+        return None
+
+    def _execute(self, ctx: ApplyContext, lane: QuorumStream, tally: QuorumTally) -> dict:
+        """Payout or gate step of a quorum; returns the outcome for ``conclude``."""
+        raise NotImplementedError
+
+    def _expire(self, ctx: ApplyContext, lane: QuorumStream) -> None:
+        ctx.emit(self.address, lane.topic, lane.conclude(error="timeout"))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +452,7 @@ class PendingRegistration:
     subject: bytes
 
 
-class ChainIdRegistry:
+class ChainIdRegistry(Contract):
     """Singleton registry of registered side-chain ids (append-only, no dupes)."""
 
     def __init__(self, address: Address, owners: tuple[Address, ...], required: int) -> None:
@@ -286,13 +461,10 @@ class ChainIdRegistry:
         self.authorized: set[Address] = set()
         self.chain_ids: list[Address] = []
 
-    def held_balance(self) -> int:
-        return 0
-
     def snapshot_ids(self) -> set[Address]:
         return set(self.chain_ids)
 
-    def handle(self, ctx: ApplyContext, tx: Transaction) -> None:
+    def transact(self, ctx: ApplyContext, tx: Transaction) -> None:
         _require_no_value(tx)
         payload = tx.payload
         if not isinstance(payload, MultisigAction):
@@ -302,20 +474,12 @@ class ChainIdRegistry:
         if self.multisig.approve(tx.sender, action_key(payload.action, payload.args)):
             self.authorized.add(_addr_arg(payload.args[0]))
 
-    def update(self, chain_id: Address, approvals: set[Address]) -> bool:
-        """Append ``chain_id`` under an explicit owner-approval set.
+    def update_from(self, ctx: ApplyContext, caller: Address, chain_id: Address) -> bool:
+        """Append via the standing authorization granted to a bridge head.
 
         Returns True when the id was new (the success signal carried by the
         ExistOrNot event); False when it was already present.
         """
-        self.multisig.check(approvals, "registry update")
-        if chain_id in self.chain_ids:
-            return False
-        self.chain_ids.append(chain_id)
-        return True
-
-    def update_from(self, ctx: ApplyContext, caller: Address, chain_id: Address) -> bool:
-        """Append via the standing authorization granted to a bridge head."""
         if caller not in self.authorized:
             raise MultisigIncomplete(f"{caller} holds no standing registry authorization")
         fresh = chain_id not in self.chain_ids
@@ -335,7 +499,7 @@ class ChainIdRegistry:
         }
 
 
-class BridgeHead:
+class BridgeHead(Contract):
     """Per-side-chain vault on the token chain (lock, unlock, registration)."""
 
     def __init__(
@@ -351,7 +515,6 @@ class BridgeHead:
     ) -> None:
         self.address = address
         self.side_chain_id = side_chain_id
-        self.witnesses = tuple(witnesses)
         self.compensation_fee = compensation_fee
         self.entrance_fee_minimum = entrance_fee_minimum
         self.registry_address = registry_address
@@ -359,19 +522,39 @@ class BridgeHead:
         self.locked = 0
         self.fee_reserve = 0
         self.registered = False
+        # The registration lane's deadline is set exactly while a request is
+        # pending, so lane expiry alone decides when to revert it.
         self.pending: PendingRegistration | None = None
-        self.reg_stream = QuorumStream(REGISTRATION, threshold, timeout)
-        self.out_stream = QuorumStream(OUTBOUND, threshold, timeout)
+        roster = tuple(witnesses)
+        self.reg_stream = QuorumStream(REGISTRATION, threshold, timeout, roster)
+        self.out_stream = QuorumStream(OUTBOUND, threshold, timeout, roster)
         self.executed_origins: set[tuple] = set()
-        self.execution_log: list[dict] = []
+
+    def lanes(self) -> tuple[QuorumStream, ...]:
+        return (self.reg_stream, self.out_stream)
 
     def held_balance(self) -> int:
         pot = self.pending.fee_pot if self.pending else 0
         return self.locked + self.fee_reserve + pot
 
-    def _check_witness(self, sender: Address) -> None:
-        if sender not in self.witnesses:
-            raise UnknownWitness(f"{sender} not in witness list")
+    def transact(self, ctx: ApplyContext, tx: Transaction) -> None:
+        if isinstance(tx.payload, RegistrationRequest):
+            self.request_registration(ctx, tx)
+        elif isinstance(tx.payload, UserTransfer):
+            self.deposit(ctx, tx)
+        else:
+            raise NotAuthorized(f"bridge head does not accept {tx.payload.TAG}")
+
+    def _lane(self, payload: Confirm | Transferring) -> QuorumStream:
+        # The registration lane takes confirms, never relay batches.
+        if isinstance(payload, Confirm):
+            return self.reg_stream
+        if payload.direction != OUTBOUND:
+            raise MalformedVote(f"bridge head takes no {payload.direction} relays")
+        return self.out_stream
+
+    def _announced(self) -> bytes | None:
+        return None if self.pending is None else self.pending.subject
 
     # -- registration ------------------------------------------------------
 
@@ -423,20 +606,6 @@ class BridgeHead:
             },
         )
 
-    def confirm(self, ctx: ApplyContext, tx: Transaction) -> None:
-        vote: Confirm = tx.payload
-        self._check_witness(tx.sender)
-        self.reg_stream.check_round(tx.round)
-        if vote.subject in self.reg_stream.executed:
-            return
-        if self.pending is None:
-            raise MalformedVote("no registration awaiting confirmation")
-        tally = self.reg_stream.record(tx.sender, vote.subject, vote.verdict, ctx.now)
-        if vote.subject != self.pending.subject:
-            return  # votes for a subject the contract never announced cannot fire
-        if self.reg_stream.reached(tally):
-            self._finish_registration(ctx, tally)
-
     def _settle_fees(self, ctx: ApplyContext, pot: int, voters: set[Address]) -> None:
         """Split a fee pot evenly among the voting witnesses, rest to the vault."""
         recipients = sorted(voters)
@@ -447,74 +616,54 @@ class BridgeHead:
             pot -= share * len(recipients)
         self.fee_reserve += pot
 
-    def _finish_registration(self, ctx: ApplyContext, tally: QuorumTally) -> None:
+    def _execute(self, ctx: ApplyContext, lane: QuorumStream, tally: QuorumTally) -> dict:
+        if lane is self.reg_stream:
+            return self._finish_registration(ctx, tally)
+        fresh = _unexecuted(tally, self.executed_origins)
+        total = sum(e.value for e in fresh)
+        if total > self.locked:
+            return {"error": f"unlock {total} exceeds locked {self.locked}"}
+        for e in fresh:
+            self.locked -= e.value
+            ctx.credit(e.to, e.value)
+            self.executed_origins.add(e.origin_plain())
+        return {"success": True}
+
+    def _finish_registration(self, ctx: ApplyContext, tally: QuorumTally) -> dict:
         pending = self.pending
         assert pending is not None
         registry: ChainIdRegistry = ctx.contract(self.registry_address)
-        fresh = registry.update_from(ctx, self.address, pending.chain_id)
-        votes = len(tally.yes)
-        if fresh:
+        outcome = {"chain_id": pending.chain_id}
+        if registry.update_from(ctx, self.address, pending.chain_id):
             self.registered = True
-            self._settle_fees(ctx, pending.fee_pot, tally.voters())
-            outcome = {"success": True}
+            outcome["success"] = True
         else:
             # Quorum passed but the id was taken: release the locked amount
             # back to the creator, keep only the fee.
             self.locked -= pending.amount
             ctx.credit(pending.creator, pending.amount)
-            self._settle_fees(ctx, pending.fee_pot, tally.voters())
-            outcome = {"success": False, "reason": "chain id already registered"}
-        next_round = self.reg_stream.conclude(pending.subject)
-        self.execution_log.append(
-            {
-                "stream": REGISTRATION,
-                "round": next_round - 1,
-                "subject": "0x" + pending.subject.hex(),
-                "votes": votes,
-                "threshold": self.reg_stream.threshold,
-                "witness_count": len(self.witnesses),
-                "success": outcome["success"],
-            }
-        )
+            outcome["reason"] = "chain id already registered"
+        self._settle_fees(ctx, pending.fee_pot, tally.voters())
         self.pending = None
-        ctx.emit(
-            self.address,
-            EventTopic.REGISTRATION_RESULT,
-            {
-                "chain_id": pending.chain_id,
-                "subject": pending.subject,
-                "round": next_round - 1,
-                "next_round": next_round,
-                **outcome,
-            },
-        )
+        return outcome
 
-    def _revert_registration(self, ctx: ApplyContext) -> None:
-        """Deadline passed without quorum: refund the creator minus the fee."""
+    def _expire(self, ctx: ApplyContext, lane: QuorumStream) -> None:
+        if lane is not self.reg_stream:
+            super()._expire(ctx, lane)
+            return
+        # Deadline passed without quorum: refund the creator minus the fee.
         pending = self.pending
         assert pending is not None
-        tally = self.reg_stream.tallies.get(pending.subject)
+        tally = lane.tallies.get(pending.subject)
         voters = tally.voters() if tally else set()
         refund = max(pending.amount - self.compensation_fee, 0)
         revert_fee = pending.amount - refund
         self.locked -= pending.amount
         ctx.credit(pending.creator, refund)
         self._settle_fees(ctx, pending.fee_pot + revert_fee, voters)
-        next_round = self.reg_stream.conclude(pending.subject)
         self.pending = None
-        ctx.emit(
-            self.address,
-            EventTopic.REGISTRATION_RESULT,
-            {
-                "chain_id": pending.chain_id,
-                "subject": pending.subject,
-                "success": False,
-                "reason": "timeout",
-                "refund": refund,
-                "round": next_round - 1,
-                "next_round": next_round,
-            },
-        )
+        ctx.emit(self.address, lane.topic, lane.conclude(
+            pending.subject, chain_id=pending.chain_id, reason="timeout", refund=refund))
 
     # -- transfers ----------------------------------------------------------
 
@@ -538,98 +687,6 @@ class BridgeHead:
             },
         )
 
-    def unlock_vote(self, ctx: ApplyContext, tx: Transaction) -> None:
-        """Witness relay of side-chain lock events; unlocks here at quorum."""
-        relay: Transferring = tx.payload
-        self._check_witness(tx.sender)
-        self.out_stream.check_round(tx.round)
-        if relay.subject in self.out_stream.executed:
-            self._emit_consensus(ctx, OUTBOUND, self.out_stream.round - 1, relay.subject,
-                                 success=True, origins=[], duplicate=True)
-            return
-        if entries_subject(OUTBOUND, relay.entries) != relay.subject:
-            raise MalformedVote("subject digest does not match the carried entries")
-        tally = self.out_stream.record(tx.sender, relay.subject, True, ctx.now, relay.entries)
-        if not self.out_stream.reached(tally):
-            return
-        fresh = [e for e in tally.entries if e.origin_plain() not in self.executed_origins]
-        total = sum(e.value for e in fresh)
-        round_no = self.out_stream.round
-        votes = len(tally.yes)
-        if total > self.locked:
-            next_round = self.out_stream.conclude(relay.subject)
-            self._emit_consensus(ctx, OUTBOUND, round_no, relay.subject, success=False,
-                                 origins=[], error=f"unlock {total} exceeds locked {self.locked}",
-                                 next_round=next_round)
-            return
-        for e in fresh:
-            self.locked -= e.value
-            ctx.credit(e.to, e.value)
-            self.executed_origins.add(e.origin_plain())
-        next_round = self.out_stream.conclude(relay.subject)
-        self.execution_log.append(
-            {
-                "stream": OUTBOUND,
-                "round": round_no,
-                "subject": "0x" + relay.subject.hex(),
-                "votes": votes,
-                "threshold": self.out_stream.threshold,
-                "witness_count": len(self.witnesses),
-                "success": True,
-            }
-        )
-        self._emit_consensus(ctx, OUTBOUND, round_no, relay.subject, success=True,
-                             origins=[e.origin_plain() for e in tally.entries],
-                             next_round=next_round)
-
-    def _emit_consensus(self, ctx, stream, round_no, subject, *, success, origins,
-                        error=None, duplicate=False, next_round=None):
-        payload = {
-            "stream": stream,
-            "round": round_no,
-            "next_round": self.out_stream.round if next_round is None else next_round,
-            "subject": subject,
-            "success": success,
-            "origins": origins,
-            "duplicate": duplicate,
-        }
-        if error:
-            payload["error"] = error
-        ctx.emit(self.address, EventTopic.CONSENSUS_RESULT, payload)
-
-    def poke(self, ctx: ApplyContext, tx: Transaction) -> None:
-        if self.pending is not None and self.reg_stream.expired(ctx.now):
-            self._revert_registration(ctx)
-        if self.out_stream.expired(ctx.now):
-            round_no = self.out_stream.round
-            next_round = self.out_stream.conclude()
-            self._emit_consensus(ctx, OUTBOUND, round_no, b"", success=False, origins=[],
-                                 error="timeout", next_round=next_round)
-
-    def has_expired_deadline(self, now: int) -> bool:
-        return (self.pending is not None and self.reg_stream.expired(now)) or \
-            self.out_stream.expired(now)
-
-    def handle(self, ctx: ApplyContext, tx: Transaction) -> None:
-        payload = tx.payload
-        if isinstance(payload, RegistrationRequest):
-            self.request_registration(ctx, tx)
-        elif isinstance(payload, Confirm):
-            _require_no_value(tx)
-            self.confirm(ctx, tx)
-        elif isinstance(payload, Transferring):
-            _require_no_value(tx)
-            if payload.direction != OUTBOUND:
-                raise MalformedVote(f"bridge head takes no {payload.direction} relays")
-            self.unlock_vote(ctx, tx)
-        elif isinstance(payload, UserTransfer):
-            self.deposit(ctx, tx)
-        elif isinstance(payload, MultisigAction) and payload.action == POKE_ACTION:
-            _require_no_value(tx)
-            self.poke(ctx, tx)
-        else:
-            raise NotAuthorized(f"bridge head does not accept {payload.TAG}")
-
     def state_view(self) -> dict:
         return {
             "locked": self.locked,
@@ -646,7 +703,7 @@ class BridgeHead:
 # ---------------------------------------------------------------------------
 
 
-class RegistrationVault:
+class RegistrationVault(Contract):
     """Holds the entrance reserve until the registration quorum releases it."""
 
     def __init__(
@@ -661,62 +718,21 @@ class RegistrationVault:
     ) -> None:
         self.address = address
         self.balance = balance
-        self.witnesses = tuple(witnesses)
         self.suicided = False
         self.multisig = Multisig(owners=owners, required=required)
-        self.stream = QuorumStream(REGISTRATION, threshold, timeout)
-        self.execution_log: list[dict] = []
+        self.stream = QuorumStream(REGISTRATION, threshold, timeout, tuple(witnesses))
+
+    def lanes(self) -> tuple[QuorumStream, ...]:
+        return (self.stream,)
 
     def held_balance(self) -> int:
         return self.balance
 
-    def transferring(self, ctx: ApplyContext, tx: Transaction) -> None:
-        relay: Transferring = tx.payload
-        if self.suicided:
-            raise AlreadySuicided("vault has been deactivated")
-        if tx.sender not in self.witnesses:
-            raise UnknownWitness(f"{tx.sender} not in witness list")
-        self.stream.check_round(tx.round)
-        if relay.subject in self.stream.executed:
-            ctx.emit(self.address, EventTopic.REGISTRATION_RESULT,
-                     {"success": True, "subject": relay.subject, "duplicate": True,
-                      "round": self.stream.round - 1, "next_round": self.stream.round})
-            return
-        if entries_subject(REGISTRATION, relay.entries) != relay.subject:
-            raise MalformedVote("subject digest does not match the carried entries")
-        tally = self.stream.record(tx.sender, relay.subject, True, ctx.now, relay.entries)
-        if not self.stream.reached(tally):
-            return
-        round_no = self.stream.round
-        votes = len(tally.yes)
-        if len(tally.entries) != 1 or tally.entries[0].value != self.balance:
-            next_round = self.stream.conclude(relay.subject)
-            ctx.emit(self.address, EventTopic.REGISTRATION_RESULT,
-                     {"success": False, "subject": relay.subject,
-                      "error": "payout must equal the vault balance exactly",
-                      "round": round_no, "next_round": next_round})
-            return
-        payout = tally.entries[0]
-        self.balance = 0
-        ctx.credit(payout.to, payout.value)
-        next_round = self.stream.conclude(relay.subject)
-        self.execution_log.append(
-            {
-                "stream": REGISTRATION,
-                "round": round_no,
-                "subject": "0x" + relay.subject.hex(),
-                "votes": votes,
-                "threshold": self.stream.threshold,
-                "witness_count": len(self.witnesses),
-                "success": True,
-            }
-        )
-        ctx.emit(self.address, EventTopic.REGISTRATION_RESULT,
-                 {"success": True, "subject": relay.subject, "to": payout.to,
-                  "amount": payout.value, "origins": [payout.origin_plain()],
-                  "round": round_no, "next_round": next_round})
-
-    def suicide(self, ctx: ApplyContext, tx: Transaction) -> None:
+    def transact(self, ctx: ApplyContext, tx: Transaction) -> None:
+        _require_no_value(tx)
+        payload = tx.payload
+        if not (isinstance(payload, MultisigAction) and payload.action == "suicide"):
+            raise NotAuthorized(f"vault does not accept {payload.TAG}")
         if self.suicided:
             raise AlreadySuicided("vault already deactivated")
         if self.multisig.approve(tx.sender, action_key("suicide", ())):
@@ -724,46 +740,25 @@ class RegistrationVault:
                 raise NonzeroBalance(f"vault still holds {self.balance}")
             self.suicided = True
 
-    def suicide_direct(self, approvals: set[Address]) -> None:
-        """Deactivate under an explicit owner-approval set (one-shot form)."""
+    def _lane(self, payload: Confirm | Transferring) -> QuorumStream:
         if self.suicided:
-            raise AlreadySuicided("vault already deactivated")
-        self.multisig.check(approvals, "suicide")
-        if self.balance != 0:
-            raise NonzeroBalance(f"vault still holds {self.balance}")
-        self.suicided = True
+            raise AlreadySuicided("vault has been deactivated")
+        return super()._lane(payload)
 
-    def poke(self, ctx: ApplyContext, tx: Transaction) -> None:
-        if self.stream.expired(ctx.now):
-            round_no = self.stream.round
-            next_round = self.stream.conclude()
-            ctx.emit(self.address, EventTopic.REGISTRATION_RESULT,
-                     {"success": False, "error": "timeout", "subject": b"",
-                      "round": round_no, "next_round": next_round})
-
-    def has_expired_deadline(self, now: int) -> bool:
-        return self.stream.expired(now)
-
-    def handle(self, ctx: ApplyContext, tx: Transaction) -> None:
-        _require_no_value(tx)
-        payload = tx.payload
-        if isinstance(payload, Transferring):
-            if payload.direction != REGISTRATION:
-                raise MalformedVote(f"vault takes no {payload.direction} relays")
-            self.transferring(ctx, tx)
-        elif isinstance(payload, MultisigAction) and payload.action == "suicide":
-            self.suicide(ctx, tx)
-        elif isinstance(payload, MultisigAction) and payload.action == POKE_ACTION:
-            self.poke(ctx, tx)
-        else:
-            raise NotAuthorized(f"vault does not accept {payload.TAG}")
+    def _execute(self, ctx: ApplyContext, lane: QuorumStream, tally: QuorumTally) -> dict:
+        if len(tally.entries) != 1 or tally.entries[0].value != self.balance:
+            return {"error": "payout must equal the vault balance exactly"}
+        payout = tally.entries[0]
+        self.balance = 0
+        ctx.credit(payout.to, payout.value)
+        return {"success": True, "to": payout.to, "amount": payout.value}
 
     def state_view(self) -> dict:
         return {"balance": self.balance, "suicided": self.suicided,
                 "round": self.stream.round}
 
 
-class ReserveBank:
+class ReserveBank(Contract):
     """Pre-funded side-chain vault; only the relay may move its balance.
 
     The relay's standing authorization is normally written into the genesis
@@ -788,7 +783,7 @@ class ReserveBank:
     def held_balance(self) -> int:
         return self.balance
 
-    def handle(self, ctx: ApplyContext, tx: Transaction) -> None:
+    def transact(self, ctx: ApplyContext, tx: Transaction) -> None:
         _require_no_value(tx)
         payload = tx.payload
         if isinstance(payload, MultisigAction) and payload.action == "add_relay":
@@ -823,7 +818,7 @@ class ReserveBank:
         }
 
 
-class InterRelay:
+class InterRelay(Contract):
     """Side-chain entry point for both directions of the peg."""
 
     def __init__(
@@ -839,20 +834,23 @@ class InterRelay:
     ) -> None:
         self.address = address
         self.bank_address = bank_address
-        self.witnesses = tuple(witnesses)
         self.total_supply = total_supply
         self.entrance_reserve = entrance_reserve
         self.mode = mode
-        self.stream = QuorumStream(INBOUND, threshold, timeout)
+        self.stream = QuorumStream(INBOUND, threshold, timeout, tuple(witnesses))
         self.executed_origins: set[tuple] = set()
-        self.execution_log: list[dict] = []
 
-    def held_balance(self) -> int:
-        return 0  # every token it receives is forwarded to the bank in the same tx
+    def lanes(self) -> tuple[QuorumStream, ...]:
+        return (self.stream,)
+
+    # held_balance stays 0: every token it receives is forwarded to the bank
+    # in the same transaction.
 
     # Outbound: user locks tokens for the token chain.
-    def outbound(self, ctx: ApplyContext, tx: Transaction) -> None:
-        transfer: UserTransfer = tx.payload
+    def transact(self, ctx: ApplyContext, tx: Transaction) -> None:
+        transfer = tx.payload
+        if not isinstance(transfer, UserTransfer):
+            raise NotAuthorized(f"relay does not accept {transfer.TAG}")
         if transfer.dest is None:
             raise MalformedVote("outbound transfer needs a token-chain destination")
         bank: ReserveBank = ctx.contract(self.bank_address)
@@ -864,53 +862,16 @@ class InterRelay:
         bank.lock_from_relay(ctx, self.address, transfer.dest, tx.value)
 
     # Inbound: witness quorum releases bank funds to side accounts.
-    def inbound_vote(self, ctx: ApplyContext, tx: Transaction) -> None:
-        relay: Transferring = tx.payload
-        if tx.sender not in self.witnesses:
-            raise UnknownWitness(f"{tx.sender} not in witness list")
-        self.stream.check_round(tx.round)
-        if relay.subject in self.stream.executed:
-            ctx.emit(self.address, EventTopic.CONSENSUS_RESULT,
-                     {"stream": INBOUND, "success": True, "subject": relay.subject,
-                      "origins": [], "duplicate": True,
-                      "round": self.stream.round - 1, "next_round": self.stream.round})
-            return
-        if entries_subject(INBOUND, relay.entries) != relay.subject:
-            raise MalformedVote("subject digest does not match the carried entries")
-        tally = self.stream.record(tx.sender, relay.subject, True, ctx.now, relay.entries)
-        if not self.stream.reached(tally):
-            return
+    def _execute(self, ctx: ApplyContext, lane: QuorumStream, tally: QuorumTally) -> dict:
         bank: ReserveBank = ctx.contract(self.bank_address)
-        fresh = [e for e in tally.entries if e.origin_plain() not in self.executed_origins]
-        round_no = self.stream.round
-        votes = len(tally.yes)
+        fresh = _unexecuted(tally, self.executed_origins)
         error = self._gate_error(bank, fresh)
         if error is not None:
-            next_round = self.stream.conclude(relay.subject)
-            ctx.emit(self.address, EventTopic.CONSENSUS_RESULT,
-                     {"stream": INBOUND, "success": False, "subject": relay.subject,
-                      "error": error, "origins": [], "duplicate": False,
-                      "round": round_no, "next_round": next_round})
-            return
+            return {"error": error}
         for e in fresh:
             bank.unlock_from_relay(ctx, self.address, e.to, e.value)
             self.executed_origins.add(e.origin_plain())
-        next_round = self.stream.conclude(relay.subject)
-        self.execution_log.append(
-            {
-                "stream": INBOUND,
-                "round": round_no,
-                "subject": "0x" + relay.subject.hex(),
-                "votes": votes,
-                "threshold": self.stream.threshold,
-                "witness_count": len(self.witnesses),
-                "success": True,
-            }
-        )
-        ctx.emit(self.address, EventTopic.CONSENSUS_RESULT,
-                 {"stream": INBOUND, "success": True, "subject": relay.subject,
-                  "origins": [e.origin_plain() for e in tally.entries],
-                  "duplicate": False, "round": round_no, "next_round": next_round})
+        return {"success": True}
 
     def _gate_error(self, bank: ReserveBank, fresh: list[TransferEntry]) -> str | None:
         total = sum(e.value for e in fresh)
@@ -932,33 +893,6 @@ class InterRelay:
                 running = post
         return None
 
-    def poke(self, ctx: ApplyContext, tx: Transaction) -> None:
-        if self.stream.expired(ctx.now):
-            round_no = self.stream.round
-            next_round = self.stream.conclude()
-            ctx.emit(self.address, EventTopic.CONSENSUS_RESULT,
-                     {"stream": INBOUND, "success": False, "subject": b"",
-                      "error": "timeout", "origins": [], "duplicate": False,
-                      "round": round_no, "next_round": next_round})
-
-    def has_expired_deadline(self, now: int) -> bool:
-        return self.stream.expired(now)
-
-    def handle(self, ctx: ApplyContext, tx: Transaction) -> None:
-        payload = tx.payload
-        if isinstance(payload, UserTransfer):
-            self.outbound(ctx, tx)
-        elif isinstance(payload, Transferring):
-            _require_no_value(tx)
-            if payload.direction != INBOUND:
-                raise MalformedVote(f"relay takes no {payload.direction} batches")
-            self.inbound_vote(ctx, tx)
-        elif isinstance(payload, MultisigAction) and payload.action == POKE_ACTION:
-            _require_no_value(tx)
-            self.poke(ctx, tx)
-        else:
-            raise NotAuthorized(f"relay does not accept {payload.TAG}")
-
     def state_view(self) -> dict:
         return {"round": self.stream.round, "mode": self.mode}
 
@@ -968,7 +902,7 @@ class InterRelay:
 # ---------------------------------------------------------------------------
 
 
-class TradingBook:
+class TradingBook(Contract):
     """Token ledger of a native-gas side chain.
 
     All business transfers go through this book; its column sum must equal the
@@ -989,9 +923,6 @@ class TradingBook:
         self.multisig = Multisig(owners=owners, required=required)
         self.authorized_gateway = authorized_gateway
 
-    def held_balance(self) -> int:
-        return 0
-
     def ledger_sum(self) -> int:
         return sum(self.balances.values())
 
@@ -1002,7 +933,7 @@ class TradingBook:
         self.balances[sender] = have - value
         self.balances[to] = self.balances.get(to, 0) + value
 
-    def handle(self, ctx: ApplyContext, tx: Transaction) -> None:
+    def transact(self, ctx: ApplyContext, tx: Transaction) -> None:
         _require_no_value(tx)
         payload = tx.payload
         if isinstance(payload, TradingAction) and not payload.cross_chain:
@@ -1036,8 +967,12 @@ class TradingBook:
         }
 
 
-class ConsensusGateway:
+class ConsensusGateway(Contract):
     """Merged registration/transfer consensus contract for native-gas chains."""
+
+    # Duplicates are echoed as consensus results on every lane, registration
+    # included, although registration concludes with registration results.
+    ECHO_TOPIC = EventTopic.CONSENSUS_RESULT
 
     def __init__(
         self,
@@ -1049,29 +984,29 @@ class ConsensusGateway:
     ) -> None:
         self.address = address
         self.trading_address = trading_address
-        self.witnesses = tuple(witnesses)
+        roster = tuple(witnesses)
         self.streams = {
-            REGISTRATION: QuorumStream(REGISTRATION, threshold, timeout),
-            INBOUND: QuorumStream(INBOUND, threshold, timeout),
-            OUTBOUND: QuorumStream(OUTBOUND, threshold, timeout),
+            name: QuorumStream(name, threshold, timeout, roster)
+            for name in (REGISTRATION, INBOUND, OUTBOUND)
         }
         self.escrow_total = 0
         self.executed_origins: set[tuple] = set()
-        self.execution_log: list[dict] = []
 
-    def held_balance(self) -> int:
-        return 0
+    def lanes(self) -> tuple[QuorumStream, ...]:
+        return tuple(self.streams.values())
+
+    def busy(self) -> bool:
+        return self.escrow_total > 0 or super().busy()
 
     def side_token_total(self, trading: TradingBook) -> int:
         return trading.ledger_sum() + self.escrow_total
 
-    def _check_witness(self, sender: Address) -> None:
-        if sender not in self.witnesses:
-            raise UnknownWitness(f"{sender} not in witness list")
-
-    def withdraw_request(self, ctx: ApplyContext, tx: Transaction) -> None:
+    def transact(self, ctx: ApplyContext, tx: Transaction) -> None:
         """User starts a side->token transfer; the amount moves into escrow."""
-        action: TradingAction = tx.payload
+        _require_no_value(tx)
+        action = tx.payload
+        if not (isinstance(action, TradingAction) and action.cross_chain):
+            raise NotAuthorized(f"gateway does not accept {action.TAG}")
         trading: TradingBook = ctx.contract(self.trading_address)
         trading.debit_from_gateway(self.address, tx.sender, action.value)
         self.escrow_total += action.value
@@ -1079,111 +1014,21 @@ class ConsensusGateway:
                  {"kind": "transfer", "direction": OUTBOUND,
                   "to": action.to, "value": action.value})
 
-    def relay_vote(self, ctx: ApplyContext, tx: Transaction) -> None:
-        relay: Transferring = tx.payload
-        self._check_witness(tx.sender)
-        stream = self.streams.get(relay.direction)
-        if stream is None:
-            raise MalformedVote(f"unknown direction {relay.direction}")
-        stream.check_round(tx.round)
-        if relay.subject in stream.executed:
-            self._emit_result(ctx, stream, stream.round - 1, relay.subject,
-                              success=True, origins=[], duplicate=True,
-                              next_round=stream.round)
-            return
-        if entries_subject(relay.direction, relay.entries) != relay.subject:
-            raise MalformedVote("subject digest does not match the carried entries")
-        tally = stream.record(tx.sender, relay.subject, True, ctx.now, relay.entries)
-        if not stream.reached(tally):
-            return
-        self._execute(ctx, stream, tally)
-
-    def _execute(self, ctx: ApplyContext, stream: QuorumStream, tally: QuorumTally) -> None:
+    def _execute(self, ctx: ApplyContext, lane: QuorumStream, tally: QuorumTally) -> dict:
         trading: TradingBook = ctx.contract(self.trading_address)
-        fresh = [e for e in tally.entries if e.origin_plain() not in self.executed_origins]
-        round_no = stream.round
-        votes = len(tally.yes)
-        if stream.name == OUTBOUND:
-            total = sum(e.value for e in fresh)
-            if total > self.escrow_total:
-                next_round = stream.conclude(tally.subject)
-                self._emit_result(ctx, stream, round_no, tally.subject, success=False,
-                                  origins=[], error="escrow underflow", next_round=next_round)
-                return
+        fresh = _unexecuted(tally, self.executed_origins)
+        if lane.name == OUTBOUND:
+            if sum(e.value for e in fresh) > self.escrow_total:
+                return {"error": "escrow underflow"}
             for e in fresh:
                 self.escrow_total -= e.value
-                self.executed_origins.add(e.origin_plain())
                 ctx.emit(self.address, EventTopic.ASSETS_LOCKED,
                          {"to": e.to, "value": e.value, "origin": list(e.origin_plain())})
         else:
             for e in fresh:
                 trading.credit_from_gateway(self.address, e.to, e.value)
-                self.executed_origins.add(e.origin_plain())
-        next_round = stream.conclude(tally.subject)
-        self.execution_log.append(
-            {
-                "stream": stream.name,
-                "round": round_no,
-                "subject": "0x" + tally.subject.hex(),
-                "votes": votes,
-                "threshold": stream.threshold,
-                "witness_count": len(self.witnesses),
-                "success": True,
-            }
-        )
-        if stream.name == REGISTRATION:
-            ctx.emit(self.address, EventTopic.REGISTRATION_RESULT,
-                     {"success": True, "subject": tally.subject,
-                      "origins": [e.origin_plain() for e in tally.entries],
-                      "round": round_no, "next_round": next_round})
-        else:
-            self._emit_result(ctx, stream, round_no, tally.subject, success=True,
-                              origins=[e.origin_plain() for e in tally.entries],
-                              next_round=next_round)
-
-    def _emit_result(self, ctx, stream, round_no, subject, *, success, origins,
-                     error=None, duplicate=False, next_round=None):
-        payload = {
-            "stream": stream.name,
-            "round": round_no,
-            "next_round": stream.round if next_round is None else next_round,
-            "subject": subject,
-            "success": success,
-            "origins": origins,
-            "duplicate": duplicate,
-        }
-        if error:
-            payload["error"] = error
-        ctx.emit(self.address, EventTopic.CONSENSUS_RESULT, payload)
-
-    def poke(self, ctx: ApplyContext, tx: Transaction) -> None:
-        for name in (REGISTRATION, INBOUND, OUTBOUND):
-            stream = self.streams[name]
-            if stream.expired(ctx.now):
-                round_no = stream.round
-                next_round = stream.conclude()
-                if name == REGISTRATION:
-                    ctx.emit(self.address, EventTopic.REGISTRATION_RESULT,
-                             {"success": False, "error": "timeout", "subject": b"",
-                              "round": round_no, "next_round": next_round})
-                else:
-                    self._emit_result(ctx, stream, round_no, b"", success=False,
-                                      origins=[], error="timeout", next_round=next_round)
-
-    def has_expired_deadline(self, now: int) -> bool:
-        return any(s.expired(now) for s in self.streams.values())
-
-    def handle(self, ctx: ApplyContext, tx: Transaction) -> None:
-        _require_no_value(tx)
-        payload = tx.payload
-        if isinstance(payload, TradingAction) and payload.cross_chain:
-            self.withdraw_request(ctx, tx)
-        elif isinstance(payload, Transferring):
-            self.relay_vote(ctx, tx)
-        elif isinstance(payload, MultisigAction) and payload.action == POKE_ACTION:
-            self.poke(ctx, tx)
-        else:
-            raise NotAuthorized(f"gateway does not accept {payload.TAG}")
+        self.executed_origins.update(e.origin_plain() for e in fresh)
+        return {"success": True}
 
     def state_view(self) -> dict:
         return {

@@ -162,14 +162,3 @@ def parse_genesis(data: dict) -> GenesisSpec:
             raise GenesisError("Wit_Addr_List", "a witness address collides with a contract")
     return spec
 
-
-def check_supply(spec: GenesisSpec, total_supply: int) -> None:
-    """Enforce Bal_Resv + Bal_Bank == total token supply (gasless variant)."""
-    if spec.variant != VARIANT_GASLESS:
-        return
-    reserved = spec.total_reserved()
-    if reserved != total_supply:
-        raise GenesisError(
-            "Bal_Resv",
-            f"Bal_Resv + Bal_Bank = {reserved} must equal total supply {total_supply}",
-        )

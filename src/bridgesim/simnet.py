@@ -23,13 +23,15 @@ state directly.
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from . import codec, trace as trace_mod
 from .chain import (
     Address,
+    Block,
     Chain,
     ChainKind,
     EventTopic,
@@ -127,15 +129,21 @@ class OwnerDaemon:
     def idle(self) -> bool:
         return self.submitted or not (self.seen_registry_success and self.seen_payout)
 
-    def step(self, sim: "Simulation") -> list[Transaction]:
+    def watches(self, sim: "Simulation") -> tuple:
+        """(cursor, chain, watched contracts) per chain the daemon still scans."""
         if self.side.variant != VARIANT_GASLESS or self.submitted:
+            return ()
+        return (
+            (self.token_cursor, sim.hosts[self.token_id].chain, {self.registry_addr}),
+            (self.side_cursor, sim.hosts[self.side.chain_id].chain,
+             {self.side.genesis.register_contract}),
+        )
+
+    def step(self, sim: "Simulation") -> list[Transaction]:
+        watches = self.watches(sim)
+        if not watches:
             return []
-        token_chain = sim.hosts[self.token_id].chain
-        side_chain = sim.hosts[self.side.chain_id].chain
-        for cursor, chain, watched in (
-            (self.token_cursor, token_chain, {self.registry_addr}),
-            (self.side_cursor, side_chain, {self.side.genesis.register_contract}),
-        ):
+        for cursor, chain, watched in watches:
             while True:
                 try:
                     events, _ = form_batch(cursor, chain, watched)
@@ -608,9 +616,7 @@ class Simulation(WorldView):
         chain = host.chain
         txs: list[Transaction] = []
         for addr in sorted(chain.contracts):
-            contract = chain.contracts[addr]
-            if hasattr(contract, "has_expired_deadline") and \
-                    contract.has_expired_deadline(self.tick):
+            if chain.contracts[addr].has_expired_deadline(self.tick):
                 txs.append(Transaction(
                     sender=addr, to=addr, value=0, gasprice=0,
                     payload=MultisigAction(action=POKE_ACTION),
@@ -648,8 +654,6 @@ class Simulation(WorldView):
                 if "0x" + tx.digest().hex() in exclude:
                     continue
                 kept[slot].append(tx)
-        from .chain import Block
-
         fork_height = chain.height - depth
         parent = chain.blocks[fork_height].hash
         replacement = []
@@ -685,65 +689,34 @@ class Simulation(WorldView):
         if any(not d.idle() for d in self.owner_daemons):
             return False
         for host in self.hosts.values():
-            for contract in host.chain.contracts.values():
-                if _contract_busy(contract):
-                    return False
-        return not self._unscanned_triggers()
+            if any(contract.busy() for contract in host.chain.contracts.values()):
+                return False
+        # Any relay-worthy event a live witness has not scanned yet.
+        return not any(
+            ev.topic in (EventTopic.CROSS_CHAIN_ARRIVED, EventTopic.ASSETS_LOCKED)
+            or (ev.topic == EventTopic.EXIST_OR_NOT and ev.payload.get("success"))
+            for ev in _unscanned(self._witness_watches())
+        )
 
-    def _unscanned_triggers(self) -> bool:
-        """Any relay-worthy event not yet consumed by a live witness's scan."""
+    def _witness_watches(self) -> Iterator[tuple]:
+        """(cursor, chain, watched contracts) per chain of every live witness."""
         for witness in self.witnesses:
             cfg = witness.config
             if cfg.behavior == Behavior.CRASHED:
                 continue
             for chain_id, cursor in witness.cursors.items():
-                chain = self.hosts[chain_id].chain
                 watched = (
                     cfg.token_watched() if chain_id == self.token_id else cfg.side_watched()
                 )
-                for height in range(cursor.next_start, chain.height + 1):
-                    for ev in chain.events_at(height):
-                        if ev.contract not in watched:
-                            continue
-                        if ev.topic in (EventTopic.CROSS_CHAIN_ARRIVED,
-                                        EventTopic.ASSETS_LOCKED):
-                            return True
-                        if ev.topic == EventTopic.EXIST_OR_NOT and ev.payload.get("success"):
-                            return True
-        return False
+                yield cursor, self.hosts[chain_id].chain, watched
 
     def _finished(self) -> bool:
         if self.events:
             return False
         # Nothing unscanned may still trigger a reaction.
-        for witness in self.witnesses:
-            if witness.config.behavior == Behavior.CRASHED:
-                continue
-            for chain_id, cursor in witness.cursors.items():
-                chain = self.hosts[chain_id].chain
-                watched = (
-                    witness.config.token_watched()
-                    if chain_id == self.token_id
-                    else witness.config.side_watched()
-                )
-                for height in range(cursor.next_start, chain.height + 1):
-                    for ev in chain.events_at(height):
-                        if ev.contract in watched:
-                            return False
-        for daemon in self.owner_daemons:
-            if daemon.submitted or daemon.side.variant != VARIANT_GASLESS:
-                continue
-            token_chain = self.hosts[self.token_id].chain
-            side_chain = self.hosts[daemon.side.chain_id].chain
-            for cursor, chain, watched in (
-                (daemon.token_cursor, token_chain, {daemon.registry_addr}),
-                (daemon.side_cursor, side_chain, {daemon.side.genesis.register_contract}),
-            ):
-                for height in range(cursor.next_start, chain.height + 1):
-                    for ev in chain.events_at(height):
-                        if ev.contract in watched:
-                            return False
-        return True
+        daemon_watches = (w for daemon in self.owner_daemons for w in daemon.watches(self))
+        unscanned = _unscanned(itertools.chain(self._witness_watches(), daemon_watches))
+        return next(unscanned, None) is None
 
     def check_invariants(self) -> list[InvariantResult]:
         out: list[InvariantResult] = []
@@ -783,7 +756,7 @@ class Simulation(WorldView):
         quorum_ok, quorum_detail = True, []
         for host in self.hosts.values():
             for contract in host.chain.contracts.values():
-                for entry in getattr(contract, "execution_log", []):
+                for entry in contract.execution_log():
                     if entry["votes"] < entry["threshold"] or \
                             entry["threshold"] * 2 <= entry["witness_count"]:
                         quorum_ok = False
@@ -947,24 +920,14 @@ class Simulation(WorldView):
         }
 
 
-def _contract_busy(contract: Any) -> bool:
-    if isinstance(contract, BridgeHead):
-        return (
-            contract.pending is not None
-            or bool(contract.reg_stream.tallies)
-            or bool(contract.out_stream.tallies)
-            or contract.reg_stream.deadline is not None
-            or contract.out_stream.deadline is not None
-        )
-    if isinstance(contract, RegistrationVault):
-        return bool(contract.stream.tallies) or contract.stream.deadline is not None
-    if isinstance(contract, InterRelay):
-        return bool(contract.stream.tallies) or contract.stream.deadline is not None
-    if isinstance(contract, ConsensusGateway):
-        return contract.escrow_total > 0 or any(
-            bool(s.tallies) or s.deadline is not None for s in contract.streams.values()
-        )
-    return False
+def _unscanned(watches: Iterable[tuple]) -> Iterator:
+    """Watched events at or past each cursor's next start, for every
+    (cursor, chain, watched contracts) triple."""
+    for cursor, chain, watched in watches:
+        for height in range(cursor.next_start, chain.height + 1):
+            for ev in chain.events_at(height):
+                if ev.contract in watched:
+                    yield ev
 
 
 def _setup_tx(owner: Address, contract: Address, action: str,

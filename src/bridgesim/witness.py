@@ -277,31 +277,6 @@ class WitnessNode:
     def idle(self) -> bool:
         return not self.pending
 
-    def snapshot(self) -> dict:
-        """Serializable view of the relay state, for checkpointing runs."""
-        return {
-            "name": self.config.name,
-            "behavior": self.config.behavior.value,
-            "cursors": {
-                str(cid): {"next_start": c.next_start, "first_time": c.first_time,
-                           "history": [list(w) for w in c.history]}
-                for cid, c in sorted(self.cursors.items())
-            },
-            "pending": {
-                "|".join(map(str, key)): {
-                    "direction": vote.direction,
-                    "subject": "0x" + vote.subject.hex(),
-                    "entries": [codec.to_plain(e.canonical()) for e in vote.entries],
-                    "last_submit": vote.last_submit,
-                }
-                for key, vote in sorted(self.pending.items(), key=lambda kv: str(kv[0]))
-            },
-            "adopted_rounds": {
-                "|".join(map(str, k)): v for k, v in sorted(self.adopted_rounds.items())
-            },
-            "relayed": sorted(map(list, self.relayed_origins)),
-        }
-
     # -- relay construction (vote content depends on the behavior) -----------
 
     def relay_and_vote(
@@ -328,7 +303,7 @@ class WitnessNode:
                     first.value + bump,
                 ),
             ) + entries[1:]
-        subject = subject_of(direction, entries)
+        subject = entries_subject(direction, entries)
         sender = cfg.token_address if target in (cfg.bridge_head, cfg.registry) else cfg.side_address
         return [
             Transaction(
@@ -504,7 +479,7 @@ class WitnessNode:
             target_chain=target_chain,
             target=target,
             direction=direction,
-            subject=subject_of(direction, entries),
+            subject=entries_subject(direction, entries),
             entries=entries,
         )
         self._force_submit.add(key)
@@ -535,7 +510,7 @@ class WitnessNode:
                         target_chain=vote.target_chain,
                         target=vote.target,
                         direction=direction,
-                        subject=subject_of(direction, remaining),
+                        subject=entries_subject(direction, remaining),
                         entries=remaining,
                         last_submit=vote.last_submit,
                         submit_count=vote.submit_count,
@@ -605,10 +580,6 @@ class WitnessNode:
                 # This behavior never submits this vote; drop it so the node
                 # does not hold up quiescence.
                 del self.pending[key]
-
-
-def subject_of(direction: str, entries: tuple[TransferEntry, ...]) -> bytes:
-    return entries_subject(direction, entries)
 
 
 class WorldView:

@@ -28,7 +28,6 @@ from bridgesim.contracts import (
     ConsensusGateway,
     InterRelay,
     Multisig,
-    MultisigIncomplete,
     NotAuthorized,
     QuorumStream,
     RegistrationVault,
@@ -209,31 +208,12 @@ class TestBridgeHeadRegistration:
         assert len(tally.yes) == 1
         assert not head.registered
 
-    def test_unknown_witness_rejected(self):
-        chain, _, head = make_token()
-        chain.apply_block([request_tx()])
-        subject = pending_subject(head)
-        bad = Transaction(sender=CREATOR, to=BRIDGE_ADDR, value=0, gasprice=1,
-                          round=0,
-                          payload=Confirm(chain_id=SIDE_ID, subject=subject, verdict=True))
-        _, rejections = chain.apply_block([bad])
-        assert "UnknownWitness" in rejections[0].reason
-
-    def test_stale_round_vote_rejected_and_logged(self):
-        chain, _, head = make_token()
-        chain.apply_block([request_tx()])
-        subject = pending_subject(head)
-        _, rejections = chain.apply_block([confirm_tx(0, subject, round_no=7)])
-        assert "StaleRound" in rejections[0].reason
-
     def test_deadline_revert_refunds_locked_minus_fee(self):
         chain, _, head = make_token()
         chain.apply_block([request_tx(attach=1_000)], now=5)
         subject = pending_subject(head)
         chain.apply_block([confirm_tx(0, subject), confirm_tx(1, subject)], now=6)
-        poke = Transaction(sender=BRIDGE_ADDR, to=BRIDGE_ADDR, value=0, gasprice=0,
-                           payload=MultisigAction(action=POKE_ACTION))
-        block, _ = chain.apply_block([poke], now=5 + TIMEOUT)
+        block, _ = chain.apply_block([poke_tx(BRIDGE_ADDR)], now=5 + TIMEOUT)
         results = events_of(block, EventTopic.REGISTRATION_RESULT)
         assert len(results) == 1 and results[0].payload["success"] is False
         assert results[0].payload["refund"] == 990 - FEE
@@ -247,9 +227,7 @@ class TestBridgeHeadRegistration:
     def test_poke_before_deadline_does_nothing(self):
         chain, _, head = make_token()
         chain.apply_block([request_tx()], now=5)
-        poke = Transaction(sender=BRIDGE_ADDR, to=BRIDGE_ADDR, value=0, gasprice=0,
-                           payload=MultisigAction(action=POKE_ACTION))
-        block, _ = chain.apply_block([poke], now=20)
+        block, _ = chain.apply_block([poke_tx(BRIDGE_ADDR)], now=20)
         assert events_of(block, EventTopic.REGISTRATION_RESULT) == []
         assert head.pending is not None
 
@@ -277,24 +255,65 @@ class TestBridgeHeadRegistration:
 
 
 class TestRegistry:
+    def authorize_tx(self, owner, head=BRIDGE_ADDR):
+        return Transaction(sender=owner, to=REGISTRY_ADDR, value=0, gasprice=1,
+                           payload=MultisigAction(action="authorize", args=(str(head),)))
+
+    def owner_funded_token(self, owners, required, heads=(BRIDGE_ADDR,)):
+        """Token chain whose registry authorizes nobody yet; owners can pay gas."""
+        chain = Chain(TOKEN_ID, ChainKind.TOKEN, {"Chain_ID": TOKEN_ID}, TOTAL,
+                      {CREATOR: 20_000, **{o: 10 for o in owners},
+                       Address.from_label("alice"): TOTAL - 20_000 - 10 * len(owners)})
+        registry = ChainIdRegistry(REGISTRY_ADDR, tuple(owners), required)
+        chain.register_contract(REGISTRY_ADDR, registry)
+        for addr in heads:
+            chain.register_contract(addr, BridgeHead(addr, SIDE_ID, tuple(WIT_T), 3, FEE,
+                                                     MINIMUM, TIMEOUT, REGISTRY_ADDR))
+        chain.witness_exempt = set(WIT_T)
+        chain.seal_genesis()
+        return chain, registry
+
+    def register_through(self, chain, head_addr):
+        request = Transaction(sender=CREATOR, to=head_addr, value=1_000, gasprice=1,
+                              payload=request_tx().payload)
+        chain.apply_block([request])
+        subject = chain.contracts[head_addr].pending.subject
+        votes = [Transaction(sender=WIT_T[i], to=head_addr, value=0, gasprice=0, round=0,
+                             payload=Confirm(chain_id=SIDE_ID, subject=subject, verdict=True))
+                 for i in range(3)]
+        return chain.apply_block(votes)
+
     def test_first_insert_succeeds_then_duplicate_reports_false(self):
-        registry = ChainIdRegistry(REGISTRY_ADDR, (OWNER1, OWNER2), 2)
-        assert registry.update(SIDE_ID, {OWNER1, OWNER2}) is True
-        assert registry.update(SIDE_ID, {OWNER1, OWNER2}) is False
+        other = Address.from_label("bridge-head-2")
+        chain, registry = self.owner_funded_token((OWNER1, OWNER2), 2,
+                                                  heads=(BRIDGE_ADDR, other))
+        chain.apply_block([self.authorize_tx(o, h) for h in (BRIDGE_ADDR, other)
+                           for o in (OWNER1, OWNER2)])
+        first, _ = self.register_through(chain, BRIDGE_ADDR)
+        second, _ = self.register_through(chain, other)
+        assert [ev.payload["success"] for ev in events_of(first, EventTopic.EXIST_OR_NOT)] \
+            == [True]
+        assert [ev.payload["success"] for ev in events_of(second, EventTopic.EXIST_OR_NOT)] \
+            == [False]
         assert registry.chain_ids == [SIDE_ID]
 
     def test_incomplete_multisig_rejected(self):
-        registry = ChainIdRegistry(REGISTRY_ADDR, (OWNER1, OWNER2), 2)
-        with pytest.raises(MultisigIncomplete):
-            registry.update(SIDE_ID, {OWNER1})
+        chain, registry = self.owner_funded_token((OWNER1, OWNER2), 2)
+        chain.apply_block([self.authorize_tx(OWNER1)])
+        _, rejections = self.register_through(chain, BRIDGE_ADDR)
+        # the quorum-completing vote cannot append without the authorization
+        assert [r.reason.split(":")[0] for r in rejections] == ["MultisigIncomplete"]
         assert registry.chain_ids == []
 
     def test_n_of_m_configurable(self):
         owners = tuple(Address.from_label(f"o{i}") for i in range(5))
-        registry = ChainIdRegistry(REGISTRY_ADDR, owners, 3)
-        with pytest.raises(MultisigIncomplete):
-            registry.update(SIDE_ID, set(owners[:2]))
-        assert registry.update(SIDE_ID, set(owners[:3])) is True
+        chain, registry = self.owner_funded_token(owners, 3)
+        chain.apply_block([self.authorize_tx(o) for o in owners[:2]])
+        assert BRIDGE_ADDR not in registry.authorized
+        chain.apply_block([self.authorize_tx(owners[2])])
+        assert BRIDGE_ADDR in registry.authorized
+        self.register_through(chain, BRIDGE_ADDR)
+        assert registry.chain_ids == [SIDE_ID]
 
     def test_standing_authorization_via_owner_transactions(self):
         chain, registry, head = make_token()
@@ -347,11 +366,16 @@ class TestRegistrationVault:
         assert results[0].payload["success"] is False
         assert vault.balance == BAL_RESV
 
+    def suicide_tx(self, owner):
+        return Transaction(sender=owner, to=VAULT_ADDR, value=0, gasprice=0,
+                           payload=MultisigAction(action="suicide"))
+
     def test_vote_after_suicide_rejected(self):
         chain, vault, _, _ = make_side()
         chain.apply_block([relay_tx(WIT_S[i], VAULT_ADDR, REGISTRATION,
                                     self.payout_entries()) for i in range(3)])
-        vault.suicide_direct({OWNER1, OWNER2})
+        chain.apply_block([self.suicide_tx(OWNER1), self.suicide_tx(OWNER2)])
+        assert vault.suicided
         _, rejections = chain.apply_block(
             [relay_tx(WIT_S[0], VAULT_ADDR, REGISTRATION, self.payout_entries(),
                       round_no=1)])
@@ -361,29 +385,30 @@ class TestRegistrationVault:
         chain, vault, _, _ = make_side()
         chain.apply_block([relay_tx(WIT_S[i], VAULT_ADDR, REGISTRATION,
                                     self.payout_entries()) for i in range(3)])
-        with pytest.raises(MultisigIncomplete):
-            vault.suicide_direct({OWNER1})
+        # a non-owner's approval is refused and one owner twice is not two
+        _, rejections = chain.apply_block([self.suicide_tx(WIT_S[0]),
+                                           self.suicide_tx(OWNER1), self.suicide_tx(OWNER1)])
+        assert [r.reason.split(":")[0] for r in rejections] == ["NotAuthorized"]
         assert not vault.suicided
-        vault.suicide_direct({OWNER1, OWNER2})
+        _, rejections = chain.apply_block([self.suicide_tx(OWNER2)])
+        assert rejections == []
         assert vault.suicided
+        _, rejections = chain.apply_block([self.suicide_tx(OWNER1)])
+        assert "AlreadySuicided" in rejections[0].reason
 
     def test_suicide_before_payout_rejects_nonzero_balance(self):
-        _, vault, _, _ = make_side()
-        from bridgesim.contracts import NonzeroBalance
-
-        with pytest.raises(NonzeroBalance):
-            vault.suicide_direct({OWNER1, OWNER2})
+        chain, vault, _, _ = make_side()
+        _, rejections = chain.apply_block([self.suicide_tx(OWNER1), self.suicide_tx(OWNER2)])
+        assert [r.reason for r in rejections] == [f"NonzeroBalance: vault still holds {BAL_RESV}"]
+        assert not vault.suicided and vault.balance == BAL_RESV
 
     def test_suicide_via_owner_transactions(self):
         chain, vault, _, _ = make_side()
         chain.apply_block([relay_tx(WIT_S[i], VAULT_ADDR, REGISTRATION,
                                     self.payout_entries()) for i in range(3)])
-        approve = lambda owner: Transaction(
-            sender=owner, to=VAULT_ADDR, value=0, gasprice=0,
-            payload=MultisigAction(action="suicide"))
-        chain.apply_block([approve(OWNER1)])
+        chain.apply_block([self.suicide_tx(OWNER1)])
         assert not vault.suicided
-        chain.apply_block([approve(OWNER2)])
+        chain.apply_block([self.suicide_tx(OWNER2)])
         assert vault.suicided
 
 
@@ -511,10 +536,7 @@ class TestInterRelayOutbound:
 
 class TestBridgeHeadUnlock:
     def registered_head(self):
-        chain, registry, head = make_token()
-        chain.apply_block([request_tx()])
-        subject = pending_subject(head)
-        chain.apply_block([confirm_tx(i, subject) for i in range(3)])
+        chain, _, head = registered_head()
         assert head.locked == 990
         return chain, head
 
@@ -561,12 +583,279 @@ class TestBridgeHeadUnlock:
         ])
         assert head.locked == 980  # only the value-10 subject reached quorum
 
-    def test_subject_must_match_entries(self):
-        chain, head = self.registered_head()
-        bogus = relay_tx(WIT_T[0], BRIDGE_ADDR, OUTBOUND, self.unlock_entries(50),
-                         subject=b"\x99" * 32)
-        _, rejections = chain.apply_block([bogus])
-        assert "MalformedVote" in rejections[0].reason
+
+def registered_head():
+    chain, registry, head = make_token()
+    chain.apply_block([request_tx()])
+    chain.apply_block([confirm_tx(i, pending_subject(head)) for i in range(3)])
+    return chain, registry, head
+
+
+def poke_tx(addr):
+    return Transaction(sender=addr, to=addr, value=0, gasprice=0,
+                       payload=MultisigAction(action=POKE_ACTION))
+
+
+def votes(senders, target, direction, entries, round_no=0):
+    return [relay_tx(s, target, direction, entries, round_no) for s in senders]
+
+
+# Every vote lane, as (chain, contract address, stream, vote builder, outsider).
+# The vote builder takes (sender, round, subject or None); the outsider is a
+# sender that may submit gas-free or pay gas, but is not a witness.
+def head_confirm_lane():
+    chain, _, head = make_token()
+    chain.apply_block([request_tx()])
+    subject = pending_subject(head)
+    vote = lambda sender, round_no, _subject=None: Transaction(
+        sender=sender, to=BRIDGE_ADDR, value=0, gasprice=0 if sender in WIT_T else 1,
+        round=round_no, payload=Confirm(chain_id=SIDE_ID, subject=subject, verdict=True))
+    return chain, head.reg_stream, vote, WIT_T[0], CREATOR
+
+
+def head_outbound_lane():
+    chain, _, head = registered_head()
+    entries = (entry(Address.from_label("token-user"), 50, height=9, chain=SIDE_ID),)
+    vote = lambda sender, round_no, subject=None: Transaction(
+        sender=sender, to=BRIDGE_ADDR, value=0, gasprice=0 if sender in WIT_T else 1,
+        round=round_no, payload=relay_tx(sender, BRIDGE_ADDR, OUTBOUND, entries,
+                                         subject=subject).payload)
+    return chain, head.out_stream, vote, WIT_T[0], CREATOR
+
+
+def side_lane(make, addr, direction, stream_of):
+    def build():
+        chain, *contracts = make()
+        entries = (entry(SIDE_CREATOR, BAL_RESV),)
+        vote = lambda sender, round_no, subject=None: relay_tx(
+            sender, addr, direction, entries, round_no, subject)
+        return chain, stream_of(*contracts), vote, WIT_S[0], OWNER1
+    return build
+
+
+LANES = {
+    "head_confirm": head_confirm_lane,
+    "head_outbound": head_outbound_lane,
+    "vault": side_lane(make_side, VAULT_ADDR, REGISTRATION, lambda vault, *_: vault.stream),
+    "relay": side_lane(make_side, RELAY_ADDR, INBOUND, lambda _, relay, bank: relay.stream),
+    "gateway": side_lane(make_native, GATEWAY_ADDR, INBOUND,
+                         lambda gateway, _: gateway.streams[INBOUND]),
+}
+
+ADMISSION_FAULTS = {
+    "unknown_witness": ("UnknownWitness", lambda vote, witness, outsider: vote(outsider, 0)),
+    "stale_round": ("StaleRound", lambda vote, witness, outsider: vote(witness, 7)),
+    "subject_mismatch": ("MalformedVote",
+                         lambda vote, witness, outsider: vote(witness, 0, b"\x99" * 32)),
+}
+
+
+# A registration confirm carries no entries, so it has no subject to mismatch.
+@pytest.mark.parametrize("lane,fault", [
+    (lane, fault) for lane in sorted(LANES) for fault in sorted(ADMISSION_FAULTS)
+    if (lane, fault) != ("head_confirm", "subject_mismatch")
+])
+def test_vote_admission_rejects(lane, fault):
+    chain, stream, vote, witness, outsider = LANES[lane]()
+    error, bad_vote = ADMISSION_FAULTS[fault]
+    block, rejections = chain.apply_block([bad_vote(vote, witness, outsider)])
+    assert [r.reason.split(":")[0] for r in rejections] == [error]
+    assert block.events == []
+    assert all(not t.voters() for t in stream.tallies.values())
+    # the lane still takes a well-formed vote from the same witness
+    _, rejections = chain.apply_block([vote(witness, stream.round)])
+    assert rejections == []
+
+
+# ---------------------------------------------------------------------------
+# Lane outcomes no shipped trace reaches, pinned payload by payload.
+# Each case returns (block, contract address, state checks); the block holds
+# exactly one result event from that contract.
+# ---------------------------------------------------------------------------
+
+CONSENSUS_KEYS = {"stream", "round", "next_round", "subject", "success", "origins",
+                  "duplicate"}
+REG_RESULT_KEYS = {"success", "subject", "round", "next_round"}
+
+
+def case_head_unlock_exceeds_locked():
+    chain, _, head = registered_head()
+    entries = [entry(Address.from_label("token-user"), 1_000, height=9, chain=SIDE_ID)]
+    block, _ = chain.apply_block(votes(WIT_T[:3], BRIDGE_ADDR, OUTBOUND, entries))
+    return block, BRIDGE_ADDR, [(head.locked, 990), (head.out_stream.round, 1)]
+
+
+def case_head_outbound_duplicate():
+    chain, _, head = registered_head()
+    entries = [entry(Address.from_label("token-user"), 50, height=9, chain=SIDE_ID)]
+    chain.apply_block(votes(WIT_T[:3], BRIDGE_ADDR, OUTBOUND, entries))
+    block, _ = chain.apply_block(votes(WIT_T[3:], BRIDGE_ADDR, OUTBOUND, entries, 1))
+    return block, BRIDGE_ADDR, [(head.locked, 940), (head.out_stream.round, 1)]
+
+
+def case_head_chain_id_taken():
+    chain, registry, head = make_token()
+    registry.chain_ids.append(SIDE_ID)
+    chain.apply_block([request_tx()])
+    block, _ = chain.apply_block([confirm_tx(i, pending_subject(head)) for i in range(3)])
+    return block, BRIDGE_ADDR, [(head.locked, 0), (head.registered, False),
+                                (head.pending, None), (chain.balance(CREATOR), 20_000 - FEE),
+                                (registry.chain_ids, [SIDE_ID]), (head.reg_stream.round, 1)]
+
+
+def case_vault_payout_mismatch():
+    chain, vault, _, _ = make_side()
+    block, _ = chain.apply_block(votes(WIT_S[:3], VAULT_ADDR, REGISTRATION,
+                                       [entry(SIDE_CREATOR, BAL_RESV - 1)]))
+    return block, VAULT_ADDR, [(vault.balance, BAL_RESV), (vault.stream.round, 1),
+                               (chain.balance(SIDE_CREATOR), 0)]
+
+
+def case_vault_duplicate():
+    chain, vault, _, _ = make_side()
+    payout = [entry(SIDE_CREATOR, BAL_RESV)]
+    chain.apply_block(votes(WIT_S[:3], VAULT_ADDR, REGISTRATION, payout))
+    block, _ = chain.apply_block(votes(WIT_S[3:], VAULT_ADDR, REGISTRATION, payout, 1))
+    return block, VAULT_ADDR, [(vault.balance, 0), (chain.balance(SIDE_CREATOR), BAL_RESV),
+                               (vault.stream.round, 1)]
+
+
+def case_vault_timeout():
+    chain, vault, _, _ = make_side()
+    chain.apply_block(votes(WIT_S[:2], VAULT_ADDR, REGISTRATION,
+                            [entry(SIDE_CREATOR, BAL_RESV)]), now=5)
+    block, _ = chain.apply_block([poke_tx(VAULT_ADDR)], now=5 + TIMEOUT)
+    return block, VAULT_ADDR, [(vault.balance, BAL_RESV), (vault.stream.round, 1),
+                               (vault.stream.deadline, None), (vault.stream.tallies, {})]
+
+
+def case_relay_bank_underflow():
+    chain, _, relay, bank = make_side(bal_bank=50)
+    block, _ = chain.apply_block(votes(WIT_S[:3], RELAY_ADDR, INBOUND,
+                                       [entry(Address.from_label("side-user"), 100)]))
+    return block, RELAY_ADDR, [(bank.balance, 50), (relay.stream.round, 1)]
+
+
+def case_relay_strict_gate():
+    chain, _, relay, bank = make_side(mode="strict")
+    to = Address.from_label("side-user")
+    chain.apply_block(votes(WIT_S[:3], RELAY_ADDR, INBOUND, [entry(to, 100)]))
+    block, _ = chain.apply_block(votes(WIT_S[:3], RELAY_ADDR, INBOUND,
+                                       [entry(to, 60, height=7)], 1))
+    return block, RELAY_ADDR, [(bank.balance, BAL_BANK - 100), (chain.balance(to), 100),
+                               (relay.stream.round, 2)]
+
+
+def case_relay_duplicate():
+    chain, _, relay, bank = make_side()
+    entries = [entry(Address.from_label("side-user"), 100)]
+    chain.apply_block(votes(WIT_S[:3], RELAY_ADDR, INBOUND, entries))
+    block, _ = chain.apply_block(votes(WIT_S[3:], RELAY_ADDR, INBOUND, entries, 1))
+    return block, RELAY_ADDR, [(bank.balance, BAL_BANK - 100), (relay.stream.round, 1)]
+
+
+def case_gateway_escrow_underflow():
+    chain, gateway, trading = make_native()
+    entries = [entry(Address.from_label("token-user"), 60, chain=SIDE_ID)]
+    block, _ = chain.apply_block(votes(WIT_S[:3], GATEWAY_ADDR, OUTBOUND, entries))
+    return block, GATEWAY_ADDR, [(gateway.escrow_total, 0),
+                                 (gateway.streams[OUTBOUND].round, 1)]
+
+
+def gateway_duplicate(direction):
+    def case():
+        chain, gateway, trading = make_native()
+        entries = [entry(SIDE_CREATOR, 100)]
+        chain.apply_block(votes(WIT_S[:3], GATEWAY_ADDR, direction, entries))
+        block, _ = chain.apply_block(votes(WIT_S[3:], GATEWAY_ADDR, direction, entries, 1))
+        return block, GATEWAY_ADDR, [(trading.balances, {SIDE_CREATOR: 100}),
+                                     (gateway.streams[direction].round, 1)]
+    return case
+
+
+def gateway_timeout(direction):
+    def case():
+        chain, gateway, trading = make_native()
+        chain.apply_block(votes(WIT_S[:1], GATEWAY_ADDR, direction,
+                                [entry(SIDE_CREATOR, 100)]), now=5)
+        block, _ = chain.apply_block([poke_tx(GATEWAY_ADDR)], now=5 + TIMEOUT)
+        stream = gateway.streams[direction]
+        return block, GATEWAY_ADDR, [(trading.balances, {}), (stream.round, 1),
+                                     (stream.deadline, None), (stream.tallies, {})]
+    return case
+
+
+FAILED = {"success": False, "duplicate": False, "origins": []}
+ECHO = {"success": True, "duplicate": True, "origins": []}
+TIMEOUT_KEYS = {"error": "timeout", "subject": "0x", "success": False}
+
+# id -> (case, topic, payload keys, pinned payload values, round, next_round)
+LANE_OUTCOMES = {
+    "head_unlock_exceeds_locked": (
+        case_head_unlock_exceeds_locked, EventTopic.CONSENSUS_RESULT, CONSENSUS_KEYS | {"error"},
+        {**FAILED, "stream": OUTBOUND, "error": "unlock 1000 exceeds locked 990"}, 0, 1),
+    "head_outbound_duplicate": (
+        case_head_outbound_duplicate, EventTopic.CONSENSUS_RESULT, CONSENSUS_KEYS,
+        {**ECHO, "stream": OUTBOUND}, 0, 1),
+    "head_chain_id_taken": (
+        case_head_chain_id_taken, EventTopic.REGISTRATION_RESULT,
+        REG_RESULT_KEYS | {"chain_id", "reason"},
+        {"success": False, "reason": "chain id already registered", "chain_id": str(SIDE_ID)},
+        0, 1),
+    "vault_payout_mismatch": (
+        case_vault_payout_mismatch, EventTopic.REGISTRATION_RESULT, REG_RESULT_KEYS | {"error"},
+        {"success": False, "error": "payout must equal the vault balance exactly"}, 0, 1),
+    "vault_duplicate": (
+        case_vault_duplicate, EventTopic.REGISTRATION_RESULT, REG_RESULT_KEYS | {"duplicate"},
+        {"success": True, "duplicate": True}, 0, 1),
+    "vault_timeout": (
+        case_vault_timeout, EventTopic.REGISTRATION_RESULT, REG_RESULT_KEYS | {"error"},
+        TIMEOUT_KEYS, 0, 1),
+    "relay_bank_underflow": (
+        case_relay_bank_underflow, EventTopic.CONSENSUS_RESULT, CONSENSUS_KEYS | {"error"},
+        {**FAILED, "stream": INBOUND, "error": "unlock 100 exceeds bank balance 50"}, 0, 1),
+    "relay_strict_gate": (
+        case_relay_strict_gate, EventTopic.CONSENSUS_RESULT, CONSENSUS_KEYS | {"error"},
+        {**FAILED, "stream": INBOUND,
+         "error": f"strict gate: bank {BAL_BANK - 160} + entrance {BAL_RESV} + 60 "
+                  f"!= supply {TOTAL}"}, 1, 2),
+    "relay_duplicate": (
+        case_relay_duplicate, EventTopic.CONSENSUS_RESULT, CONSENSUS_KEYS,
+        {**ECHO, "stream": INBOUND}, 0, 1),
+    "gateway_escrow_underflow": (
+        case_gateway_escrow_underflow, EventTopic.CONSENSUS_RESULT, CONSENSUS_KEYS | {"error"},
+        {**FAILED, "stream": OUTBOUND, "error": "escrow underflow"}, 0, 1),
+    # The registration lane succeeds with a RegistrationResult but echoes a
+    # duplicate as a ConsensusResult naming the stream.
+    "gateway_registration_duplicate": (
+        gateway_duplicate(REGISTRATION), EventTopic.CONSENSUS_RESULT, CONSENSUS_KEYS,
+        {**ECHO, "stream": REGISTRATION}, 0, 1),
+    "gateway_inbound_duplicate": (
+        gateway_duplicate(INBOUND), EventTopic.CONSENSUS_RESULT, CONSENSUS_KEYS,
+        {**ECHO, "stream": INBOUND}, 0, 1),
+    "gateway_registration_timeout": (
+        gateway_timeout(REGISTRATION), EventTopic.REGISTRATION_RESULT,
+        REG_RESULT_KEYS | {"error"}, TIMEOUT_KEYS, 0, 1),
+    "gateway_inbound_timeout": (
+        gateway_timeout(INBOUND), EventTopic.CONSENSUS_RESULT, CONSENSUS_KEYS | {"error"},
+        {**FAILED, **TIMEOUT_KEYS, "stream": INBOUND}, 0, 1),
+}
+
+
+@pytest.mark.parametrize("outcome", sorted(LANE_OUTCOMES))
+def test_lane_outcome(outcome):
+    case, topic, keys, pinned, round_no, next_round = LANE_OUTCOMES[outcome]
+    block, addr, checks = case()
+    results = [ev for ev in block.events if ev.contract == addr
+               and ev.topic in (EventTopic.CONSENSUS_RESULT, EventTopic.REGISTRATION_RESULT)]
+    assert len(results) == 1
+    assert results[0].topic == topic
+    payload = results[0].payload
+    assert set(payload) == keys
+    assert {k: payload[k] for k in pinned} == pinned
+    assert (payload["round"], payload["next_round"]) == (round_no, next_round)
+    for got, expected in checks:
+        assert got == expected
 
 
 class TestReserveBankAccessControl:

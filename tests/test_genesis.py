@@ -7,7 +7,6 @@ from bridgesim.genesis import (
     GASLESS_FIELDS,
     NATIVE_GAS_FIELDS,
     GenesisError,
-    check_supply,
     genesis_hash,
     parse_genesis,
 )
@@ -113,21 +112,6 @@ def test_bad_address_rejected():
 def test_contract_address_collision_rejected():
     with pytest.raises(GenesisError):
         parse_genesis(gasless(SC_Bank=gasless()["SC_Register"]))
-
-
-def test_supply_rule():
-    spec = parse_genesis(gasless())
-    check_supply(spec, 1_000_000)
-    with pytest.raises(GenesisError):
-        check_supply(spec, 1_000_001)
-    # off by one the other way
-    off = parse_genesis(gasless(Bal_Bank=999011))
-    with pytest.raises(GenesisError):
-        check_supply(off, 1_000_000)
-
-
-def test_native_has_no_supply_rule():
-    check_supply(parse_genesis(native()), 123)  # no exception
 
 
 def test_every_field_feeds_the_hash():

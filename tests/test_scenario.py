@@ -45,6 +45,23 @@ def test_genesis_reserves_must_match_supply(data):
     assert any("Bal_Resv" in d.field for d in diags)
 
 
+@pytest.mark.parametrize("field", ["Bal_Resv", "Bal_Bank"])
+@pytest.mark.parametrize("delta", [1, -1])
+def test_supply_rule(data, field, delta):
+    data["side_chains"][0]["genesis"][field] += delta
+    diags = errors_of(validate_scenario(data))
+    assert [d.field for d in diags] == ["side_chains[0].genesis.Bal_Resv"]
+    assert "must equal total supply" in diags[0].message
+
+
+def test_native_has_no_supply_rule():
+    native = presets.happy_path(variant="native_gas")
+    native["token_chain"]["total_supply"] += 123
+    key = next(iter(native["accounts"]))
+    native["accounts"][key] += 123  # keep the account sum rule satisfied
+    assert errors_of(validate_scenario(native)) == []
+
+
 def test_missing_witness_list_field_is_named(data):
     del data["side_chains"][0]["genesis"]["Wit_Addr_List"]
     diags = errors_of(validate_scenario(data))
