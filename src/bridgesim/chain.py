@@ -3,8 +3,16 @@
 Each chain is an append-only list of blocks over an account ledger plus a set
 of contract state machines.  Block application is the only way state changes:
 transactions are applied in order, contracts emit events, and every block
-stores the events it produced.  A bounded reorganization replaces the top
-``depth`` blocks and recomputes state from the fork point.
+stores the events it produced.  A reorganization replaces the top ``depth``
+blocks.
+
+State is journaled, not copied.  The first time a block touches an account or
+a contract, the chain keeps its pre-image in the block's undo record: the old
+balance (or that the account was absent), or the contract's pickled
+``__dict__``.  A rejected transaction restores the block-start pre-images and
+replays the accepted prefix; a reorg restores the undo records of the
+dropped blocks, newest first, then applies the replacement.  Only blocks that
+changed state have a record.
 
 Gas is modeled as flow control only: a transaction either qualifies for the
 zero-gasprice exemption (listed witness to a cross-chain contract, or any
@@ -16,7 +24,7 @@ a token ledger.  There are no block rewards.
 
 from __future__ import annotations
 
-import copy
+import pickle
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterable, Optional
@@ -265,7 +273,11 @@ class Transaction:
         }
 
     def digest(self) -> bytes:
-        return codec.digest(self.canonical())
+        # Cached beside the fields, so equality and hashing do not see it.
+        cached = self.__dict__.get("_digest")
+        if cached is None:
+            cached = self.__dict__["_digest"] = codec.digest(self.canonical())
+        return cached
 
 
 @dataclass(frozen=True)
@@ -331,6 +343,11 @@ class Chain:
     on gasless side chains it is the token ledger and obeys conservation; on
     native-gas side chains it is the native gas balance, which carries no
     cross-chain value (tokens there live in the trading ledger contract).
+
+    State changes only through ``apply_block`` and ``reorg``.  The undo
+    journal and the memoised ``state_digest`` rely on it: every change goes
+    through ``credit``, ``debit`` or ``_touch_contract`` (a contract about to
+    be called), which record the pre-image and drop the memo.
     """
 
     def __init__(
@@ -347,12 +364,16 @@ class Chain:
         self.total_supply = total_supply
         self.accounts: dict[Address, int] = dict(accounts or {})
         self.contracts: dict[Address, Any] = {}
-        self.witness_exempt: set[Address] = set()
+        self.witness_exempt: frozenset[Address] = frozenset()
         genesis = Block(height=0, parent_hash=GENESIS_PARENT, transactions=[])
         genesis.hash = codec.digest(genesis_spec)
         self.blocks: list[Block] = [genesis]
-        self._snapshots: dict[int, tuple] = {}
-        self._snapshot(0)
+        # height -> undo record (account pre-images, contract pre-images) of
+        # every block that changed state; None marks an absent account.
+        self._undo: dict[int, tuple[dict[Address, int | None], dict[Address, bytes]]] = {}
+        self._open_record()
+        self._digest: bytes | None = None
+        self.seal_genesis()
 
     # -- inspection ---------------------------------------------------------
 
@@ -387,18 +408,21 @@ class Chain:
         self.contracts[address] = state
 
     def seal_genesis(self) -> None:
-        """Re-take the genesis snapshot after contracts/exemptions are wired.
+        """Re-take the genesis image after contracts/exemptions are wired.
 
-        Must be called before the first block; rollbacks and full replays
-        start from this state.
+        Must be called before the first block; ``replay_from_genesis`` starts
+        from this image.  The gas exemptions are genesis-only, so they are
+        frozen here and never journaled.
         """
         if self.height != 0:
             raise ValueError("genesis already sealed by block production")
-        self._snapshot(0)
+        self.witness_exempt = frozenset(self.witness_exempt)
+        self._genesis = pickle.dumps((self.accounts, self.contracts), pickle.HIGHEST_PROTOCOL)
 
     def credit(self, addr: Address, amount: int) -> None:
         if amount < 0:
             raise ValueError("negative credit")
+        self._touch_account(addr)
         self.accounts[addr] = self.accounts.get(addr, 0) + amount
 
     def debit(self, addr: Address, amount: int) -> None:
@@ -407,6 +431,7 @@ class Chain:
         have = self.accounts.get(addr, 0)
         if have < amount:
             raise InvalidTransaction(f"insufficient balance at {addr}: {have} < {amount}")
+        self._touch_account(addr)
         self.accounts[addr] = have - amount
 
     def _check_gas(self, tx: Transaction) -> None:
@@ -430,7 +455,7 @@ class Chain:
         self._check_gas(tx)
         if tx.value < 0:
             raise InvalidTransaction("negative value")
-        contract = self.contracts.get(tx.to)
+        contract = self._touch_contract(tx.to)
         if contract is None:
             if not isinstance(tx.payload, (UserTransfer, IoTRecord)):
                 raise InvalidTransaction(f"no contract at {tx.to} for {tx.payload.TAG}")
@@ -459,7 +484,7 @@ class Chain:
         their deadlines.
         """
         height = self.height + 1
-        block_start = self._snapshots[self.height]
+        self._open_record()
         accepted: list[Transaction] = []
         events: list[Event] = []
         rejections: list[Rejection] = []
@@ -470,8 +495,9 @@ class Chain:
                 self._apply_tx(tx, ctx)
             except Exception as exc:  # noqa: BLE001 - any contract error rejects the tx
                 # Roll back to the block start and replay the accepted prefix;
-                # rejections are rare, so this beats snapshotting per tx.
-                self._restore(block_start)
+                # rejections are rare, so this beats journaling per tx.
+                self._restore(self._accounts_before, self._contracts_before)
+                self._open_record()
                 events.clear()
                 for i, prev in enumerate(accepted):
                     self._apply_tx(prev, ApplyContext(self, height, i, events, now))
@@ -487,7 +513,8 @@ class Chain:
         block.hash = block.compute_hash()
         block.events = events
         self.blocks.append(block)
-        self._snapshot(height)
+        if self._accounts_before or self._contracts_before:
+            self._undo[height] = (self._accounts_before, self._contracts_before)
         if before is not None:
             after = self.ledger_total()
             assert after == before == self.total_supply, (
@@ -499,9 +526,9 @@ class Chain:
     def reorg(self, depth: int, replacement: list[Block]) -> None:
         """Drop the top ``depth`` blocks and append ``replacement``.
 
-        State is rewound to the fork-point snapshot and the replacement
-        transactions are re-applied through the normal path, so the surviving
-        history fully determines the resulting state.
+        The dropped blocks' undo records are restored, newest first, and the
+        replacement transactions are re-applied through the normal path, so
+        the surviving history fully determines the resulting state.
         """
         if depth < 0 or depth > self.height:
             raise InvalidReorg(f"depth {depth} out of range (height {self.height})")
@@ -515,65 +542,73 @@ class Chain:
             if blk.parent_hash != expected_parent:
                 raise InvalidReorg(f"replacement block {i} does not link to fork point")
             expected_parent = blk.compute_hash()
-        self._restore(self._snapshots[fork_height])
+        for h in range(self.height, fork_height, -1):
+            record = self._undo.pop(h, None)
+            if record is not None:
+                self._restore(*record)
         self.blocks = self.blocks[: fork_height + 1]
-        for h in [h for h in self._snapshots if h > fork_height]:
-            del self._snapshots[h]
         for blk in replacement:
             self.apply_block(blk.transactions, now=blk.produced_at)
 
     def replay_from_genesis(self) -> "Chain":
         """Independent oracle: rebuild state by replaying every block."""
-        fresh = Chain(
-            self.chain_id,
-            self.kind,
-            self.genesis_spec,
-            self.total_supply,
-            self._snapshots[0][0],
-        )
-        # Contracts are rebuilt from their own genesis-time snapshots.
-        accounts0, contracts0, exempt0 = self._snapshots[0]
-        fresh.accounts = copy.deepcopy(accounts0)
-        fresh.contracts = copy.deepcopy(contracts0)
-        fresh.witness_exempt = set(exempt0)
-        fresh._snapshot(0)
+        fresh = Chain(self.chain_id, self.kind, self.genesis_spec, self.total_supply)
+        fresh.accounts, fresh.contracts = pickle.loads(self._genesis)
+        fresh.witness_exempt = self.witness_exempt
+        fresh.seal_genesis()
         for blk in self.blocks[1:]:
             fresh.apply_block(blk.transactions, now=blk.produced_at)
         return fresh
 
-    # -- snapshots ------------------------------------------------------------
+    # -- undo journal ---------------------------------------------------------
 
-    def _state_copy(self) -> tuple:
-        return (
-            copy.deepcopy(self.accounts),
-            copy.deepcopy(self.contracts),
-            set(self.witness_exempt),
-        )
+    def _open_record(self) -> None:
+        """Start an empty undo record for the block being applied."""
+        self._accounts_before: dict[Address, int | None] = {}
+        self._contracts_before: dict[Address, bytes] = {}
 
-    def _restore(self, snap: tuple) -> None:
-        accounts, contracts, exempt = snap
-        self.accounts = copy.deepcopy(accounts)
-        self.witness_exempt = set(exempt)
+    def _touch_account(self, addr: Address) -> None:
+        """Journal the account at ``addr`` before it changes."""
+        if addr not in self._accounts_before:
+            self._accounts_before[addr] = self.accounts.get(addr)
+        self._digest = None
+
+    def _touch_contract(self, addr: Address) -> Any:
+        """The contract at ``addr`` (None if there is none), journaled before a call."""
+        contract = self.contracts.get(addr)
+        if contract is not None:
+            if addr not in self._contracts_before:
+                self._contracts_before[addr] = pickle.dumps(
+                    contract.__dict__, pickle.HIGHEST_PROTOCOL)
+            self._digest = None
+        return contract
+
+    def _restore(self, accounts: dict[Address, int | None],
+                 contracts: dict[Address, bytes]) -> None:
+        """Put back the pre-images of one undo record."""
+        for addr, balance in accounts.items():
+            if balance is None:
+                del self.accounts[addr]
+            else:
+                self.accounts[addr] = balance
         # Contract objects keep their identity across rollbacks; holders of a
         # reference (the scheduler, tests) always see the live state.
-        fresh = copy.deepcopy(contracts)
-        for addr, obj in fresh.items():
-            live = self.contracts.get(addr)
-            if live is None:
-                self.contracts[addr] = obj
-            else:
-                live.__dict__ = obj.__dict__
-
-    def _snapshot(self, height: int) -> None:
-        self._snapshots[height] = self._state_copy()
+        for addr, image in contracts.items():
+            self.contracts[addr].__dict__ = pickle.loads(image)
+        self._digest = None
 
     def state_digest(self) -> bytes:
-        """Content digest of the full ledger + contract state, for comparisons."""
-        contracts = {
-            str(addr): self.contracts[addr].state_view() for addr in sorted(self.contracts)
-        }
-        accounts = {str(a): v for a, v in sorted(self.accounts.items())}
-        return codec.digest({"accounts": accounts, "contracts": contracts})
+        """Content digest of the full ledger + contract state, for comparisons.
+
+        Memoised until the next journaled change or restore.
+        """
+        if self._digest is None:
+            contracts = {
+                str(addr): self.contracts[addr].state_view() for addr in sorted(self.contracts)
+            }
+            accounts = {str(a): v for a, v in sorted(self.accounts.items())}
+            self._digest = codec.digest({"accounts": accounts, "contracts": contracts})
+        return self._digest
 
 
 class ApplyContext:
@@ -605,7 +640,7 @@ class ApplyContext:
         self.chain.credit(addr, amount)
 
     def contract(self, addr: Address) -> Any:
-        state = self.chain.contracts.get(addr)
+        state = self.chain._touch_contract(addr)
         if state is None:
             raise InvalidTransaction(f"no contract at {addr}")
         return state

@@ -180,8 +180,9 @@ class QuorumStream:
     pooling across consensus instances.
 
     A lane is plain data, because a chain rollback swaps each contract's
-    state for a deep copy: it holds no callables and no reference back to its
-    contract.  ``witnesses`` is the contract's own roster tuple, shared.
+    state for its pickled pre-image: it holds no callables and no reference
+    back to its contract.  ``witnesses`` is the contract's own roster tuple,
+    shared.
     """
 
     name: str

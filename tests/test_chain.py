@@ -1,5 +1,6 @@
 """Chain substrate: block application, conservation, reorgs, genesis hashing."""
 
+import dataclasses
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from bridgesim.chain import (
     Transaction,
     UserTransfer,
 )
+from bridgesim.contracts import Contract, ContractError
 from bridgesim.genesis import genesis_hash, parse_genesis
 
 A = Address.from_label("a")
@@ -146,6 +148,20 @@ class TestReorg:
         assert chain.balance(B) == 400
         assert chain.balance(A) == 600
 
+    def test_repeated_reorgs_at_one_height_match_replay(self):
+        # A dropped block's undo record must go with it: a later reorg of the
+        # same height restores only what the surviving block changed.
+        chain = token_chain()
+        chain.apply_block([pay(A, B, 10)])
+        chain.apply_block([pay(A, B, 5)])
+        chain.reorg(1, [Block(height=2, parent_hash=chain.blocks[1].hash, transactions=[])])
+        first = Block(height=1, parent_hash=chain.blocks[0].hash, transactions=[pay(A, C, 7)])
+        chain.reorg(2, [first, Block(height=2, parent_hash=first.compute_hash(),
+                                     transactions=[])])
+        chain.reorg(1, [Block(height=2, parent_hash=chain.blocks[1].hash, transactions=[])])
+        assert (chain.balance(A), chain.balance(B), chain.balance(C)) == (593, 400, 7)
+        assert chain.state_digest() == chain.replay_from_genesis().state_digest()
+
     def test_reorg_state_equals_full_replay_oracle(self):
         # Independent check: state after an in-place reorg must match a from-
         # scratch replay of the surviving block sequence.
@@ -172,6 +188,47 @@ class TestReorg:
             assert [b.hash for b in oracle.blocks] == [b.hash for b in chain.blocks]
 
 
+class PayThenFail(Contract):
+    """Pays 5 of its own holding to the transfer's ``dest``, then fails."""
+
+    def __init__(self, address: Address) -> None:
+        self.address = address
+        self.held = 5
+
+    def held_balance(self) -> int:
+        return self.held
+
+    def state_view(self) -> dict:
+        return {"held": self.held}
+
+    def transact(self, ctx, tx) -> None:
+        self.held -= 5
+        ctx.credit(tx.payload.dest, 5)
+        raise ContractError("payout refused after the credit")
+
+
+class TestRejectionRollback:
+    def test_account_created_by_a_rejected_tx_is_absent_again(self):
+        payer = Address.from_label("pay-then-fail")
+        chain = Chain(Address.from_label("token"), ChainKind.TOKEN, {}, 1005, {A: 600, B: 400})
+        contract = PayThenFail(payer)
+        chain.register_contract(payer, contract)
+        chain.seal_genesis()
+        chain.apply_block([pay(A, B, 1)])
+        start = list(chain.accounts)
+        call = Transaction(sender=A, to=payer, value=0, gasprice=1,
+                           payload=UserTransfer(dest=C))
+        block, rejections = chain.apply_block([call])
+        assert [r.reason for r in rejections] == ["ContractError: payout refused after the credit"]
+        assert C not in chain.accounts
+        assert list(chain.accounts) == start
+        assert chain.contracts[payer] is contract and contract.held == 5
+        # An accepted tx that creates an account keeps it, in its place.
+        chain.apply_block([pay(A, B, 1), call, pay(B, C, 2)])
+        assert list(chain.accounts) == start + [C]
+        assert chain.balance(C) == 2
+
+
 class TestConservationProperty:
     def test_random_workloads_never_change_total(self):
         rng = random.Random(99)
@@ -194,6 +251,15 @@ class TestConservationProperty:
 
 
 class TestDeterminism:
+    def test_cached_tx_digest_leaves_equality_and_hash_alone(self):
+        first, second = pay(A, B, 10), pay(A, B, 10)
+        assert first.digest() == codec.digest(first.canonical())
+        assert first.digest() is first.digest()
+        assert first == second and hash(first) == hash(second)
+        assert first.digest() == second.digest()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.value = 11
+
     def test_identical_inputs_identical_hashes(self):
         def build():
             chain = token_chain()

@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgesim.chain import (
     Address,
+    Block,
     Chain,
     ChainKind,
     Confirm,
@@ -1046,3 +1049,168 @@ class TestRoundDisciplineProperty:
                 assert expected, f"trial {trial}: fired without a real quorum"
             else:
                 assert not expected, f"trial {trial}: quorum missed"
+
+
+# ---------------------------------------------------------------------------
+# The undo path: rejection rollbacks and reorgs against a full replay
+# ---------------------------------------------------------------------------
+
+USERS = [Address.from_label(f"user-{i}") for i in range(3)]
+NEWCOMERS = [Address.from_label(f"newcomer-{i}") for i in range(3)] + [OWNER1]
+STRANGER = Address.from_label("stranger")
+ALICE = Address.from_label("alice")
+
+
+def _round(lane, stale):
+    return lane.round - 1 if stale else lane.round
+
+
+def _pay(sender, to, value):
+    return Transaction(sender=sender, to=to, value=value, gasprice=1, payload=UserTransfer())
+
+
+def _owner(owner, to, action, *args):
+    return Transaction(sender=owner, to=to, value=0, gasprice=0,
+                       payload=MultisigAction(action=action, args=tuple(str(a) for a in args)))
+
+
+def _side_menu(chain, a, b, stale):
+    """Every kind of transaction a gasless side chain sees, good and bad."""
+    vault, relay = chain.contracts[VAULT_ADDR], chain.contracts[RELAY_ADDR]
+    witness = STRANGER if stale and a == 3 else WIT_S[a]
+    return [
+        relay_tx(witness, VAULT_ADDR, REGISTRATION,
+                 [entry(SIDE_CREATOR, BAL_RESV - (b == 3))], _round(vault.stream, stale)),
+        relay_tx(witness, RELAY_ADDR, INBOUND,
+                 [entry(USERS[b % 2], 40 * (b % 2 + 1), height=b % 2)],
+                 _round(relay.stream, stale)),
+        Transaction(sender=USERS[a % 3], to=RELAY_ADDR, value=5 * (b + 1), gasprice=1,
+                    payload=UserTransfer(dest=None if stale else USERS[b % 3])),
+        _pay(USERS[a % 3], NEWCOMERS[b], 3 + 100 * stale),
+        _owner((OWNER1, OWNER2)[a % 2], VAULT_ADDR, "suicide"),
+        _owner((OWNER1, OWNER2)[a % 2], BANK_ADDR, "add_relay",
+               STRANGER if stale else RELAY_ADDR),
+        poke_tx((VAULT_ADDR, RELAY_ADDR)[b % 2]),
+    ]
+
+
+def _token_menu(chain, a, b, stale):
+    """Every kind of transaction the token chain sees, good and bad."""
+    head = chain.contracts[BRIDGE_ADDR]
+    subject = head.pending.subject if head.pending and not stale else b"\x07" * 32
+    return [
+        request_tx(attach=50 if stale else 1_000),
+        confirm_tx(a, subject, verdict=b != 3, round_no=_round(head.reg_stream, stale)),
+        Transaction(sender=ALICE, to=BRIDGE_ADDR, value=10 * (b + 1), gasprice=1,
+                    payload=UserTransfer(dest=None if stale else USERS[b % 3])),
+        relay_tx(WIT_T[a], BRIDGE_ADDR, OUTBOUND,
+                 [entry(USERS[b % 2], 10 * (b % 2 + 1), height=b % 2, chain=SIDE_ID)],
+                 _round(head.out_stream, stale)),
+        _pay(ALICE, NEWCOMERS[b], 3),
+        Transaction(sender=(OWNER1, OWNER2)[a % 2], to=REGISTRY_ADDR, value=0, gasprice=1,
+                    payload=MultisigAction(action="authorize", args=(str(BRIDGE_ADDR),))),
+        poke_tx(BRIDGE_ADDR),
+    ]
+
+
+def _native_menu(chain, a, b, stale):
+    """Every kind of transaction a native-gas side chain sees, good and bad."""
+    gateway = chain.contracts[GATEWAY_ADDR]
+    lane = (REGISTRATION, INBOUND, OUTBOUND)[b % 3]
+    origin = SIDE_ID if lane == OUTBOUND else TOKEN_ID
+    return [
+        relay_tx(WIT_S[a], GATEWAY_ADDR, INBOUND,
+                 [entry(USERS[b % 2], 40 * (b % 2 + 1), height=b % 2)],
+                 _round(gateway.streams[INBOUND], stale)),
+        Transaction(sender=USERS[a % 3], to=GATEWAY_ADDR, value=0, gasprice=1,
+                    payload=TradingAction(to=NEWCOMERS[b], value=5 * (b + 1), cross_chain=True)),
+        relay_tx(WIT_S[a], GATEWAY_ADDR, lane,
+                 [entry(USERS[b % 2], 5, height=b % 2, chain=origin)],
+                 _round(gateway.streams[lane], stale)),
+        Transaction(sender=USERS[a % 3], to=TRADING_ADDR, value=0, gasprice=1,
+                    payload=TradingAction(to=NEWCOMERS[b], value=3 + 100 * stale)),
+        _owner((OWNER1, OWNER2)[a % 2], TRADING_ADDR, "authorize_gateway",
+               STRANGER if stale else GATEWAY_ADDR),
+        Transaction(sender=STRANGER, to=GATEWAY_ADDR, value=1, gasprice=0,
+                    payload=TradingAction(to=USERS[0], value=1, cross_chain=True)),
+        poke_tx(GATEWAY_ADDR),
+    ]
+
+
+# Threshold 2 of 4 lets short random schedules reach quorum.
+UNDO_CHAINS = {
+    "side": (lambda: make_side(threshold=2)[0], _side_menu),
+    "token": (lambda: make_token(threshold=2)[0], _token_menu),
+    "native": (lambda: make_native(threshold=2)[0], _native_menu),
+}
+
+INTENT = st.tuples(st.integers(0, 6), st.integers(0, 3), st.integers(0, 3), st.booleans())
+
+
+def assert_matches_replay(chain):
+    oracle = chain.replay_from_genesis()
+    assert [b.hash for b in chain.blocks] == [b.hash for b in oracle.blocks]
+    assert [b.events for b in chain.blocks] == [b.events for b in oracle.blocks]
+    assert list(chain.accounts.items()) == list(oracle.accounts.items())
+    assert chain.state_digest() == oracle.state_digest()
+    for addr, live in chain.contracts.items():
+        twin = oracle.contracts[addr]
+        assert [(lane.round, lane.tallies, lane.executed, lane.log) for lane in live.lanes()] \
+            == [(lane.round, lane.tallies, lane.executed, lane.log) for lane in twin.lanes()]
+        assert getattr(live, "executed_origins", None) == getattr(twin, "executed_origins", None)
+        assert live.execution_log() == twin.execution_log()
+        assert vars(live) == vars(twin)
+
+
+@pytest.mark.parametrize("kind", sorted(UNDO_CHAINS))
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_rollbacks_and_reorgs_match_full_replay(kind, data):
+    """Votes, deposits, owner actions and rejected transactions, mixed with
+    reorgs of any depth up to the height, leave exactly the state, lanes,
+    logs and block hashes that replaying the surviving blocks builds."""
+    build, menu = UNDO_CHAINS[kind]
+    chain = build()
+    now = 0
+
+    def draw_txs():
+        return [menu(chain, a, b, stale)[pick]
+                for pick, a, b, stale in data.draw(st.lists(INTENT, max_size=5))]
+
+    for _ in range(data.draw(st.integers(1, 10))):
+        now += data.draw(st.integers(0, 30))
+        if chain.height and data.draw(st.booleans()):
+            depth = data.draw(st.integers(0, chain.height))
+            fork = chain.height - depth
+            dropped = chain.blocks[fork + 1:]
+            parent = chain.blocks[fork].hash
+            replacement = []
+            for i in range(data.draw(st.integers(0, depth + 1))):
+                kept = dropped[i].transactions if i < depth and data.draw(st.booleans()) else []
+                blk = Block(height=fork + 1 + i, parent_hash=parent,
+                            transactions=kept + draw_txs(), produced_at=now)
+                parent = blk.compute_hash()
+                replacement.append(blk)
+            chain.reorg(depth, replacement)
+        else:
+            chain.apply_block(draw_txs(), now=now)
+        assert_matches_replay(chain)
+
+
+def test_contracts_keep_identity_across_rollback_and_reorg():
+    chain, vault, relay, bank = make_side()
+    user = Address.from_label("side-user")
+    entries = [entry(user, 10)]
+    # The stranger's vote is rejected after the first vote touched the relay.
+    chain.apply_block([relay_tx(WIT_S[0], RELAY_ADDR, INBOUND, entries),
+                       relay_tx(STRANGER, RELAY_ADDR, INBOUND, entries)])
+    assert chain.contracts[RELAY_ADDR] is relay
+    assert relay.stream.tallies[entries_subject(INBOUND, entries)].yes == {WIT_S[0]}
+    chain.apply_block([relay_tx(WIT_S[i], RELAY_ADDR, INBOUND, entries) for i in (1, 2)])
+    assert bank.balance == BAL_BANK - 10 and relay.stream.round == 1
+    chain.reorg(1, [Block(height=2, parent_hash=chain.blocks[1].hash, transactions=[])])
+    assert chain.contracts[RELAY_ADDR] is relay and chain.contracts[BANK_ADDR] is bank
+    assert chain.contracts[VAULT_ADDR] is vault
+    assert bank.balance == BAL_BANK and relay.stream.round == 0
+    assert relay.stream.tallies[entries_subject(INBOUND, entries)].yes == {WIT_S[0]}
+    assert user not in chain.accounts

@@ -6,15 +6,19 @@ program's behaviour changed.  Regenerate ``TRACE_SHA256`` only for a change
 that is meant to alter traces, and say so in CHANGES.md.
 """
 
+import dataclasses
 import hashlib
 import os
 import subprocess
 import sys
+from enum import Enum
 from pathlib import Path
 
 import pytest
 
 from bridgesim import cli
+from bridgesim.scenario import load_file, parse_scenario
+from bridgesim.simnet import Simulation
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -123,3 +127,36 @@ def test_digest_holds_in_a_process_with_another_hash_seed(tmp_path):
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == \
         TRACE_SHA256[("mixed_variants", None, 3)]
+
+
+def _mutable_parts(obj, found: dict[int, object]) -> None:
+    """Every mutable object reachable from ``obj``, by id."""
+    if isinstance(obj, (str, bytes, int, float, type(None), Enum)) or id(obj) in found:
+        return
+    frozen = isinstance(obj, (tuple, frozenset)) or (
+        dataclasses.is_dataclass(obj) and obj.__dataclass_params__.frozen)
+    if not frozen:
+        found[id(obj)] = obj
+    if isinstance(obj, dict):
+        parts = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (tuple, frozenset, list, set)):
+        parts = list(obj)
+    else:
+        parts = list(vars(obj).values())
+    for part in parts:
+        _mutable_parts(part, found)
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _ in EXIT_CODES}))
+def test_no_contracts_share_mutable_state_at_genesis(name):
+    # A chain journals each contract's pre-image on its own, which is sound
+    # only while no two contracts reach the same mutable object.
+    sim = Simulation(parse_scenario(load_file(str(SCENARIOS / f"{name}.json"))))
+    owner: dict[int, str] = {}
+    for host in sim.hosts.values():
+        for addr, contract in host.chain.contracts.items():
+            found: dict[int, object] = {}
+            _mutable_parts(contract, found)
+            for key, part in found.items():
+                assert owner.setdefault(key, str(addr)) == str(addr), \
+                    f"{type(part).__name__} shared by {owner[key]} and {addr}"
