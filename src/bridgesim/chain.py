@@ -411,12 +411,14 @@ class Chain:
         """Re-take the genesis image after contracts/exemptions are wired.
 
         Must be called before the first block; ``replay_from_genesis`` starts
-        from this image.  The gas exemptions are genesis-only, so they are
-        frozen here and never journaled.
+        from this image.  The gas exemptions and the contract set are
+        genesis-only, so the exemptions are frozen and the contracts' sorted
+        order is taken here, and neither is journaled.
         """
         if self.height != 0:
             raise ValueError("genesis already sealed by block production")
         self.witness_exempt = frozenset(self.witness_exempt)
+        self.contract_order: tuple[Address, ...] = tuple(sorted(self.contracts))
         self._genesis = pickle.dumps((self.accounts, self.contracts), pickle.HIGHEST_PROTOCOL)
 
     def credit(self, addr: Address, amount: int) -> None:

@@ -10,7 +10,8 @@ import argparse
 import json
 import sys
 
-from . import simnet, trace as trace_mod
+from . import codec, simnet, trace as trace_mod
+from .chain import InvalidReorg
 from .scenario import (
     ScenarioInvalid,
     is_genesis_file,
@@ -78,7 +79,7 @@ def _print_report(result: simnet.RunResult) -> None:
     else:
         print("all invariants held")
     print("== summary (json) ==")
-    print(json.dumps(trace_mod._plain(summary), sort_keys=True))
+    print(json.dumps(summary, sort_keys=True, default=codec.plain_leaf))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -99,7 +100,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     for diag in scenario.warnings:
         print(f"warning: {diag}")
-    result = simnet.run_scenario(scenario, threshold_override=args.override_threshold)
+    try:
+        result = simnet.run_scenario(scenario, threshold_override=args.override_threshold)
+    except InvalidReorg as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     if args.trace_out:
         result.write_trace(args.trace_out)
         print(f"trace written to {args.trace_out}")

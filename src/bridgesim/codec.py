@@ -24,16 +24,26 @@ class SerializationError(ValueError):
     """Value cannot be put into canonical form (e.g. floats, arbitrary objects)."""
 
 
+_ATOMS = frozenset({str, int, bool, type(None)})
+
+
 def to_plain(value: Any) -> Any:
     """Reduce a value to plain JSON types, hex-encoding byte strings.
 
     Accepts dict / list / tuple / str / bool / int / None / bytes and objects
     exposing ``canonical()``.  Floats are rejected: canonical content must be
-    exact.
+    exact.  Scalars, dicts, lists and tuples of exactly those types take the
+    first branches; everything else (bytes, str enums, ``canonical()``
+    objects) goes through the ``isinstance`` checks below them.
     """
-    if value is None or isinstance(value, (str, bool)):
+    kind = type(value)
+    if kind in _ATOMS:
         return value
-    if isinstance(value, int):
+    if kind is dict:
+        return _plain_dict(value)
+    if kind is list or kind is tuple:
+        return [to_plain(item) for item in value]
+    if isinstance(value, (str, int)):
         return value
     if isinstance(value, float):
         raise SerializationError("floats are not canonical; use integer units")
@@ -42,19 +52,41 @@ def to_plain(value: Any) -> Any:
     if hasattr(value, "canonical"):
         return to_plain(value.canonical())
     if isinstance(value, dict):
-        out = {}
-        for key in value:
-            if not isinstance(key, str):
-                raise SerializationError(f"non-string key {key!r}")
-            out[key] = to_plain(value[key])
-        return out
+        return _plain_dict(value)
     if isinstance(value, (list, tuple)):
         return [to_plain(item) for item in value]
     raise SerializationError(f"cannot canonicalize {type(value).__name__}")
 
 
+def _plain_dict(value: dict) -> dict:
+    out = {}
+    for key, item in value.items():
+        if not isinstance(key, str):
+            raise SerializationError(f"non-string key {key!r}")
+        out[key] = to_plain(item)
+    return out
+
+
+def plain_leaf(value: Any) -> Any:
+    """``default`` hook for ``json.dumps``: the plain form of a leaf json cannot
+    encode itself, so a record is walked once, by the encoder.
+
+    Byte strings become ``0x`` hex and objects their ``canonical()`` form, which
+    the encoder then walks in turn.  Unlike ``to_plain`` this admits floats and
+    leaves non-``str`` keys to ``json``; digests go through ``to_plain``.
+    """
+    if isinstance(value, bytes):
+        return "0x" + value.hex()
+    if hasattr(value, "canonical"):
+        return value.canonical()
+    raise SerializationError(f"cannot canonicalize {type(value).__name__}")
+
+
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_dumps(value: Any) -> str:
-    return json.dumps(to_plain(value), sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(to_plain(value))
 
 
 def canonical_bytes(value: Any) -> bytes:

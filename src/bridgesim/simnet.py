@@ -35,6 +35,7 @@ from .chain import (
     Chain,
     ChainKind,
     EventTopic,
+    InvalidReorg,
     IoTRecord,
     MultisigAction,
     RegistrationRequest,
@@ -58,7 +59,6 @@ from .witness import (
     Behavior,
     FetchFailure,
     RelayCursor,
-    WindowNotReady,
     WitnessConfig,
     WitnessNode,
     WorldView,
@@ -111,45 +111,56 @@ class InvariantResult:
         }
 
 
+@dataclass
+class ScanProgress:
+    """How far the settle-point checks have read one chain, and what they found.
+
+    A block below a recorded height changes only when ``inject_reorg``
+    reorganizes the chain, which drops the chain's progress; the next check
+    then reads it again from genesis.
+    """
+
+    gas_read: int = -1   # last height the zero-gasprice check read
+    gas_bad: int = 0     # violations in heights 0..gas_read
+    # witness -> (last height read, origins of its relay-worthy events there)
+    relay_worthy: dict[WitnessNode, tuple[int, set[tuple]]] = field(default_factory=dict)
+    # witness -> (windows read, end of the last, all contiguous so far)
+    windows: dict[WitnessNode, tuple[int, int | None, bool]] = field(default_factory=dict)
+
+
 class OwnerDaemon:
     """Watches one gasless side chain; fires the vault suicide when both the
     registry success and the vault payout are confirmed."""
 
     def __init__(self, side: SideChainConfig, registry_addr: Address,
-                 token_id: Address, omega_token: int) -> None:
+                 token: Chain, side_chain: Chain, omega_token: int) -> None:
         self.side = side
-        self.registry_addr = registry_addr
-        self.token_id = token_id
         self.token_cursor = RelayCursor(omega=omega_token)
         self.side_cursor = RelayCursor(omega=side.omega)
         self.seen_registry_success = False
         self.seen_payout = False
         self.submitted = False
+        self._watches: tuple = ()
+        if side.variant == VARIANT_GASLESS:
+            self._watches = (
+                (self.token_cursor, token, frozenset({registry_addr})),
+                (self.side_cursor, side_chain, frozenset({side.genesis.register_contract})),
+            )
 
     def idle(self) -> bool:
         return self.submitted or not (self.seen_registry_success and self.seen_payout)
 
-    def watches(self, sim: "Simulation") -> tuple:
+    def watches(self) -> tuple:
         """(cursor, chain, watched contracts) per chain the daemon still scans."""
-        if self.side.variant != VARIANT_GASLESS or self.submitted:
-            return ()
-        return (
-            (self.token_cursor, sim.hosts[self.token_id].chain, {self.registry_addr}),
-            (self.side_cursor, sim.hosts[self.side.chain_id].chain,
-             {self.side.genesis.register_contract}),
-        )
+        return () if self.submitted else self._watches
 
-    def step(self, sim: "Simulation") -> list[Transaction]:
-        watches = self.watches(sim)
+    def step(self) -> list[Transaction]:
+        watches = self.watches()
         if not watches:
             return []
         for cursor, chain, watched in watches:
-            while True:
-                try:
-                    events, _ = form_batch(cursor, chain, watched)
-                except WindowNotReady:
-                    break
-                for ev in events:
+            while (batch := form_batch(cursor, chain, watched)) is not None:
+                for ev in batch[0]:
                     if (
                         ev.topic == EventTopic.EXIST_OR_NOT
                         and ev.payload.get("success")
@@ -198,6 +209,7 @@ class Simulation(WorldView):
         self.ended_at: int | None = None
         self.quiescent = False
         self._registry_prev: set[str] = set()
+        self._progress: dict[Address, ScanProgress] = {}
 
         self._build()
 
@@ -254,7 +266,7 @@ class Simulation(WorldView):
             side_chain = self._build_side_chain(side, threshold)
             self.hosts[side.chain_id] = ChainHost(side_chain, side.block_interval)
             self.owner_daemons.append(
-                OwnerDaemon(side, sc.registry.address, token_cfg.chain_id, token_cfg.omega)
+                OwnerDaemon(side, sc.registry.address, token, side_chain, token_cfg.omega)
             )
         token.witness_exempt = gas_exempt_token
         token.seal_genesis()
@@ -283,6 +295,18 @@ class Simulation(WorldView):
                 behavior=entry.behavior,
             )
             self.witnesses.append(WitnessNode(cfg, token_cfg.chain_id, sc.seed))
+        # Every hosted contract; contracts are genesis state and keep their
+        # identity across rollbacks and reorgs.
+        self._contracts = tuple(
+            contract for host in self.hosts.values() for contract in host.chain.contracts.values()
+        )
+        # (witness, cursor, chain, watched contracts) for every chain every
+        # witness scans; only whether the witness is crashed changes later.
+        self._watches = tuple(
+            (witness, cursor, self.hosts[chain_id].chain, watched)
+            for witness in self.witnesses
+            for chain_id, cursor, watched, _ in witness.scans
+        )
 
         # The registry's standing authorization for each bridge head is
         # installed through real owner transactions at tick 0, so the multisig
@@ -473,7 +497,7 @@ class Simulation(WorldView):
         for witness in self.witnesses:
             witness.step(self, tick)
         for daemon in self.owner_daemons:
-            for tx in daemon.step(self):
+            for tx in daemon.step():
                 self.hosts[daemon.side.chain_id].mempool.append(tx)
                 self.trace.record(tick, "submit", str(daemon.side.chain_id), {
                     "owner": str(tx.sender), "tx": "0x" + tx.digest().hex(),
@@ -615,7 +639,7 @@ class Simulation(WorldView):
     def _produce(self, chain_id: Address, host: ChainHost) -> None:
         chain = host.chain
         txs: list[Transaction] = []
-        for addr in sorted(chain.contracts):
+        for addr in chain.contract_order:
             if chain.contracts[addr].has_expired_deadline(self.tick):
                 txs.append(Transaction(
                     sender=addr, to=addr, value=0, gasprice=0,
@@ -642,6 +666,13 @@ class Simulation(WorldView):
         one block later; ``exclude`` drops transactions from the replacement
         entirely (they also vanish from every node's view of history)."""
         chain = self.hosts[chain_id].chain
+        if depth > chain.height:
+            # Scenario validation cannot rule this out: a dormant side chain's
+            # height at a given tick depends on the rest of the input.
+            raise InvalidReorg(
+                f"reorg at tick {self.tick} on chain {chain_id}: depth {depth} "
+                f"exceeds the chain's height {chain.height}"
+            )
         if depth == 0:
             self.trace.record(self.tick, "reorg", str(chain_id),
                               {"depth": 0, "note": "no-op"})
@@ -667,6 +698,7 @@ class Simulation(WorldView):
             parent = blk.compute_hash()
             replacement.append(blk)
         chain.reorg(depth, replacement)
+        self._progress.pop(chain_id, None)
         self.trace.record(self.tick, "reorg", str(chain_id), {
             "depth": depth,
             "fork_height": fork_height,
@@ -688,9 +720,8 @@ class Simulation(WorldView):
             return False
         if any(not d.idle() for d in self.owner_daemons):
             return False
-        for host in self.hosts.values():
-            if any(contract.busy() for contract in host.chain.contracts.values()):
-                return False
+        if any(contract.busy() for contract in self._contracts):
+            return False
         # Any relay-worthy event a live witness has not scanned yet.
         return not any(
             ev.topic in (EventTopic.CROSS_CHAIN_ARRIVED, EventTopic.ASSETS_LOCKED)
@@ -700,21 +731,15 @@ class Simulation(WorldView):
 
     def _witness_watches(self) -> Iterator[tuple]:
         """(cursor, chain, watched contracts) per chain of every live witness."""
-        for witness in self.witnesses:
-            cfg = witness.config
-            if cfg.behavior == Behavior.CRASHED:
-                continue
-            for chain_id, cursor in witness.cursors.items():
-                watched = (
-                    cfg.token_watched() if chain_id == self.token_id else cfg.side_watched()
-                )
-                yield cursor, self.hosts[chain_id].chain, watched
+        for witness, cursor, chain, watched in self._watches:
+            if witness.config.behavior != Behavior.CRASHED:
+                yield cursor, chain, watched
 
     def _finished(self) -> bool:
         if self.events:
             return False
         # Nothing unscanned may still trigger a reaction.
-        daemon_watches = (w for daemon in self.owner_daemons for w in daemon.watches(self))
+        daemon_watches = (w for daemon in self.owner_daemons for w in daemon.watches())
         unscanned = _unscanned(itertools.chain(self._witness_watches(), daemon_watches))
         return next(unscanned, None) is None
 
@@ -792,34 +817,44 @@ class Simulation(WorldView):
         out.append(self._check_zero_gasprice())
         return out
 
-    def _relay_worthy(self, chain_id: Address, witness: WitnessNode) -> set[tuple]:
-        """Origins of every event this witness should ever have relayed."""
-        chain = self.hosts[chain_id].chain
+    def _progress_of(self, chain_id: Address) -> ScanProgress:
+        return self._progress.setdefault(chain_id, ScanProgress())
+
+    def _relay_worthy(self, witness: WitnessNode) -> set[tuple]:
+        """Origins of every event this witness should ever have relayed.
+
+        Each chain is read on from the last height the previous settle point
+        read, up to the end of the witness's scanned windows.
+        """
         cfg = witness.config
-        cursor = witness.cursors[chain_id]
-        scanned_end = cursor.next_start - 1
-        wanted: set[tuple] = set()
-        for height in range(0, min(scanned_end, chain.height) + 1):
-            for ev in chain.events_at(height):
-                origin = ev.origin_plain(chain_id)
-                if chain_id == self.token_id:
-                    if ev.contract != cfg.bridge_head and ev.contract != cfg.registry:
+        found: set[tuple] = set()
+        for chain_id, cursor, watched, _ in witness.scans:
+            chain = self.hosts[chain_id].chain
+            progress = self._progress_of(chain_id)
+            read, wanted = progress.relay_worthy.get(witness, (-1, set()))
+            end = min(cursor.next_start - 1, chain.height)
+            for height in range(read + 1, end + 1):
+                for ev in chain.events_at(height):
+                    if ev.contract not in watched:
                         continue
-                    if ev.topic == EventTopic.CROSS_CHAIN_ARRIVED and \
-                            ev.payload.get("kind") == "transfer":
-                        wanted.add(origin)
-                    elif ev.topic == EventTopic.EXIST_OR_NOT and ev.payload.get("success") \
-                            and ev.payload.get("chain_id") == str(cfg.side_chain_id):
-                        wanted.add(origin)
-                else:
-                    if ev.contract not in cfg.side_watched():
-                        continue
-                    if ev.topic == EventTopic.ASSETS_LOCKED:
-                        wanted.add(origin)
-                    elif ev.topic == EventTopic.CROSS_CHAIN_ARRIVED and \
-                            ev.contract == cfg.gateway:
-                        wanted.add(origin)
-        return wanted
+                    if chain_id == self.token_id:
+                        worthy = (
+                            ev.topic == EventTopic.CROSS_CHAIN_ARRIVED
+                            and ev.payload.get("kind") == "transfer"
+                        ) or (
+                            ev.topic == EventTopic.EXIST_OR_NOT and ev.payload.get("success")
+                            and ev.payload.get("chain_id") == str(cfg.side_chain_id)
+                        )
+                    else:
+                        worthy = ev.topic == EventTopic.ASSETS_LOCKED or (
+                            ev.topic == EventTopic.CROSS_CHAIN_ARRIVED
+                            and ev.contract == cfg.gateway
+                        )
+                    if worthy:
+                        wanted.add(ev.origin_plain(chain_id))
+            progress.relay_worthy[witness] = (max(read, end), wanted)
+            found |= wanted
+        return found
 
     def _check_relay_canon(self) -> list[InvariantResult]:
         out = []
@@ -828,8 +863,7 @@ class Simulation(WorldView):
             cfg = witness.config
             if cfg.behavior != Behavior.HONEST or cfg.name in changed:
                 continue
-            wanted = self._relay_worthy(self.token_id, witness) | \
-                self._relay_worthy(cfg.side_chain_id, witness)
+            wanted = self._relay_worthy(witness)
             got = set(witness.relayed_origins)
             out.append(InvariantResult(
                 "relay_matches_canon", cfg.name,
@@ -840,31 +874,40 @@ class Simulation(WorldView):
         return out
 
     def _check_window_contiguity(self) -> list[InvariantResult]:
+        """Each cursor's windows follow on from each other; the windows a
+        previous settle point checked are not read again."""
         out = []
         for witness in self.witnesses:
             ok = True
-            for cursor in witness.cursors.values():
-                prev_end = None
-                for start, end in cursor.history:
-                    if end < start - 1:
-                        ok = False
-                    if prev_end is not None and start != prev_end + 1:
-                        ok = False
+            for chain_id, cursor, _, _ in witness.scans:
+                progress = self._progress_of(chain_id)
+                read, prev_end, good = progress.windows.get(witness, (0, None, True))
+                for start, end in cursor.history[read:]:
+                    if end < start - 1 or (prev_end is not None and start != prev_end + 1):
+                        good = False
                     prev_end = end
+                progress.windows[witness] = (len(cursor.history), prev_end, good)
+                ok = ok and good
             out.append(InvariantResult(
                 "window_contiguity", witness.config.name, ok, "",
             ))
         return out
 
     def _check_zero_gasprice(self) -> InvariantResult:
+        """Counts zero-gasprice transactions from unexempt senders, reading
+        only the blocks added since the previous settle point."""
         bad = 0
-        for host in self.hosts.values():
+        for chain_id, host in self.hosts.items():
             chain = host.chain
-            allowed = chain.witness_exempt | set(chain.contracts)
-            for blk in chain.blocks:
-                for tx in blk.transactions:
-                    if tx.gasprice == 0 and tx.sender not in allowed:
-                        bad += 1
+            progress = self._progress_of(chain_id)
+            if progress.gas_read < chain.height:
+                allowed = chain.witness_exempt.union(chain.contract_order)
+                for height in range(progress.gas_read + 1, chain.height + 1):
+                    for tx in chain.blocks[height].transactions:
+                        if tx.gasprice == 0 and tx.sender not in allowed:
+                            progress.gas_bad += 1
+                progress.gas_read = chain.height
+            bad += progress.gas_bad
         return InvariantResult("zero_gasprice_rule", "", bad == 0, f"{bad} violations")
 
     def _record_invariants(self, results: list[InvariantResult], final: bool) -> None:
@@ -924,8 +967,8 @@ def _unscanned(watches: Iterable[tuple]) -> Iterator:
     """Watched events at or past each cursor's next start, for every
     (cursor, chain, watched contracts) triple."""
     for cursor, chain, watched in watches:
-        for height in range(cursor.next_start, chain.height + 1):
-            for ev in chain.events_at(height):
+        for block in chain.blocks[cursor.next_start:]:
+            for ev in block.events:
                 if ev.contract in watched:
                     yield ev
 

@@ -10,30 +10,19 @@ self-replaying.
 from __future__ import annotations
 
 import json
-from typing import Any
 
 from . import codec
 
 TRACE_FORMAT = 1
 
+# One encoder for every trace line; ``codec.plain_leaf`` makes bytes and
+# ``canonical()`` objects plain as the encoder reaches them.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=codec.plain_leaf)
+
 
 def dumps(record: dict) -> str:
     """Canonical-ish JSON for trace lines; floats allowed (fault rates)."""
-    return json.dumps(_plain(record), sort_keys=True, separators=(",", ":"))
-
-
-def _plain(value: Any) -> Any:
-    if isinstance(value, float):
-        return value
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if value is None or isinstance(value, (str, int, bool)):
-        return value
-    if isinstance(value, bytes):
-        return "0x" + value.hex()
-    return codec.to_plain(value)
+    return _ENCODER.encode(record)
 
 
 class TraceWriter:

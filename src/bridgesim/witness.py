@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import AbstractSet, Iterable
 
 from . import codec
 from .chain import (
@@ -42,10 +42,6 @@ class Behavior(str, Enum):
     BYZANTINE_REJECT_ALL = "byzantine_reject_all"
     BYZANTINE_APPROVE_ALL = "byzantine_approve_all"
     EQUIVOCATING = "equivocating"
-
-
-class WindowNotReady(Exception):
-    """The next confirmation window has not fully left the revertible zone."""
 
 
 class FetchFailure(Exception):
@@ -141,20 +137,17 @@ class RelayCursor:
     first_time: bool = True
     history: list[tuple[int, int]] = field(default_factory=list)
 
-    def window_if_ready(self, head: int) -> tuple[int, int]:
+    def window_if_ready(self, head: int) -> tuple[int, int] | None:
+        """The next window, or None while it is still in the revertible zone."""
         if self.omega == 0:
-            if head < self.next_start:
-                raise WindowNotReady(f"no new blocks past {self.next_start - 1}")
-            return (self.next_start, head)
+            return (self.next_start, head) if head >= self.next_start else None
         if self.first_time:
             if head - 2 * self.omega + 1 < 0:
-                raise WindowNotReady(f"head {head} < {2 * self.omega - 1}")
+                return None
             return (head - 2 * self.omega + 1, head - self.omega)
         start = self.next_start
         end = start + self.omega - 1
-        if head < end + self.omega:
-            raise WindowNotReady(f"head {head} < {end + self.omega}")
-        return (start, end)
+        return (start, end) if head >= end + self.omega else None
 
     def advance(self, window: tuple[int, int]) -> None:
         self.history.append(window)
@@ -163,15 +156,17 @@ class RelayCursor:
 
 
 def form_batch(
-    cursor: RelayCursor, chain: Chain, watched: set[Address]
-) -> tuple[list[Event], tuple[int, int]]:
+    cursor: RelayCursor, chain: Chain, watched: AbstractSet[Address]
+) -> tuple[list[Event], tuple[int, int]] | None:
     """Collect the next confirmed window of events from watched contracts.
 
-    Raises WindowNotReady when the window has not cleared the revertible zone;
-    the caller sleeps and retries.  On success the cursor advances, so
-    successive batches cover contiguous, disjoint height ranges.
+    None when the window has not cleared the revertible zone; the caller
+    sleeps and retries.  Otherwise the cursor advances, so successive batches
+    cover contiguous, disjoint height ranges.
     """
     window = cursor.window_if_ready(chain.height)
+    if window is None:
+        return None
     events: list[Event] = []
     for height in range(window[0], window[1] + 1):
         for ev in chain.events_at(height):
@@ -250,6 +245,14 @@ class WitnessNode:
             token_chain_id: RelayCursor(omega=config.omega_token),
             config.side_chain_id: RelayCursor(omega=config.omega_side),
         }
+        # (chain id, cursor, watched contracts, event handler) per scanned
+        # chain.  The addresses never change, so the table is built once.
+        self.scans: tuple[tuple, ...] = (
+            (token_chain_id, self.cursors[token_chain_id],
+             frozenset(config.token_watched()), self._handle_token_event),
+            (config.side_chain_id, self.cursors[config.side_chain_id],
+             frozenset(config.side_watched()), self._handle_side_event),
+        )
         self.pending: dict[tuple, PendingVote] = {}
         self.adopted_rounds: dict[tuple, int] = {}
         self.observed_registration: ObservedRegistration | None = None
@@ -527,25 +530,17 @@ class WitnessNode:
         cfg = self.config
         if cfg.behavior == Behavior.CRASHED:
             return
-        formed_all = not any(c.first_time for c in self.cursors.values())
-        if formed_all and tick % cfg.sleep != 0 and not self._force_submit:
+        if tick % cfg.sleep != 0 and not self._force_submit \
+                and not any(c.first_time for c in self.cursors.values()):
             return
         self._scan(view)
         self._submit_due(view, tick)
 
     def _scan(self, view: "WorldView") -> None:
-        cfg = self.config
-        for chain_id, watched, handler in (
-            (self.token_chain_id, cfg.token_watched(), self._handle_token_event),
-            (cfg.side_chain_id, cfg.side_watched(), self._handle_side_event),
-        ):
+        for chain_id, cursor, watched, handler in self.scans:
             chain = view.chain(chain_id)
-            cursor = self.cursors[chain_id]
-            while True:
-                try:
-                    events, window = form_batch(cursor, chain, watched)
-                except WindowNotReady:
-                    break
+            while (batch := form_batch(cursor, chain, watched)) is not None:
+                events, window = batch
                 if events:
                     view.log_batch(self, chain_id, window, len(events))
                 for ev in events:

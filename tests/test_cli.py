@@ -1,8 +1,14 @@
 """Command-line contract: validate/run/replay and the exit-code protocol."""
 
+import hashlib
 import json
+from pathlib import Path
 
 from bridgesim import cli, presets
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# sha256 of the summary JSON line `run` prints for scenarios/happy_path.json.
+HAPPY_PATH_SUMMARY_SHA256 = "05be97022d3d74b5a734c073499c2094e40ce0a5df9253cffd7676b7f51d0f39"
 
 
 def write(tmp_path, name, data):
@@ -66,6 +72,29 @@ class TestRun:
         data["mode"] = "nonsense"
         path = write(tmp_path, "bad.json", data)
         assert cli.main(["run", path]) == 1
+
+    def test_reorg_deeper_than_the_chain_is_invalid_input(self, tmp_path, capsys):
+        # Passes validation: the side chain is still dormant (height 0) at tick 3.
+        data = presets.registered_with_transfers(
+            deposits=[10], withdrawals=[5], spacing=20,
+            fault_plan={"reorg_schedule": [
+                {"tick": 3, "chain": presets.addr("side-1"), "depth": 2}]},
+        )
+        path = write(tmp_path, "deep.json", data)
+        assert cli.main(["validate", path]) == 0
+        capsys.readouterr()
+        assert cli.main(["run", path]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: reorg at tick 3 on chain ")
+        assert "depth 2 exceeds the chain's height 0" in err[0]
+
+    def test_summary_json_is_byte_stable(self, capsys):
+        assert cli.main(["run", str(SCENARIOS / "happy_path.json")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        summary = out[out.index("== summary (json) ==") + 1]
+        assert json.loads(summary)["quiescent"] is True
+        assert hashlib.sha256(summary.encode()).hexdigest() == HAPPY_PATH_SUMMARY_SHA256
 
     def test_invariant_failure_exits_two(self, tmp_path):
         path = write(tmp_path, "deep.json", presets.deep_reorg_negative_control())

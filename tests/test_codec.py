@@ -2,8 +2,8 @@
 
 import pytest
 
-from bridgesim import codec
-from bridgesim.chain import Address
+from bridgesim import codec, trace
+from bridgesim.chain import Address, EventTopic, Transaction, UserTransfer
 
 
 def test_canonical_sorts_keys_and_strips_whitespace():
@@ -28,6 +28,23 @@ def test_floats_rejected():
 def test_non_string_keys_rejected():
     with pytest.raises(codec.SerializationError):
         codec.canonical_dumps({1: "x"})
+
+
+@pytest.mark.parametrize("value", [[{"x": [2.0]}], (1, 0.5), {"a": {None: 1}}, [{(1,): 2}]])
+def test_nested_floats_and_non_string_keys_rejected(value):
+    with pytest.raises(codec.SerializationError):
+        codec.canonical_dumps(value)
+
+
+def test_trace_lines_encode_leaves_like_the_canonical_form():
+    alice = Address.from_label("alice")
+    tx = Transaction(alice, alice, 3, 1, UserTransfer(dest=alice))
+    value = {"b": b"\x01", "a": alice, "t": (1, [tx]), "e": EventTopic.ASSETS_LOCKED,
+             "n": None, "ok": True}
+    assert trace.dumps(value) == codec.canonical_dumps(value)
+    assert trace.dumps({"rate": 0.25}) == '{"rate":0.25}'
+    with pytest.raises(codec.SerializationError):
+        trace.dumps({"s": {1, 2}})
 
 
 def test_digest_deterministic_and_sensitive():

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from bridgesim import presets, simnet
-from bridgesim.chain import Address
+from bridgesim.chain import Address, InvalidReorg
 from bridgesim.contracts import RegistrationVault
 from bridgesim.scenario import parse_scenario
 
@@ -173,6 +173,22 @@ class TestReorgs:
         names = {f.name for f in result.failures}
         assert "peg_conservation" in names
         assert "relay_matches_canon" in names
+
+    def test_depth_beyond_the_height_at_its_tick_is_refused(self):
+        # The side chain is dormant, at height 0, when the reorg fires.
+        data = presets.registered_with_transfers(deposits=[10], withdrawals=[5], spacing=20)
+        data["fault_plan"] = {"reorg_schedule": [
+            {"tick": 3, "chain": presets.addr("side-1"), "depth": 2}]}
+        sim = simnet.Simulation(parse_scenario(data))
+        side = sim.hosts[Address.from_hex(presets.addr("side-1"))].chain
+        genesis = list(side.blocks)
+        with pytest.raises(InvalidReorg, match=(
+                rf"reorg at tick 3 on chain {presets.addr('side-1')}: "
+                r"depth 2 exceeds the chain's height 0")):
+            sim.run()
+        assert sim.tick == 3
+        assert side.blocks == genesis
+        assert not any('"kind":"reorg"' in line for line in sim.trace.lines)
 
     def test_side_chain_reorg_within_window_is_safe(self):
         data = presets.registered_with_transfers(deposits=[300], withdrawals=[100],

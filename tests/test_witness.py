@@ -2,15 +2,12 @@
 
 import itertools
 
-import pytest
-
 from bridgesim.chain import Address, Chain, ChainKind, TransferEntry
 from bridgesim.contracts import INBOUND, OUTBOUND, entries_subject
 from bridgesim.genesis import genesis_hash, parse_genesis
 from bridgesim.witness import (
     Behavior,
     RelayCursor,
-    WindowNotReady,
     WitnessConfig,
     WitnessNode,
     form_batch,
@@ -158,8 +155,7 @@ class TestFormBatch:
     def test_first_window_waits_for_depth(self):
         chain = chain_of_height(10)
         cursor = RelayCursor(omega=6)
-        with pytest.raises(WindowNotReady):
-            form_batch(cursor, chain, set())
+        assert form_batch(cursor, chain, set()) is None
 
     def test_next_window_gated_on_head_advancing_a_full_window(self):
         chain = chain_of_height(25)
@@ -167,8 +163,7 @@ class TestFormBatch:
         form_batch(cursor, chain, set())  # consumes [14, 19]
         while chain.height < 30:
             chain.apply_block([])
-        with pytest.raises(WindowNotReady):
-            form_batch(cursor, chain, set())  # 30 < 25 + 6
+        assert form_batch(cursor, chain, set()) is None  # 30 < 25 + 6
         chain.apply_block([])  # head 31
         _, window = form_batch(cursor, chain, set())
         assert window == (20, 25)
@@ -176,11 +171,8 @@ class TestFormBatch:
     def test_windows_are_contiguous_and_disjoint(self):
         chain = chain_of_height(60)
         cursor = RelayCursor(omega=3)
-        while True:
-            try:
-                form_batch(cursor, chain, set())
-            except WindowNotReady:
-                break
+        while form_batch(cursor, chain, set()) is not None:
+            pass
         for (s1, e1), (s2, e2) in zip(cursor.history, cursor.history[1:]):
             assert s2 == e1 + 1
         assert cursor.history[0][0] >= 0
@@ -190,8 +182,7 @@ class TestFormBatch:
         cursor = RelayCursor(omega=0)
         _, window = form_batch(cursor, chain, set())
         assert window == (0, 5)
-        with pytest.raises(WindowNotReady):
-            form_batch(cursor, chain, set())
+        assert form_batch(cursor, chain, set()) is None
         chain.apply_block([])
         _, window = form_batch(cursor, chain, set())
         assert window == (6, 6)
