@@ -27,7 +27,7 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from . import codec
 
@@ -476,7 +476,6 @@ class Chain:
         self,
         transactions: Iterable[Transaction],
         now: int = 0,
-        on_reject: Callable[[Rejection], None] | None = None,
     ) -> tuple[Block, list[Rejection]]:
         """Seal the next block from ``transactions``, applied in order.
 
@@ -503,10 +502,7 @@ class Chain:
                 events.clear()
                 for i, prev in enumerate(accepted):
                     self._apply_tx(prev, ApplyContext(self, height, i, events, now))
-                rej = Rejection(tx, f"{type(exc).__name__}: {exc}")
-                rejections.append(rej)
-                if on_reject:
-                    on_reject(rej)
+                rejections.append(Rejection(tx, f"{type(exc).__name__}: {exc}"))
                 continue
             accepted.append(tx)
         block = Block(
@@ -624,7 +620,6 @@ class ApplyContext:
         self.tx_index = tx_index
         self.now = now
         self._events = events
-        self.event_start = len(events)
 
     def emit(self, contract: Address, topic: EventTopic, payload: dict) -> Event:
         ev = Event(

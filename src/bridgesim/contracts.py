@@ -26,11 +26,12 @@ Native-gas side chain:
 Every contract implements the ``Contract`` protocol.  Witness votes all go
 through one kind of lane, ``QuorumStream``: it admits a vote (witness, round,
 duplicate echo, subject check, tally, threshold) and concludes a round (result
-payload, execution log).  A contract with lanes keeps only its own payout or
-gate step and its pre-checks.  Votes tally per (round, subject digest): one
-vote per witness per round, votes from other rounds are rejected, and a
-subject only ever executes once.  Per-event origin keys make payouts
-exactly-once even across merged resend batches.
+payload, paid origins, quorum-safety count).  A contract with lanes keeps
+only its own payout or gate step and its pre-checks.  Votes tally per (round,
+subject digest): one vote per witness per round, votes from other rounds are
+rejected, and a subject only ever executes once.  The lane's set of paid
+per-event origin keys makes payouts exactly-once even across merged resend
+batches.
 """
 
 from __future__ import annotations
@@ -179,10 +180,16 @@ class QuorumStream:
     round number are rejected, which is what keeps stragglers and replays from
     pooling across consensus instances.
 
+    The lane owns exactly-once payout and quorum safety: ``unpaid`` drops
+    the tally entries whose origins an earlier success paid (``paid``), and
+    ``unsafe`` counts executions short of the threshold or under a threshold
+    of at most half the roster.
+
     A lane is plain data, because a chain rollback swaps each contract's
     state for its pickled pre-image: it holds no callables and no reference
     back to its contract.  ``witnesses`` is the contract's own roster tuple,
-    shared.
+    shared; ``paid`` may be shared by the lanes of one contract, so that an
+    origin pays once across them.
     """
 
     name: str
@@ -193,8 +200,8 @@ class QuorumStream:
     deadline: int | None = None
     tallies: dict[bytes, QuorumTally] = field(default_factory=dict)
     executed: set[bytes] = field(default_factory=set)
-    # One record per quorum that executed, for the quorum-safety invariant.
-    log: list[dict] = field(default_factory=list)
+    paid: set[tuple] = field(default_factory=set)
+    unsafe: int = 0
 
     @property
     def topic(self) -> EventTopic:
@@ -231,6 +238,9 @@ class QuorumStream:
 
     def reached(self, tally: QuorumTally) -> bool:
         return len(tally.yes) >= self.threshold
+
+    def unpaid(self, tally: QuorumTally) -> list[TransferEntry]:
+        return [e for e in tally.entries if e.origin_plain() not in self.paid]
 
     def expired(self, now: int) -> bool:
         return self.deadline is not None and now >= self.deadline
@@ -283,8 +293,9 @@ class QuorumStream:
     ) -> dict:
         """Close the current round and return its result payload.
 
-        A quorum that executed (``tally`` given, no ``error``) is logged.  A
-        concluded ``subject`` never executes again; a timeout concludes none.
+        A quorum that executed (``tally`` given, no ``error``) is counted if
+        unsafe, and a success marks its origins paid.  A concluded ``subject``
+        never executes again; a timeout concludes none.
         """
         round_no = self.round
         if subject:
@@ -292,17 +303,11 @@ class QuorumStream:
         self.round += 1
         self.deadline = None
         self.tallies.clear()
-        if tally is not None and error is None:
-            self.log.append({
-                "stream": self.name,
-                "round": round_no,
-                "subject": "0x" + subject.hex(),
-                "votes": len(tally.yes),
-                "threshold": self.threshold,
-                "witness_count": len(self.witnesses),
-                "success": success,
-            })
+        if tally is not None and error is None and (
+                len(tally.yes) < self.threshold or self.threshold * 2 <= len(self.witnesses)):
+            self.unsafe += 1
         origins = [e.origin_plain() for e in tally.entries] if success and tally else []
+        self.paid.update(origins)
         return {**self._payload(self.topic, round_no, subject, success, origins, False, error),
                 **extra}
 
@@ -320,10 +325,6 @@ class QuorumStream:
         if error:
             payload["error"] = error
         return payload
-
-
-def _unexecuted(tally: QuorumTally, executed_origins: set[tuple]) -> list[TransferEntry]:
-    return [e for e in tally.entries if e.origin_plain() not in executed_origins]
 
 
 @dataclass
@@ -363,9 +364,10 @@ class Contract:
     The chain calls ``handle`` for each transaction and ``held_balance`` for
     token conservation.  The scheduler asks ``has_expired_deadline`` to submit
     a deadline poke, ``busy`` to decide whether the bridge is at rest,
-    ``execution_log`` for quorum safety and ``state_view`` for the per-block
-    state digest.  The defaults fit a contract without vote lanes that holds
-    no tokens; a contract with lanes lists them in ``lanes``, in poke order.
+    ``lanes`` for quorum safety (each lane's ``unsafe`` count) and
+    ``state_view`` for the per-block state digest.  The defaults fit a
+    contract without vote lanes that holds no tokens; a contract with lanes
+    lists them in ``lanes``, in poke order.
     """
 
     address: Address
@@ -383,9 +385,6 @@ class Contract:
 
     def has_expired_deadline(self, now: int) -> bool:
         return any(lane.expired(now) for lane in self.lanes())
-
-    def execution_log(self) -> list[dict]:
-        return [entry for lane in self.lanes() for entry in lane.log]
 
     def state_view(self) -> dict:
         raise NotImplementedError
@@ -529,7 +528,6 @@ class BridgeHead(Contract):
         roster = tuple(witnesses)
         self.reg_stream = QuorumStream(REGISTRATION, threshold, timeout, roster)
         self.out_stream = QuorumStream(OUTBOUND, threshold, timeout, roster)
-        self.executed_origins: set[tuple] = set()
 
     def lanes(self) -> tuple[QuorumStream, ...]:
         return (self.reg_stream, self.out_stream)
@@ -620,14 +618,13 @@ class BridgeHead(Contract):
     def _execute(self, ctx: ApplyContext, lane: QuorumStream, tally: QuorumTally) -> dict:
         if lane is self.reg_stream:
             return self._finish_registration(ctx, tally)
-        fresh = _unexecuted(tally, self.executed_origins)
+        fresh = lane.unpaid(tally)
         total = sum(e.value for e in fresh)
         if total > self.locked:
             return {"error": f"unlock {total} exceeds locked {self.locked}"}
         for e in fresh:
             self.locked -= e.value
             ctx.credit(e.to, e.value)
-            self.executed_origins.add(e.origin_plain())
         return {"success": True}
 
     def _finish_registration(self, ctx: ApplyContext, tally: QuorumTally) -> dict:
@@ -839,7 +836,6 @@ class InterRelay(Contract):
         self.entrance_reserve = entrance_reserve
         self.mode = mode
         self.stream = QuorumStream(INBOUND, threshold, timeout, tuple(witnesses))
-        self.executed_origins: set[tuple] = set()
 
     def lanes(self) -> tuple[QuorumStream, ...]:
         return (self.stream,)
@@ -865,13 +861,12 @@ class InterRelay(Contract):
     # Inbound: witness quorum releases bank funds to side accounts.
     def _execute(self, ctx: ApplyContext, lane: QuorumStream, tally: QuorumTally) -> dict:
         bank: ReserveBank = ctx.contract(self.bank_address)
-        fresh = _unexecuted(tally, self.executed_origins)
+        fresh = lane.unpaid(tally)
         error = self._gate_error(bank, fresh)
         if error is not None:
             return {"error": error}
         for e in fresh:
             bank.unlock_from_relay(ctx, self.address, e.to, e.value)
-            self.executed_origins.add(e.origin_plain())
         return {"success": True}
 
     def _gate_error(self, bank: ReserveBank, fresh: list[TransferEntry]) -> str | None:
@@ -986,12 +981,13 @@ class ConsensusGateway(Contract):
         self.address = address
         self.trading_address = trading_address
         roster = tuple(witnesses)
+        # One paid-origin set for all three lanes: an origin pays once across them.
+        paid: set[tuple] = set()
         self.streams = {
-            name: QuorumStream(name, threshold, timeout, roster)
+            name: QuorumStream(name, threshold, timeout, roster, paid=paid)
             for name in (REGISTRATION, INBOUND, OUTBOUND)
         }
         self.escrow_total = 0
-        self.executed_origins: set[tuple] = set()
 
     def lanes(self) -> tuple[QuorumStream, ...]:
         return tuple(self.streams.values())
@@ -1017,7 +1013,7 @@ class ConsensusGateway(Contract):
 
     def _execute(self, ctx: ApplyContext, lane: QuorumStream, tally: QuorumTally) -> dict:
         trading: TradingBook = ctx.contract(self.trading_address)
-        fresh = _unexecuted(tally, self.executed_origins)
+        fresh = lane.unpaid(tally)
         if lane.name == OUTBOUND:
             if sum(e.value for e in fresh) > self.escrow_total:
                 return {"error": "escrow underflow"}
@@ -1028,7 +1024,6 @@ class ConsensusGateway(Contract):
         else:
             for e in fresh:
                 trading.credit_from_gateway(self.address, e.to, e.value)
-        self.executed_origins.update(e.origin_plain() for e in fresh)
         return {"success": True}
 
     def state_view(self) -> dict:

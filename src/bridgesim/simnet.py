@@ -778,18 +778,11 @@ class Simulation(WorldView):
                     f"locked {head.locked}, ledger+escrow {ledgered}",
                 ))
 
-        quorum_ok, quorum_detail = True, []
-        for host in self.hosts.values():
-            for contract in host.chain.contracts.values():
-                for entry in contract.execution_log():
-                    if entry["votes"] < entry["threshold"] or \
-                            entry["threshold"] * 2 <= entry["witness_count"]:
-                        quorum_ok = False
-                        quorum_detail.append(entry)
+        unsafe = sum(lane.unsafe for contract in self._contracts for lane in contract.lanes())
         out.append(InvariantResult(
             "quorum_safety", "",
-            quorum_ok,
-            f"{len(quorum_detail)} executions below a safe quorum" if quorum_detail else "",
+            not unsafe,
+            f"{unsafe} executions below a safe quorum" if unsafe else "",
         ))
 
         ids = [str(c) for c in self.registry.chain_ids]

@@ -224,7 +224,27 @@ class PendingVote:
     verdict: bool = True
     chain_id: Address | None = None  # registration confirmations only
     last_submit: int | None = None
-    submit_count: int = 0
+
+    @classmethod
+    def relay(cls, target_chain: Address, target: Address, direction: str,
+              entries: tuple[TransferEntry, ...], last_submit: int | None = None) -> PendingVote:
+        """A relay batch, with the subject that binds its entries."""
+        return cls(kind="relay", target_chain=target_chain, target=target,
+                   direction=direction, subject=entries_subject(direction, entries),
+                   entries=entries, last_submit=last_submit)
+
+
+def _event_entry(origin_chain: Address, ev: Event, to: Address | None = None,
+                 value: int | None = None) -> TransferEntry:
+    """The relay entry for ``ev``, keyed by the event's own origin; the
+    recipient and value are the event's unless given."""
+    return TransferEntry(
+        origin_chain=origin_chain,
+        origin_height=ev.height,
+        origin_seq=ev.seq,
+        to=Address.from_hex(ev.payload["to"]) if to is None else to,
+        value=int(ev.payload["value"]) if value is None else value,
+    )
 
 
 @dataclass
@@ -410,15 +430,9 @@ class WitnessNode:
                 )
                 self._force_submit.add(key)
             elif payload.get("kind") == "transfer":
-                entry = TransferEntry(
-                    origin_chain=self.token_chain_id,
-                    origin_height=ev.height,
-                    origin_seq=ev.seq,
-                    to=Address.from_hex(payload["to"]),
-                    value=int(payload["value"]),
-                )
                 target = cfg.relay if cfg.variant == VARIANT_GASLESS else cfg.gateway
-                self._queue_entry(cfg.side_chain_id, target, INBOUND, entry)
+                self._queue_entry(cfg.side_chain_id, target, INBOUND,
+                                  _event_entry(self.token_chain_id, ev))
         elif ev.topic == EventTopic.EXIST_OR_NOT and ev.contract == cfg.registry:
             payload = ev.payload
             if Address.from_hex(payload["chain_id"]) != cfg.side_chain_id:
@@ -426,15 +440,9 @@ class WitnessNode:
             if not payload["success"] or self.observed_registration is None:
                 return
             obs = self.observed_registration
-            entry = TransferEntry(
-                origin_chain=self.token_chain_id,
-                origin_height=ev.height,
-                origin_seq=ev.seq,
-                to=obs.side_creator,
-                value=obs.payout,
-            )
             target = cfg.vault if cfg.variant == VARIANT_GASLESS else cfg.gateway
-            self._queue_entry(cfg.side_chain_id, target, REGISTRATION, entry)
+            self._queue_entry(cfg.side_chain_id, target, REGISTRATION,
+                              _event_entry(self.token_chain_id, ev, obs.side_creator, obs.payout))
         elif ev.topic == EventTopic.REGISTRATION_RESULT and ev.contract == cfg.bridge_head:
             self._settle_result(cfg.bridge_head, REGISTRATION, ev.payload)
         elif ev.topic == EventTopic.CONSENSUS_RESULT and ev.contract == cfg.bridge_head:
@@ -443,24 +451,12 @@ class WitnessNode:
     def _handle_side_event(self, view: "WorldView", ev: Event) -> None:
         cfg = self.config
         if ev.topic == EventTopic.ASSETS_LOCKED:
-            entry = TransferEntry(
-                origin_chain=cfg.side_chain_id,
-                origin_height=ev.height,
-                origin_seq=ev.seq,
-                to=Address.from_hex(ev.payload["to"]),
-                value=int(ev.payload["value"]),
-            )
-            self._queue_entry(self.token_chain_id, cfg.bridge_head, OUTBOUND, entry)
+            self._queue_entry(self.token_chain_id, cfg.bridge_head, OUTBOUND,
+                              _event_entry(cfg.side_chain_id, ev))
         elif ev.topic == EventTopic.CROSS_CHAIN_ARRIVED and ev.contract == cfg.gateway:
             # Escrowed withdraw request awaiting the side-chain quorum.
-            entry = TransferEntry(
-                origin_chain=cfg.side_chain_id,
-                origin_height=ev.height,
-                origin_seq=ev.seq,
-                to=Address.from_hex(ev.payload["to"]),
-                value=int(ev.payload["value"]),
-            )
-            self._queue_entry(cfg.side_chain_id, cfg.gateway, OUTBOUND, entry)
+            self._queue_entry(cfg.side_chain_id, cfg.gateway, OUTBOUND,
+                              _event_entry(cfg.side_chain_id, ev))
         elif ev.topic == EventTopic.REGISTRATION_RESULT:
             self._settle_result(ev.contract, REGISTRATION, ev.payload)
         elif ev.topic == EventTopic.CONSENSUS_RESULT:
@@ -477,14 +473,7 @@ class WitnessNode:
             merged = {e.origin_plain(): e for e in vote.entries}
             merged[entry.origin_plain()] = entry
             entries = tuple(sorted(merged.values(), key=lambda e: e.origin_plain()))
-        self.pending[key] = PendingVote(
-            kind="relay",
-            target_chain=target_chain,
-            target=target,
-            direction=direction,
-            subject=entries_subject(direction, entries),
-            entries=entries,
-        )
+        self.pending[key] = PendingVote.relay(target_chain, target, direction, entries)
         self._force_submit.add(key)
 
     def _settle_result(self, contract: Address, direction: str, payload: dict) -> None:
@@ -508,16 +497,8 @@ class WitnessNode:
                 if not remaining:
                     del self.pending[key]
                 elif len(remaining) != len(vote.entries):
-                    self.pending[key] = PendingVote(
-                        kind="relay",
-                        target_chain=vote.target_chain,
-                        target=vote.target,
-                        direction=direction,
-                        subject=entries_subject(direction, remaining),
-                        entries=remaining,
-                        last_submit=vote.last_submit,
-                        submit_count=vote.submit_count,
-                    )
+                    self.pending[key] = PendingVote.relay(
+                        vote.target_chain, vote.target, direction, remaining, vote.last_submit)
                     self._force_submit.add(key)
             elif vote.kind == "confirm" and success:
                 # The registration concluded even if the subject we saw was
@@ -569,7 +550,6 @@ class WitnessNode:
                 self.relayed_origins.update(e.origin_plain() for e in vote.entries)
                 view.submit(self, vote.target_chain, tx)
             vote.last_submit = tick
-            vote.submit_count += 1
             self._force_submit.discard(key)
             if not txs:
                 # This behavior never submits this vote; drop it so the node

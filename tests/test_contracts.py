@@ -902,6 +902,17 @@ class TestConsensusGateway:
         assert trading.balances[acct] == 100
         assert trading.ledger_sum() == 100
 
+    def test_an_origin_pays_once_across_lanes(self):
+        chain, gateway, trading = make_native()
+        acct = Address.from_label("native-user")
+        entries = [entry(acct, 100)]
+        for direction in (REGISTRATION, INBOUND):
+            chain.apply_block([relay_tx(WIT_S[i], GATEWAY_ADDR, direction, entries)
+                               for i in range(3)])
+            assert gateway.streams[direction].round == 1
+        assert trading.balances[acct] == 100
+        assert trading.ledger_sum() == 100
+
     def test_inbound_below_quorum_pending(self):
         chain, gateway, trading = make_native()
         entries = [entry(Address.from_label("native-user"), 100)]
@@ -1155,10 +1166,13 @@ def assert_matches_replay(chain):
     assert chain.state_digest() == oracle.state_digest()
     for addr, live in chain.contracts.items():
         twin = oracle.contracts[addr]
-        assert [(lane.round, lane.tallies, lane.executed, lane.log) for lane in live.lanes()] \
-            == [(lane.round, lane.tallies, lane.executed, lane.log) for lane in twin.lanes()]
-        assert getattr(live, "executed_origins", None) == getattr(twin, "executed_origins", None)
-        assert live.execution_log() == twin.execution_log()
+        assert [(lane.round, lane.tallies, lane.executed, lane.paid, lane.unsafe)
+                for lane in live.lanes()] \
+            == [(lane.round, lane.tallies, lane.executed, lane.paid, lane.unsafe)
+                for lane in twin.lanes()]
+        if isinstance(live, ConsensusGateway):
+            # Its lanes share one paid-origin set through every rollback and reorg.
+            assert len({id(lane.paid) for lane in live.lanes()}) == 1
         assert vars(live) == vars(twin)
 
 
@@ -1168,7 +1182,7 @@ def assert_matches_replay(chain):
 def test_rollbacks_and_reorgs_match_full_replay(kind, data):
     """Votes, deposits, owner actions and rejected transactions, mixed with
     reorgs of any depth up to the height, leave exactly the state, lanes,
-    logs and block hashes that replaying the surviving blocks builds."""
+    paid origins and block hashes that replaying the surviving blocks builds."""
     build, menu = UNDO_CHAINS[kind]
     chain = build()
     now = 0

@@ -6,7 +6,7 @@ import pytest
 
 from bridgesim import presets, simnet
 from bridgesim.chain import Address, InvalidReorg
-from bridgesim.contracts import RegistrationVault
+from bridgesim.contracts import QuorumTally, RegistrationVault
 from bridgesim.scenario import parse_scenario
 
 
@@ -212,6 +212,18 @@ class TestMisconfiguredQuorum:
         names = {f.name for f in result.failures}
         assert "peg_conservation" in names
         assert "quorum_safety" in names
+
+    def test_an_execution_short_of_the_threshold_fails_quorum_safety(self):
+        sim = simnet.Simulation(parse_scenario(presets.happy_path()))
+        head = sim.bridge_heads[Address.from_hex(presets.addr("side-1"))]
+        lane = head.out_stream
+        assert lane.threshold == 3 and len(lane.witnesses) == 4
+        before = {r.name: r for r in sim.check_invariants()}["quorum_safety"]
+        assert before.passed and before.details == ""
+        lane.conclude(b"\x01" * 32, QuorumTally(subject=b"\x01" * 32, yes={lane.witnesses[0]}))
+        after = {r.name: r for r in sim.check_invariants()}["quorum_safety"]
+        assert not after.passed
+        assert after.details == "1 executions below a safe quorum"
 
 
 class TestDeterminism:
