@@ -96,11 +96,16 @@ class InvalidReorg(Exception):
 #
 # A transaction carries exactly one tagged payload; the tag decides which
 # contract operation may consume it.  Payloads serialize into the canonical
-# dict form used for block hashing and the trace.
+# dict form used for the trace.  Payloads, transfer entries and transactions
+# are immutable all the way down, so each can cache its canonical text
+# (``codec.Encoded``): block hashes and vote subjects join the cached texts of
+# transactions and entries instead of encoding every member again.  A
+# transaction joins its payload's text uncached (``encode``), because each
+# payload belongs to one transaction, whose own cached text already holds it.
 
 
 @dataclass(frozen=True)
-class RegistrationRequest:
+class RegistrationRequest(codec.Encoded):
     """Creator asks the bridge head to register a side chain."""
 
     chain_id: Address
@@ -121,7 +126,7 @@ class RegistrationRequest:
 
 
 @dataclass(frozen=True)
-class Confirm:
+class Confirm(codec.Encoded):
     """Witness verdict on a registration request."""
 
     chain_id: Address
@@ -140,7 +145,7 @@ class Confirm:
 
 
 @dataclass(frozen=True)
-class TransferEntry:
+class TransferEntry(codec.Encoded):
     """One cross-chain credit, tagged with the origin of the event it mirrors.
 
     The origin names the emitting chain, the block height and the event's
@@ -168,7 +173,7 @@ class TransferEntry:
 
 
 @dataclass(frozen=True)
-class Transferring:
+class Transferring(codec.Encoded):
     """Witness relay of a batch of observed cross-chain events, plus its vote."""
 
     direction: str  # "registration" | "inbound" | "outbound"
@@ -185,9 +190,18 @@ class Transferring:
             "entries": [e.canonical() for e in self.entries],
         }
 
+    SHAPE = codec.Shape("type", "direction", "subject", "entries")
+
+    def encode(self) -> str:
+        dumps = codec.canonical_dumps
+        return self.SHAPE.text(
+            dumps(self.TAG), dumps(self.direction), dumps(self.subject),
+            codec.array([e.text() for e in self.entries]),
+        )
+
 
 @dataclass(frozen=True)
-class UserTransfer:
+class UserTransfer(codec.Encoded):
     """User payment; ``dest`` names the far-chain recipient on bridge deposits."""
 
     dest: Optional[Address] = None
@@ -199,7 +213,7 @@ class UserTransfer:
 
 
 @dataclass(frozen=True)
-class IoTRecord:
+class IoTRecord(codec.Encoded):
     """Application record on a side chain; never interacts with the bridge."""
 
     data: str
@@ -211,7 +225,7 @@ class IoTRecord:
 
 
 @dataclass(frozen=True)
-class MultisigAction:
+class MultisigAction(codec.Encoded):
     """Owner approval for a contract-administration action, or a deadline poke."""
 
     action: str
@@ -224,7 +238,7 @@ class MultisigAction:
 
 
 @dataclass(frozen=True)
-class TradingAction:
+class TradingAction(codec.Encoded):
     """Trading-ledger operation: intra-chain transfer or cross-chain withdraw."""
 
     to: Address
@@ -254,7 +268,7 @@ Payload = (
 
 
 @dataclass(frozen=True)
-class Transaction:
+class Transaction(codec.Encoded):
     sender: Address
     to: Address
     value: int
@@ -272,11 +286,20 @@ class Transaction:
             "payload": self.payload.canonical(),
         }
 
+    SHAPE = codec.Shape("from", "to", "value", "gasprice", "round", "payload")
+
+    def encode(self) -> str:
+        dumps = codec.canonical_dumps
+        return self.SHAPE.text(
+            dumps(self.sender), dumps(self.to), dumps(self.value), dumps(self.gasprice),
+            dumps(self.round), self.payload.encode(),
+        )
+
     def digest(self) -> bytes:
         # Cached beside the fields, so equality and hashing do not see it.
         cached = self.__dict__.get("_digest")
         if cached is None:
-            cached = self.__dict__["_digest"] = codec.digest(self.canonical())
+            cached = self.__dict__["_digest"] = codec.digest_text(self.text())
         return cached
 
 
@@ -318,14 +341,14 @@ class Block:
     hash: bytes = b""
     produced_at: int = 0  # scheduler tick; node-local metadata, not hashed
 
+    SHAPE = codec.Shape("height", "parent_hash", "transactions")
+
     def compute_hash(self) -> bytes:
-        return codec.digest(
-            {
-                "height": self.height,
-                "parent_hash": self.parent_hash,
-                "transactions": [tx.canonical() for tx in self.transactions],
-            }
-        )
+        """Digest of height, parent hash and the transactions' cached texts."""
+        return codec.digest_text(self.SHAPE.text(
+            codec.canonical_dumps(self.height), codec.canonical_dumps(self.parent_hash),
+            codec.array([tx.text() for tx in self.transactions]),
+        ))
 
 
 @dataclass

@@ -6,6 +6,12 @@ lowercase hex with a ``0x`` prefix.  It is the input to every content digest
 in the system (genesis hashes, block hashes, vote subjects) and the on-disk
 format of genesis files, so two values are equal exactly when their canonical
 bytes are equal.
+
+Values that are immutable all the way down (``Encoded``) keep their canonical
+text once it is computed, and a composite value's text is joined from its
+members' cached texts (``Shape``, ``array``), so such a value is encoded
+once in its lifetime however often it is hashed again inside a block, a
+batch or a vote subject.
 """
 
 from __future__ import annotations
@@ -83,9 +89,22 @@ def plain_leaf(value: Any) -> Any:
 
 
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# The escaper ``_CANONICAL`` applies to keys and str values.
+_quote = json.encoder.encode_basestring_ascii
 
 
 def canonical_dumps(value: Any) -> str:
+    # The scalar members of composite values come here one by one; encode
+    # them as ``_CANONICAL`` does, without its call overhead.
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bytes:
+        return '"0x' + value.hex() + '"'
+    if value is None:
+        return "null"
     return _CANONICAL.encode(to_plain(value))
 
 
@@ -96,6 +115,56 @@ def canonical_bytes(value: Any) -> bytes:
 def digest(value: Any) -> bytes:
     """32-byte content digest of the canonical serialization."""
     return hashlib.sha256(canonical_bytes(value)).digest()
+
+
+def digest_text(text: str) -> bytes:
+    """``digest`` of a value whose canonical text is ``text``."""
+    return hashlib.sha256(text.encode("utf-8")).digest()
+
+
+def array(texts: list[str]) -> str:
+    """Canonical text of the list whose items have the canonical ``texts``."""
+    return "[" + ",".join(texts) + "]"
+
+
+class Shape:
+    """Canonical text of one kind of object, joined from its members' texts.
+
+    ``text`` takes the members' canonical texts in the order the keys are
+    given here.  The sorted key order the encoder would use is worked out
+    once, when the shape is made, so joining a value costs one format call.
+    """
+
+    def __init__(self, *keys: str) -> None:
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        members = (
+            _quote(keys[i]).replace("{", "{{").replace("}", "}}") + ":{%d}" % i for i in order
+        )
+        self._format = "{{" + ",".join(members) + "}}"
+
+    def text(self, *members: str) -> str:
+        return self._format.format(*members)
+
+
+class Encoded:
+    """Mixin for frozen values that are immutable all the way down.
+
+    ``text()`` is the value's canonical text, computed on first use and cached
+    beside the fields, so dataclass equality and hashing do not see it.  A
+    value that holds a mutable member (a dict, a list) must not use it: the
+    cache would outlive a change to that member.
+    """
+
+    def text(self) -> str:
+        cached = self.__dict__.get("_text")
+        if cached is None:
+            cached = self.__dict__["_text"] = self.encode()
+        return cached
+
+    def encode(self) -> str:
+        """The canonical text; composites override this to join their
+        members' cached texts."""
+        return canonical_dumps(self.canonical())
 
 
 def parse_hex(text: str, *, length: int | None = None) -> bytes:

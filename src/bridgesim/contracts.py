@@ -136,11 +136,15 @@ def _require_no_value(tx: Transaction) -> None:
         raise UnexpectedValue(f"{tx.payload.TAG} must not carry value")
 
 
+_SUBJECT = codec.Shape("direction", "entries")
+
+
 def entries_subject(direction: str, entries: tuple[TransferEntry, ...]) -> bytes:
-    """Digest binding a relay batch to its exact content."""
-    return codec.digest(
-        {"direction": direction, "entries": [e.canonical() for e in entries]}
-    )
+    """Digest binding a relay batch to its exact content, joined from the
+    entries' cached texts."""
+    return codec.digest_text(_SUBJECT.text(
+        codec.canonical_dumps(direction), codec.array([e.text() for e in entries])
+    ))
 
 
 def registration_subject(

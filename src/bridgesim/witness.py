@@ -308,8 +308,14 @@ class WitnessNode:
         target: Address,
         direction: str,
         round_no: int,
+        subject: bytes | None = None,
     ) -> list[Transaction]:
-        """Build the relay transaction(s) for one batch under this behavior."""
+        """Build the relay transaction(s) for one batch under this behavior.
+
+        ``subject``, when given, is the one already bound to the sorted
+        ``entries`` (a pending vote's); it is recomputed only when this
+        behavior alters an entry.
+        """
         cfg = self.config
         entries = tuple(sorted(entries, key=lambda e: e.origin_plain()))
         if cfg.behavior in (Behavior.CRASHED, Behavior.BYZANTINE_REJECT_ALL):
@@ -326,7 +332,9 @@ class WitnessNode:
                     first.value + bump,
                 ),
             ) + entries[1:]
-        subject = entries_subject(direction, entries)
+            subject = None
+        if subject is None:
+            subject = entries_subject(direction, entries)
         sender = cfg.token_address if target in (cfg.bridge_head, cfg.registry) else cfg.side_address
         return [
             Transaction(
@@ -542,7 +550,8 @@ class WitnessNode:
             if vote.kind == "confirm":
                 txs = self._confirm_tx(vote, round_no)
             else:
-                txs = self.relay_and_vote(vote.entries, vote.target, vote.direction, round_no)
+                txs = self.relay_and_vote(vote.entries, vote.target, vote.direction,
+                                          round_no, vote.subject)
             if resend and txs:
                 self.resend_count += 1
                 view.log_resend(self, vote, round_no)

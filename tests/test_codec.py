@@ -1,9 +1,17 @@
 """Canonical serialization and digests."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgesim import codec, trace
-from bridgesim.chain import Address, EventTopic, Transaction, UserTransfer
+from bridgesim.chain import (
+    Address, Block, Confirm, EventTopic, IoTRecord, MultisigAction, RegistrationRequest,
+    TradingAction, Transaction, TransferEntry, Transferring, UserTransfer,
+)
+from bridgesim.contracts import INBOUND, OUTBOUND, REGISTRATION, entries_subject
 
 
 def test_canonical_sorts_keys_and_strips_whitespace():
@@ -68,3 +76,81 @@ def test_parse_hex_rejects_malformed(bad):
 def test_parse_hex_length_check():
     with pytest.raises(codec.SerializationError):
         codec.parse_hex("0x0011", length=3)
+
+
+# -- cached text: every composed text equals the one encoder's ------------------
+
+ADDRESSES = st.binary(min_size=20, max_size=20).map(Address)
+DIGESTS = st.binary(min_size=32, max_size=32)
+# Non-ASCII and control characters must come out escaped, as json writes them.
+TEXTS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+DIRECTIONS = st.one_of(st.sampled_from([REGISTRATION, INBOUND, OUTBOUND]), TEXTS)
+ENTRIES = st.builds(TransferEntry, ADDRESSES, st.integers(), st.integers(), ADDRESSES,
+                    st.integers())
+ENTRY_TUPLES = st.lists(ENTRIES, max_size=4).map(tuple)
+PAYLOADS = st.one_of(
+    st.builds(RegistrationRequest, ADDRESSES, DIGESTS, st.integers(), ADDRESSES),
+    st.builds(Confirm, ADDRESSES, DIGESTS, st.booleans()),
+    st.builds(Transferring, DIRECTIONS, DIGESTS, ENTRY_TUPLES),
+    st.builds(UserTransfer, st.none() | ADDRESSES),
+    st.builds(IoTRecord, TEXTS),
+    st.builds(MultisigAction, TEXTS, st.lists(
+        st.one_of(TEXTS, st.integers(), st.booleans(), st.none(), ADDRESSES), max_size=3,
+    ).map(tuple)),
+    st.builds(TradingAction, ADDRESSES, st.integers(), st.booleans()),
+)
+TRANSACTIONS = st.builds(Transaction, ADDRESSES, ADDRESSES, st.integers(), st.integers(),
+                         PAYLOADS, st.none() | st.integers())
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def assert_text_is_cached_canonical(value):
+    """``text()`` is the encoder's text of ``canonical()``; the cache changes
+    neither equality nor hashing, and survives a pickle round trip."""
+    fresh = pickle.loads(pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
+    assert value.text() == codec.canonical_dumps(value.canonical())
+    assert value.text().isascii()
+    assert fresh == value and hash(fresh) == hash(value)
+    again = pickle.loads(pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
+    assert again == value and hash(again) == hash(value)
+    assert again.text() == fresh.text() == value.text()
+
+
+@FUZZ
+@given(ENTRIES)
+def test_entry_text_is_the_canonical_text(entry):
+    assert_text_is_cached_canonical(entry)
+
+
+@FUZZ
+@given(PAYLOADS)
+def test_payload_text_is_the_canonical_text(payload):
+    assert_text_is_cached_canonical(payload)
+
+
+@FUZZ
+@given(TRANSACTIONS)
+def test_transaction_text_and_digest_are_the_canonical_ones(tx):
+    assert_text_is_cached_canonical(tx)
+    assert tx.digest() == codec.digest(tx.canonical())
+
+
+@FUZZ
+@given(DIRECTIONS, ENTRY_TUPLES)
+def test_entries_subject_is_the_digest_of_the_plain_batch(direction, entries):
+    plain = {"direction": direction, "entries": [e.canonical() for e in entries]}
+    assert entries_subject(direction, entries) == codec.digest(plain)
+
+
+@FUZZ
+@given(st.integers(min_value=0), DIGESTS, st.lists(TRANSACTIONS, max_size=4))
+def test_block_hash_is_the_digest_of_the_plain_block(height, parent, txs):
+    block = Block(height=height, parent_hash=parent, transactions=txs)
+    plain = {"height": height, "parent_hash": parent,
+             "transactions": [tx.canonical() for tx in txs]}
+    assert block.compute_hash() == codec.digest(plain)
+
+
+def test_shape_joins_members_in_sorted_key_order():
+    shape = codec.Shape("b", "a{", "c")
+    assert shape.text("1", "[2]", '"x"') == '{"a{":[2],"b":1,"c":"x"}'

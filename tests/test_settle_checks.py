@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 from bridgesim import presets, simnet
-from bridgesim.chain import Chain, EventTopic
+from bridgesim.chain import (
+    Address, Block, Chain, EventTopic, InvalidTransaction, Transaction, UserTransfer,
+)
 from bridgesim.scenario import is_genesis_file, parse_scenario
 from bridgesim.simnet import InvariantResult
 from bridgesim.witness import Behavior
@@ -208,6 +210,28 @@ def test_resumed_window_check_still_fails(checks, monkeypatch):
     assert failed(checks, "window_contiguity")
     assert ("window_contiguity", sim.witnesses[0].config.name) in {
         (f.name, f.chain) for f in result.failures}
+
+
+def test_forged_zero_gasprice_block_fails_the_rule(checks):
+    """Negative control for zero_gasprice_rule.  ``Chain._check_gas`` rejects a
+    zero-gasprice transaction from an unexempt sender, so a block holding one
+    is appended past ``apply_block``; the check and the next resumed check
+    both count it."""
+    data = json.loads((SCENARIOS / "happy_path.json").read_text(encoding="utf-8"))
+    sim = run(data).sim
+    assert not failed(checks, "zero_gasprice_rule")
+    token = sim.hosts[sim.token_id].chain
+    alice, bob = Address.from_label("alice"), Address.from_label("bob")
+    tx = Transaction(sender=alice, to=bob, value=0, gasprice=0, payload=UserTransfer())
+    with pytest.raises(InvalidTransaction):
+        token._check_gas(tx)
+    forged = Block(height=token.height + 1, parent_hash=token.head.hash, transactions=[tx])
+    forged.hash = forged.compute_hash()
+    token.blocks.append(forged)
+    for _ in range(2):
+        [rule] = [r for r in sim.check_invariants() if r.name == "zero_gasprice_rule"]
+        assert not rule.passed
+        assert rule.details == "1 violations"
 
 
 # -- flat cost: what a check reads --------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 
+from bridgesim import witness as witness_mod
 from bridgesim.chain import Address, Chain, ChainKind, TransferEntry
 from bridgesim.contracts import INBOUND, OUTBOUND, entries_subject
 from bridgesim.genesis import genesis_hash, parse_genesis
@@ -270,6 +271,23 @@ class TestRelayAndVote:
             assert tx.payload.subject == entries_subject(INBOUND, tx.payload.entries)
             assert tx.payload.subject != honest_subject
         assert tx1.payload.subject != tx2.payload.subject
+
+    def test_a_bound_subject_is_reused_unless_an_entry_is_altered(self, monkeypatch):
+        bound = entries_subject(INBOUND, sample_entries())
+        hashed = []
+
+        def counted(direction, entries):
+            hashed.append(entries)
+            return entries_subject(direction, entries)
+
+        monkeypatch.setattr(witness_mod, "entries_subject", counted)
+        honest = WitnessNode(witness_config(), TOKEN_ID, seed=1)
+        [tx] = honest.relay_and_vote(sample_entries(), honest.config.relay, INBOUND, 0, bound)
+        assert tx.payload.subject == bound and hashed == []
+        liar = WitnessNode(witness_config(Behavior.EQUIVOCATING), TOKEN_ID, seed=1)
+        [tx] = liar.relay_and_vote(sample_entries(), liar.config.relay, INBOUND, 0, bound)
+        assert hashed == [tx.payload.entries]
+        assert tx.payload.subject == entries_subject(INBOUND, tx.payload.entries) != bound
 
 
 class TestApproveAllVerdict:
