@@ -309,6 +309,10 @@ class Event:
 
     ``seq`` is the event's position within its block, so (height, seq) is a
     chain-unique identity even when one transaction emits several events.
+    ``payload`` holds the typed values the contract built (``Address``,
+    ``bytes``, ``int``, tuples); readers use them as they are, and only the
+    trace encoder turns them into text.  A contract hands over values it no
+    longer changes: a payload must never alias the contract's own state.
     """
 
     contract: Address
@@ -648,7 +652,7 @@ class ApplyContext:
         ev = Event(
             contract,
             topic,
-            codec.to_plain(payload),
+            payload,
             self.height,
             self.tx_index,
             seq=len(self._events),

@@ -132,6 +132,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
         print(f"replay of {args.trace}: identical ({len(recorded)} records)")
         return EXIT_OK
     print(f"replay DIVERGED at line {divergence['line']}:", file=sys.stderr)
+    if "kind" in divergence:
+        print(f"  record: {divergence['kind']}  field: {divergence['path'] or '(encoding only)'}",
+              file=sys.stderr)
     print(f"  recorded:    {divergence['recorded'][:200]}", file=sys.stderr)
     print(f"  regenerated: {divergence['regenerated'][:200]}", file=sys.stderr)
     return EXIT_DIVERGENCE

@@ -7,6 +7,12 @@ in the system (genesis hashes, block hashes, vote subjects) and the on-disk
 format of genesis files, so two values are equal exactly when their canonical
 bytes are equal.
 
+This module is the only place a value becomes text.  Inside the model values
+stay typed (``Address``, ``bytes``, ``int``, tuples): transactions, event
+payloads and contract state views alike.  They are made plain only where they
+are encoded, in a trace line (through ``plain_leaf``) or in a digest (through
+``to_plain``).
+
 Values that are immutable all the way down (``Encoded``) keep their canonical
 text once it is computed, and a composite value's text is joined from its
 members' cached texts (``Shape``, ``array``), so such a value is encoded

@@ -119,10 +119,6 @@ class ExceedsCirculating(ContractError):
     pass
 
 
-class ExceedsLocked(ContractError):
-    pass
-
-
 class InsufficientLedgerBalance(ContractError):
     pass
 
@@ -358,10 +354,6 @@ def action_key(action: str, args: tuple) -> bytes:
     return codec.digest({"action": action, "args": list(args)})
 
 
-def _addr_arg(raw: object) -> Address:
-    return raw if isinstance(raw, Address) else Address.from_hex(str(raw))
-
-
 class Contract:
     """What the chain and the scheduler ask of every hosted contract.
 
@@ -369,7 +361,8 @@ class Contract:
     token conservation.  The scheduler asks ``has_expired_deadline`` to submit
     a deadline poke, ``busy`` to decide whether the bridge is at rest,
     ``lanes`` for quorum safety (each lane's ``unsafe`` count) and
-    ``state_view`` for the per-block state digest.  The defaults fit a
+    ``state_view`` for the per-block state digest (typed values under
+    ``str`` keys; ``codec.digest`` encodes them).  The defaults fit a
     contract without vote lanes that holds no tokens; a contract with lanes
     lists them in ``lanes``, in poke order.
     """
@@ -476,7 +469,7 @@ class ChainIdRegistry(Contract):
         if payload.action != "authorize":
             raise NotAuthorized(f"unknown registry action {payload.action}")
         if self.multisig.approve(tx.sender, action_key(payload.action, payload.args)):
-            self.authorized.add(_addr_arg(payload.args[0]))
+            self.authorized.add(payload.args[0])
 
     def update_from(self, ctx: ApplyContext, caller: Address, chain_id: Address) -> bool:
         """Append via the standing authorization granted to a bridge head.
@@ -498,8 +491,8 @@ class ChainIdRegistry(Contract):
 
     def state_view(self) -> dict:
         return {
-            "chain_ids": [str(c) for c in self.chain_ids],
-            "authorized": sorted(str(a) for a in self.authorized),
+            "chain_ids": list(self.chain_ids),
+            "authorized": sorted(self.authorized),
         }
 
 
@@ -694,7 +687,7 @@ class BridgeHead(Contract):
             "locked": self.locked,
             "fee_reserve": self.fee_reserve,
             "registered": self.registered,
-            "pending": None if self.pending is None else "0x" + self.pending.subject.hex(),
+            "pending": None if self.pending is None else self.pending.subject,
             "reg_round": self.reg_stream.round,
             "out_round": self.out_stream.round,
         }
@@ -790,7 +783,7 @@ class ReserveBank(Contract):
         payload = tx.payload
         if isinstance(payload, MultisigAction) and payload.action == "add_relay":
             if self.multisig.approve(tx.sender, action_key(payload.action, payload.args)):
-                self.authorized_relay = _addr_arg(payload.args[0])
+                self.authorized_relay = payload.args[0]
             return
         raise NotAuthorized("only the relay may interact with the bank")
 
@@ -816,7 +809,7 @@ class ReserveBank(Contract):
     def state_view(self) -> dict:
         return {
             "balance": self.balance,
-            "authorized_relay": str(self.authorized_relay) if self.authorized_relay else None,
+            "authorized_relay": self.authorized_relay,
         }
 
 
@@ -941,7 +934,7 @@ class TradingBook(Contract):
             return
         if isinstance(payload, MultisigAction) and payload.action == "authorize_gateway":
             if self.multisig.approve(tx.sender, action_key(payload.action, payload.args)):
-                self.authorized_gateway = _addr_arg(payload.args[0])
+                self.authorized_gateway = payload.args[0]
             return
         raise NotAuthorized(f"trading book does not accept {payload.TAG}")
 
@@ -963,7 +956,7 @@ class TradingBook(Contract):
     def state_view(self) -> dict:
         return {
             "balances": {str(a): v for a, v in sorted(self.balances.items())},
-            "gateway": str(self.authorized_gateway) if self.authorized_gateway else None,
+            "gateway": self.authorized_gateway,
         }
 
 
@@ -1024,7 +1017,7 @@ class ConsensusGateway(Contract):
             for e in fresh:
                 self.escrow_total -= e.value
                 ctx.emit(self.address, EventTopic.ASSETS_LOCKED,
-                         {"to": e.to, "value": e.value, "origin": list(e.origin_plain())})
+                         {"to": e.to, "value": e.value, "origin": e.origin_plain()})
         else:
             for e in fresh:
                 trading.credit_from_gateway(self.address, e.to, e.value)

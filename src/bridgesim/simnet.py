@@ -164,7 +164,7 @@ class OwnerDaemon:
                     if (
                         ev.topic == EventTopic.EXIST_OR_NOT
                         and ev.payload.get("success")
-                        and ev.payload.get("chain_id") == str(self.side.chain_id)
+                        and ev.payload.get("chain_id") == self.side.chain_id
                     ):
                         self.seen_registry_success = True
                     if (
@@ -230,7 +230,7 @@ class Simulation(WorldView):
         token = Chain(
             token_cfg.chain_id,
             ChainKind.TOKEN,
-            codec.to_plain(token_spec),
+            token_spec,
             token_cfg.total_supply,
             dict(sc.accounts),
         )
@@ -315,9 +315,10 @@ class Simulation(WorldView):
         # chain must still be at height 0 when its registration is validated.
         for side in sc.side_chains:
             for owner in sc.registry.owners:
-                self._push(0, WORKLOAD, _setup_tx(
-                    owner, sc.registry.address, "authorize",
-                    (str(side.bridge_head.address),), token_cfg.chain_id))
+                self._push(0, WORKLOAD, (token_cfg.chain_id, Transaction(
+                    sender=owner, to=sc.registry.address, value=0, gasprice=0,
+                    payload=MultisigAction(action="authorize", args=(side.bridge_head.address,)),
+                )))
 
         for action in sc.workload:
             self._push(action.tick, WORKLOAD, action)
@@ -334,7 +335,7 @@ class Simulation(WorldView):
             chain = Chain(
                 g.chain_id,
                 ChainKind.GASLESS_SIDE,
-                codec.to_plain(g.canonical()),
+                g.canonical(),
                 g.total_reserved(),
             )
             vault = RegistrationVault(
@@ -372,7 +373,7 @@ class Simulation(WorldView):
             chain = Chain(
                 g.chain_id,
                 ChainKind.NATIVE_GAS_SIDE,
-                codec.to_plain(g.canonical()),
+                g.canonical(),
                 total_supply=0,
             )
             trading = TradingBook(
@@ -424,7 +425,7 @@ class Simulation(WorldView):
 
     def submit(self, witness: WitnessNode, chain_id: Address, tx: Transaction) -> None:
         plan = self.scenario.fault_plan
-        digest = "0x" + tx.digest().hex()
+        digest = tx.digest()
         self.trace.record(self.tick, "submit", str(chain_id), {
             "witness": witness.config.name, "tx": digest,
             "payload": tx.payload.TAG, "round": tx.round,
@@ -458,9 +459,8 @@ class Simulation(WorldView):
     def log_resend(self, witness: WitnessNode, vote, round_no: int) -> None:
         self.resend_records += 1
         self.trace.record(self.tick, "resend", str(vote.target_chain), {
-            "witness": witness.config.name, "target": str(vote.target),
-            "direction": vote.direction, "round": round_no,
-            "subject": "0x" + vote.subject.hex(),
+            "witness": witness.config.name, "target": vote.target,
+            "direction": vote.direction, "round": round_no, "subject": vote.subject,
         })
 
     def log_abstain(self, witness: WitnessNode, reason: str) -> None:
@@ -500,7 +500,7 @@ class Simulation(WorldView):
             for tx in daemon.step():
                 self.hosts[daemon.side.chain_id].mempool.append(tx)
                 self.trace.record(tick, "submit", str(daemon.side.chain_id), {
-                    "owner": str(tx.sender), "tx": "0x" + tx.digest().hex(),
+                    "owner": tx.sender, "tx": tx.digest(),
                     "payload": tx.payload.TAG, "round": None,
                 })
         settled = self._settled()
@@ -518,8 +518,7 @@ class Simulation(WorldView):
             chain_id, tx = ev.data
             self.inflight -= 1
             self.hosts[chain_id].mempool.append(tx)
-            self.trace.record(self.tick, "deliver", str(chain_id),
-                              {"tx": "0x" + tx.digest().hex()})
+            self.trace.record(self.tick, "deliver", str(chain_id), {"tx": tx.digest()})
         elif ev.kind == WORKLOAD:
             data = ev.data
             if isinstance(data, WorkloadAction):
@@ -528,8 +527,7 @@ class Simulation(WorldView):
                 chain_id, tx = data
                 self.hosts[chain_id].mempool.append(tx)
                 self.trace.record(self.tick, "action", str(chain_id), {
-                    "action": "setup", "tx": "0x" + tx.digest().hex(),
-                    "payload": tx.payload.canonical(),
+                    "action": "setup", "tx": tx.digest(), "payload": tx.payload,
                 })
         elif ev.kind == INJECT_REORG:
             spec = ev.data
@@ -557,10 +555,8 @@ class Simulation(WorldView):
                 gasprice=1,
                 payload=RegistrationRequest(
                     chain_id=side.chain_id,
-                    genesis_hash=codec.parse_hex(
-                        p.get("genesis_hash", "0x" + genesis_hash(genesis).hex()),
-                        length=codec.DIGEST_SIZE,
-                    ),
+                    genesis_hash=codec.parse_hex(p["genesis_hash"], length=codec.DIGEST_SIZE)
+                    if "genesis_hash" in p else genesis_hash(genesis),
                     balance=int(p.get("balance", genesis.total_reserved())),
                     side_creator=Address.from_hex(p["side_creator"]),
                 ),
@@ -619,9 +615,10 @@ class Simulation(WorldView):
             )
         elif kind == "record":
             side = sc.side_chain(Address.from_hex(p["chain_id"]))
+            default = side.genesis.witnesses[0]
             tx = Transaction(
-                sender=Address.from_hex(p.get("from", str(side.genesis.witnesses[0]))),
-                to=Address.from_hex(p.get("to", str(side.genesis.witnesses[0]))),
+                sender=Address.from_hex(p["from"]) if "from" in p else default,
+                to=Address.from_hex(p["to"]) if "to" in p else default,
                 value=0,
                 gasprice=1,
                 payload=IoTRecord(data=str(p.get("data", ""))),
@@ -631,9 +628,7 @@ class Simulation(WorldView):
             raise ValueError(f"unknown action {kind}")
         self.hosts[target].mempool.append(tx)
         self.trace.record(self.tick, "action", str(target), {
-            "action": kind, "tx": "0x" + tx.digest().hex(), "params": codec.to_plain(
-                {k: v for k, v in sorted(p.items())}
-            ),
+            "action": kind, "tx": tx.digest(), "params": codec.to_plain(p),
         })
 
     def _produce(self, chain_id: Address, host: ChainHost) -> None:
@@ -655,7 +650,7 @@ class Simulation(WorldView):
             "rejected": [
                 {"tx": r.tx.digest(), "reason": r.reason} for r in rejections
             ],
-            "events": [ev.canonical() for ev in block.events],
+            "events": block.events,
             "state": chain.state_digest(),
         })
 
@@ -836,7 +831,7 @@ class Simulation(WorldView):
                             and ev.payload.get("kind") == "transfer"
                         ) or (
                             ev.topic == EventTopic.EXIST_OR_NOT and ev.payload.get("success")
-                            and ev.payload.get("chain_id") == str(cfg.side_chain_id)
+                            and ev.payload.get("chain_id") == cfg.side_chain_id
                         )
                     else:
                         worthy = ev.topic == EventTopic.ASSETS_LOCKED or (
@@ -964,20 +959,6 @@ def _unscanned(watches: Iterable[tuple]) -> Iterator:
             for ev in block.events:
                 if ev.contract in watched:
                     yield ev
-
-
-def _setup_tx(owner: Address, contract: Address, action: str,
-              args: tuple, chain_id: Address) -> tuple[Address, Transaction]:
-    return (
-        chain_id,
-        Transaction(
-            sender=owner,
-            to=contract,
-            value=0,
-            gasprice=0,
-            payload=MultisigAction(action=action, args=args),
-        ),
-    )
 
 
 class RunResult:

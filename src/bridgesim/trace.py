@@ -78,15 +78,36 @@ def header_of(lines: list[str]) -> dict:
 
 
 def first_divergence(recorded: list[str], regenerated: list[str]) -> dict | None:
-    """None when byte-identical; otherwise the first differing position."""
-    for i, (a, b) in enumerate(zip(recorded, regenerated)):
+    """None when byte-identical; otherwise the first differing line.
+
+    When both lines are JSON records, the report also names the recorded
+    record's ``kind`` and the dotted ``path`` of its first differing field,
+    such as ``payload.events.0.payload.amount`` ("" when only the encoding
+    differs).
+    """
+    for i in range(max(len(recorded), len(regenerated))):
+        a = recorded[i] if i < len(recorded) else "<absent>"
+        b = regenerated[i] if i < len(regenerated) else "<absent>"
         if a != b:
-            return {"line": i + 1, "recorded": a, "regenerated": b}
-    if len(recorded) != len(regenerated):
-        i = min(len(recorded), len(regenerated))
-        return {
-            "line": i + 1,
-            "recorded": recorded[i] if i < len(recorded) else "<absent>",
-            "regenerated": regenerated[i] if i < len(regenerated) else "<absent>",
-        }
+            report = {"line": i + 1, "recorded": a, "regenerated": b}
+            try:
+                a, b = json.loads(a), json.loads(b)
+            except json.JSONDecodeError:
+                return report
+            if type(a) is dict and type(b) is dict:
+                report.update(kind=a.get("kind"), path=".".join(_first_difference(a, b)))
+            return report
     return None
+
+
+def _first_difference(a, b) -> list[str]:
+    """Keys and indexes down to the first field, in encoding order, where the
+    plain values ``a`` and ``b`` differ."""
+    if type(a) is list and type(b) is list:
+        a, b = dict(enumerate(a)), dict(enumerate(b))
+    if type(a) is not dict or type(b) is not dict:
+        return []
+    for key in sorted(a.keys() | b.keys()):
+        if key not in a or key not in b or dumps(a[key]) != dumps(b[key]):
+            return [str(key), *_first_difference(a.get(key), b.get(key))]
+    return []

@@ -242,8 +242,8 @@ def _event_entry(origin_chain: Address, ev: Event, to: Address | None = None,
         origin_chain=origin_chain,
         origin_height=ev.height,
         origin_seq=ev.seq,
-        to=Address.from_hex(ev.payload["to"]) if to is None else to,
-        value=int(ev.payload["value"]) if value is None else value,
+        to=ev.payload["to"] if to is None else to,
+        value=ev.payload["value"] if value is None else value,
     )
 
 
@@ -370,9 +370,7 @@ class WitnessNode:
     def _decide_registration(self, view: "WorldView", payload: dict) -> bool | None:
         """Verdict for a registration request; None means abstain."""
         cfg = self.config
-        claimed_chain_id = Address.from_hex(payload["chain_id"])
-        claimed_hash = codec.parse_hex(payload["genesis_hash"], length=codec.DIGEST_SIZE)
-        claimed_balance = int(payload["balance"])
+        claimed_chain_id = payload["chain_id"]
         registered = view.registry_ids()
         if cfg.behavior == Behavior.BYZANTINE_APPROVE_ALL:
             return True
@@ -389,8 +387,8 @@ class WitnessNode:
             return validate_registration(
                 spec,
                 side_height,
-                claimed_hash,
-                claimed_balance,
+                payload["genesis_hash"],
+                payload["balance"],
                 claimed_chain_id,
                 registered,
                 self.token_chain_id,
@@ -404,23 +402,21 @@ class WitnessNode:
         """Registration payout a witness will relay to the side chain."""
         if self.config.variant == VARIANT_GASLESS:
             try:
-                spec = view.fetch_genesis(self, Address.from_hex(payload["chain_id"]))
-                return int(spec.bal_resv)
+                return view.fetch_genesis(self, payload["chain_id"]).bal_resv
             except FetchFailure:
                 pass
-        return int(payload["amount"])
+        return payload["amount"]
 
     def _handle_token_event(self, view: "WorldView", ev: Event) -> None:
         cfg = self.config
         if ev.topic == EventTopic.CROSS_CHAIN_ARRIVED and ev.contract == cfg.bridge_head:
             payload = ev.payload
             if payload.get("kind") == REGISTRATION:
-                subject = codec.parse_hex(payload["subject"], length=codec.DIGEST_SIZE)
                 self.observed_registration = ObservedRegistration(
-                    side_creator=Address.from_hex(payload["side_creator"]),
-                    amount=int(payload["amount"]),
+                    side_creator=payload["side_creator"],
+                    amount=payload["amount"],
                     payout=self._payout_for(view, payload),
-                    subject=subject,
+                    subject=payload["subject"],
                 )
                 verdict = self._decide_registration(view, payload)
                 if verdict is None:
@@ -432,9 +428,9 @@ class WitnessNode:
                     target_chain=self.token_chain_id,
                     target=cfg.bridge_head,
                     direction=REGISTRATION,
-                    subject=subject,
+                    subject=payload["subject"],
                     verdict=verdict,
-                    chain_id=Address.from_hex(payload["chain_id"]),
+                    chain_id=payload["chain_id"],
                 )
                 self._force_submit.add(key)
             elif payload.get("kind") == "transfer":
@@ -443,7 +439,7 @@ class WitnessNode:
                                   _event_entry(self.token_chain_id, ev))
         elif ev.topic == EventTopic.EXIST_OR_NOT and ev.contract == cfg.registry:
             payload = ev.payload
-            if Address.from_hex(payload["chain_id"]) != cfg.side_chain_id:
+            if payload["chain_id"] != cfg.side_chain_id:
                 return
             if not payload["success"] or self.observed_registration is None:
                 return
@@ -485,19 +481,18 @@ class WitnessNode:
         self._force_submit.add(key)
 
     def _settle_result(self, contract: Address, direction: str, payload: dict) -> None:
-        self._adopt(contract, direction, int(payload.get("next_round", 0)))
-        subject_hex = payload.get("subject")
-        success = bool(payload.get("success", False))
-        origins = {tuple(o) for o in payload.get("origins", [])} if success else set()
+        self._adopt(contract, direction, payload["next_round"])
+        success = payload["success"]
+        origins = set(payload.get("origins", ())) if success else set()
         for key in list(self.pending):
             vote = self.pending[key]
             if vote.target != contract or vote.direction != direction:
                 continue
             # A result naming this exact subject concludes it for good, no
             # matter the outcome: a revert or execution failure will never
-            # succeed on retry.  Timeout results carry no subject and leave
-            # the pending vote alive for the resend path.
-            if subject_hex and "0x" + vote.subject.hex() == subject_hex:
+            # succeed on retry.  Timeout results carry an empty subject and
+            # leave the pending vote alive for the resend path.
+            if vote.subject == payload["subject"]:
                 del self.pending[key]
                 continue
             if vote.kind == "relay" and origins:

@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 from bridgesim import cli, presets
+from bridgesim.trace import first_divergence
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # sha256 of the summary JSON line `run` prints for scenarios/happy_path.json.
@@ -140,7 +141,9 @@ class TestReplay:
         assert '"amount":990' in text
         trace.write_text(text.replace('"amount":990', '"amount":991', 1))
         assert cli.main(["replay", str(trace)]) == 3
-        assert "DIVERGED" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "DIVERGED" in err
+        assert "  record: block  field: payload.events.0.payload.amount\n" in err
 
     def test_mode_difference_fixture_diverges(self, tmp_path):
         # Record under the conservation gate, then claim the strict gate in
@@ -160,3 +163,36 @@ class TestReplay:
         path = tmp_path / "empty.trace"
         path.write_text("")
         assert cli.main(["replay", str(path)]) == 1
+
+
+class TestFirstDivergence:
+    def test_names_the_kind_and_the_first_differing_field(self):
+        recorded = ['{"kind":"block","payload":{"events":[{"v":1},{"v":2}],"height":3}}']
+        regenerated = ['{"kind":"block","payload":{"events":[{"v":1},{"v":3}],"height":4}}']
+        got = first_divergence(recorded, regenerated)
+        assert (got["line"], got["kind"], got["path"]) == (1, "block", "payload.events.1.v")
+
+    def test_a_missing_key_or_item_ends_the_path(self):
+        got = first_divergence(['{"a":{"b":1},"kind":"x"}'], ['{"a":{},"kind":"x"}'])
+        assert got["path"] == "a.b"
+        got = first_divergence(['{"a":[1,2],"kind":"x"}'], ['{"a":[1],"kind":"x"}'])
+        assert got["path"] == "a.1"
+
+    def test_true_and_one_differ(self):
+        got = first_divergence(['{"a":[true],"kind":"x"}'], ['{"a":[1],"kind":"x"}'])
+        assert got["path"] == "a.0"
+
+    def test_equal_values_in_another_encoding_have_an_empty_path(self):
+        got = first_divergence(['{"a":1,"kind":"x"}'], ['{"kind":"x", "a":1}'])
+        assert (got["kind"], got["path"]) == ("x", "")
+
+    def test_a_line_that_is_not_json_is_reported_by_line_only(self):
+        assert first_divergence(["{}", "{}"], ["{}", "not json"]) == \
+            {"line": 2, "recorded": "{}", "regenerated": "not json"}
+        assert first_divergence(["{}"], ["{}", '{"kind":"end"}']) == \
+            {"line": 2, "recorded": "<absent>", "regenerated": '{"kind":"end"}'}
+        assert first_divergence(["[1]"], ["[2]"]) == {"line": 1, "recorded": "[1]",
+                                                      "regenerated": "[2]"}
+
+    def test_identical_traces_have_no_divergence(self):
+        assert first_divergence(['{"kind":"end"}'], ['{"kind":"end"}']) is None

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bridgesim import codec
 from bridgesim.chain import (
     Address,
     Block,
@@ -160,6 +161,15 @@ class TestBridgeHeadRegistration:
         assert arrived[0].payload["amount"] == 990
         assert head.reg_stream.deadline == 5 + TIMEOUT
 
+    def test_announcement_and_state_view_keep_typed_values(self):
+        # Values become text only where they are encoded.
+        chain, _, head = make_token()
+        block, _ = chain.apply_block([request_tx(attach=1_000)])
+        payload = events_of(block, EventTopic.CROSS_CHAIN_ARRIVED)[0].payload
+        assert (payload["chain_id"], payload["side_creator"]) == (SIDE_ID, SIDE_CREATOR)
+        assert payload["genesis_hash"] == b"\x11" * 32
+        assert payload["subject"] == pending_subject(head) == head.state_view()["pending"]
+
     def test_attach_below_minimum_is_returned(self):
         chain, _, head = make_token()
         _, rejections = chain.apply_block([request_tx(attach=50)])
@@ -260,7 +270,7 @@ class TestBridgeHeadRegistration:
 class TestRegistry:
     def authorize_tx(self, owner, head=BRIDGE_ADDR):
         return Transaction(sender=owner, to=REGISTRY_ADDR, value=0, gasprice=1,
-                           payload=MultisigAction(action="authorize", args=(str(head),)))
+                           payload=MultisigAction(action="authorize", args=(head,)))
 
     def owner_funded_token(self, owners, required, heads=(BRIDGE_ADDR,)):
         """Token chain whose registry authorizes nobody yet; owners can pay gas."""
@@ -323,7 +333,7 @@ class TestRegistry:
         registry.authorized.clear()
         grant = lambda owner: Transaction(
             sender=owner, to=REGISTRY_ADDR, value=0, gasprice=1,
-            payload=MultisigAction(action="authorize", args=(str(BRIDGE_ADDR),)))
+            payload=MultisigAction(action="authorize", args=(BRIDGE_ADDR,)))
         chain.credit(OWNER1, 10)
         chain.credit(OWNER2, 10)
         chain.debit(Address.from_label("alice"), 20)  # keep the ledger balanced
@@ -853,7 +863,7 @@ def test_lane_outcome(outcome):
                and ev.topic in (EventTopic.CONSENSUS_RESULT, EventTopic.REGISTRATION_RESULT)]
     assert len(results) == 1
     assert results[0].topic == topic
-    payload = results[0].payload
+    payload = codec.to_plain(results[0].payload)
     assert set(payload) == keys
     assert {k: payload[k] for k in pinned} == pinned
     assert (payload["round"], payload["next_round"]) == (round_no, next_round)
@@ -885,11 +895,18 @@ class TestReserveBankAccessControl:
         bank.authorized_relay = None
         add = lambda owner: Transaction(
             sender=owner, to=BANK_ADDR, value=0, gasprice=0,
-            payload=MultisigAction(action="add_relay", args=(str(RELAY_ADDR),)))
+            payload=MultisigAction(action="add_relay", args=(RELAY_ADDR,)))
         chain.apply_block([add(OWNER1)])
         assert bank.authorized_relay is None
         chain.apply_block([add(OWNER2)])
         assert bank.authorized_relay == RELAY_ADDR
+        # the installed relay can move reserves again
+        entries = [entry(Address.from_label("side-user"), 10)]
+        _, rejections = chain.apply_block([relay_tx(WIT_S[i], RELAY_ADDR, INBOUND,
+                                                    entries) for i in range(3)])
+        assert rejections == []
+        assert bank.balance == BAL_BANK - 10
+        assert chain.balance(Address.from_label("side-user")) == 10
 
 
 class TestConsensusGateway:
@@ -1082,7 +1099,7 @@ def _pay(sender, to, value):
 
 def _owner(owner, to, action, *args):
     return Transaction(sender=owner, to=to, value=0, gasprice=0,
-                       payload=MultisigAction(action=action, args=tuple(str(a) for a in args)))
+                       payload=MultisigAction(action=action, args=args))
 
 
 def _side_menu(chain, a, b, stale):
@@ -1119,7 +1136,7 @@ def _token_menu(chain, a, b, stale):
                  _round(head.out_stream, stale)),
         _pay(ALICE, NEWCOMERS[b], 3),
         Transaction(sender=(OWNER1, OWNER2)[a % 2], to=REGISTRY_ADDR, value=0, gasprice=1,
-                    payload=MultisigAction(action="authorize", args=(str(BRIDGE_ADDR),))),
+                    payload=MultisigAction(action="authorize", args=(BRIDGE_ADDR,))),
         poke_tx(BRIDGE_ADDR),
     ]
 

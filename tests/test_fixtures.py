@@ -8,6 +8,7 @@ that is meant to alter traces, and say so in CHANGES.md.
 
 import dataclasses
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -16,9 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from bridgesim import cli
+from bridgesim import cli, trace
 from bridgesim.scenario import load_file, parse_scenario
-from bridgesim.simnet import Simulation
+from bridgesim.simnet import Simulation, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -85,13 +86,18 @@ TRACE_SHA256 = {
 RUNS = sorted(TRACE_SHA256, key=str)
 
 
-def run_cli(tmp_path, name, override, seed):
-    trace = tmp_path / f"{name}-{override}-{seed}.trace"
+def cli_args(tmp_path, name, override, seed):
+    """``bridgesim run`` arguments for one pinned run, and its trace path."""
+    trace_path = tmp_path / f"{name}-{override}-{seed}.trace"
     argv = ["run", str(SCENARIOS / f"{name}.json"), "--seed", str(seed),
-            "--trace-out", str(trace)]
+            "--trace-out", str(trace_path)]
     if override is not None:
         argv += ["--override-threshold", str(override)]
-    return cli.main(argv), hashlib.sha256(trace.read_bytes()).hexdigest()
+    return argv, trace_path
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
@@ -109,24 +115,72 @@ def test_every_runnable_fixture_is_pinned():
 
 @pytest.mark.parametrize("name,override,seed", RUNS)
 def test_exit_code_and_trace_digest(tmp_path, capsys, name, override, seed):
-    code, sha = run_cli(tmp_path, name, override, seed)
+    argv, trace_path = cli_args(tmp_path, name, override, seed)
+    code = cli.main(argv)
     capsys.readouterr()
     assert code == EXIT_CODES[(name, override)]
-    assert sha == TRACE_SHA256[(name, override, seed)]
+    assert sha256_of(trace_path) == TRACE_SHA256[(name, override, seed)]
 
 
-def test_digest_holds_in_a_process_with_another_hash_seed(tmp_path):
-    trace = tmp_path / "mixed.trace"
+# Runs each argument list it reads from stdin through ``bridgesim run``, then
+# prints the exit codes as the last line.
+RUN_ALL = """
+import json, sys
+from bridgesim import cli
+codes = [cli.main(argv) for argv in json.load(sys.stdin)]
+print(json.dumps(codes))
+"""
+
+
+def test_digests_hold_in_a_process_with_another_hash_seed(tmp_path):
+    # One process, under a hash seed fixed apart from this one's, runs every
+    # pinned fixture at seed 1 and must write the pinned traces.
+    pairs = sorted(EXIT_CODES, key=str)
+    runs = [cli_args(tmp_path, name, override, 1) for name, override in pairs]
     env = dict(os.environ, PYTHONHASHSEED="12345",
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "bridgesim.cli", "run", str(SCENARIOS / "mixed_variants.json"),
-         "--seed", "3", "--trace-out", str(trace)],
-        env=env, capture_output=True, check=False,
+        [sys.executable, "-c", RUN_ALL], input=json.dumps([argv for argv, _ in runs]),
+        env=env, capture_output=True, text=True, check=False,
     )
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert hashlib.sha256(trace.read_bytes()).hexdigest() == \
-        TRACE_SHA256[("mixed_variants", None, 3)]
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [EXIT_CODES[pair] for pair in pairs]
+    for (name, override), (_, trace_path) in zip(pairs, runs):
+        assert sha256_of(trace_path) == TRACE_SHA256[(name, override, 1)], (name, override)
+
+
+@pytest.mark.parametrize("name,override", sorted(EXIT_CODES, key=str))
+def test_events_are_not_changed_after_their_block_is_traced(name, override):
+    # Event payloads hold the contract's own typed values, so a contract that
+    # changed a value after emitting it would rewrite history.  Each final
+    # canonical block's events must still encode as its last block record
+    # did, except at heights a reorg replaced without a block record.
+    data = dict(load_file(str(SCENARIOS / f"{name}.json")), seed=1)
+    result = run_scenario(parse_scenario(data), threshold_override=override)
+    traced, replaced = {}, set()
+    for line in result.trace_lines:
+        record = json.loads(line)
+        payload = record["payload"]
+        if record["kind"] == "block":
+            traced[(record["chain"], payload["height"])] = payload["events"]
+        elif record["kind"] == "reorg" and payload["depth"]:
+            fork = payload["fork_height"]
+            replaced.update((record["chain"], height)
+                            for height in range(fork + 1, fork + payload["depth"] + 1))
+    checked = 0
+    for chain_id, host in result.sim.hosts.items():
+        for block in host.chain.blocks[1:]:
+            key = (str(chain_id), block.height)
+            if key in replaced:
+                continue
+            if key not in traced:
+                # A native-gas chain's pre-built history, applied before the
+                # run starts.
+                assert not block.events
+                continue
+            assert trace.dumps(block.events) == trace.dumps(traced[key]), key
+            checked += len(block.events)
+    assert checked
 
 
 def _mutable_parts(obj, found: dict[int, object]) -> None:

@@ -299,8 +299,8 @@ class TestApproveAllVerdict:
                 return set()
 
         payload = {
-            "chain_id": str(Address.from_label("side")),
-            "genesis_hash": "0x" + b"\x00".hex() * 32,
+            "chain_id": Address.from_label("side"),
+            "genesis_hash": b"\x00" * 32,
             "balance": 1,  # nonsense claim
         }
         assert node._decide_registration(View(), payload) is True
@@ -314,8 +314,8 @@ class TestApproveAllVerdict:
 
         genesis = gasless_genesis()
         payload = {
-            "chain_id": str(genesis.chain_id),
-            "genesis_hash": "0x" + genesis_hash(genesis).hex(),
+            "chain_id": genesis.chain_id,
+            "genesis_hash": genesis_hash(genesis),
             "balance": genesis.total_reserved(),
         }
         assert node._decide_registration(View(), payload) is False
