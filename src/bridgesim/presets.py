@@ -13,6 +13,7 @@ from typing import Any
 
 from .chain import Address
 from .genesis import VARIANT_GASLESS, VARIANT_NATIVE_GAS
+from .scenario import parse_scenario
 
 TOTAL_SUPPLY = 1_000_000
 ATTACH = 1_000
@@ -114,6 +115,13 @@ def register_action(chain_label: str, tick: int = 2, attach: int = ATTACH,
     return action
 
 
+def transfer_action(kind: str, chain_label: str, tick: int, sender: str, recipient: str,
+                    value: int) -> dict:
+    """A ``deposit``, ``withdraw`` or ``trade`` action between labelled accounts."""
+    return {"tick": tick, "action": kind, "chain_id": addr(chain_label),
+            "from": addr(sender), "to": addr(recipient), "value": value}
+
+
 def scenario(
     *,
     seed: int = 1,
@@ -203,16 +211,11 @@ def registered_with_transfers(
     workload = [register_action("side-1")]
     tick = first_tick
     for i, value in enumerate(deposits):
-        workload.append({
-            "tick": tick, "action": "deposit", "chain_id": addr("side-1"),
-            "from": addr("alice"), "to": addr("creator-side"), "value": value,
-        })
+        workload.append(transfer_action("deposit", "side-1", tick, "alice", "creator-side", value))
         tick += spacing
         if i < len(withdrawals):
-            workload.append({
-                "tick": tick, "action": "withdraw", "chain_id": addr("side-1"),
-                "from": addr("creator-side"), "to": addr("alice"), "value": withdrawals[i],
-            })
+            workload.append(transfer_action("withdraw", "side-1", tick, "creator-side", "alice",
+                                            withdrawals[i]))
             tick += spacing
     return scenario(
         seed=seed,
@@ -245,25 +248,16 @@ def mixed_variants(seed: int = 1, rng: random.Random | None = None,
         available = BAL_RESV
         for _ in range(transfers_per_chain):
             value = rng.randint(20, 400)
-            workload.append({
-                "tick": tick, "action": "deposit", "chain_id": addr(label),
-                "from": addr(user), "to": addr(side_user), "value": value,
-            })
+            workload.append(transfer_action("deposit", label, tick, user, side_user, value))
             available += value
             tick += rng.choice((55, 65, 75))
             out_value = rng.randint(10, max(11, available - 50))
-            workload.append({
-                "tick": tick, "action": "withdraw", "chain_id": addr(label),
-                "from": addr(side_user), "to": addr(user), "value": out_value,
-            })
+            workload.append(transfer_action("withdraw", label, tick, side_user, user, out_value))
             available -= out_value
             tick += rng.choice((55, 65, 75))
         if label == "side-2":
-            workload.append({
-                "tick": tick, "action": "trade", "chain_id": addr(label),
-                "from": addr(side_user), "to": addr("bob-side"),
-                "value": rng.randint(1, max(2, available // 4)),
-            })
+            workload.append(transfer_action("trade", label, tick, side_user, "bob-side",
+                                            rng.randint(1, max(2, available // 4))))
             tick += 30
     return scenario(
         seed=seed,
@@ -328,18 +322,15 @@ def reorg_scenario(
 
 def deposit_tx_digest(from_label: str, to_label: str, value: int,
                       chain_label: str = "side-1") -> str:
-    """Digest of the deposit transaction a workload action will produce,
-    usable in a reorg exclusion list."""
-    from .chain import Transaction, UserTransfer
-
-    tx = Transaction(
-        sender=Address.from_label(from_label),
-        to=Address.from_label(f"{chain_label}-bridge-head"),
-        value=value,
-        gasprice=1,
-        payload=UserTransfer(dest=Address.from_label(to_label)),
+    """Digest of the transaction a deposit action submits, as scenario parsing
+    builds it; usable in a reorg exclusion list."""
+    data = scenario(
+        side_specs=[_side_chain(chain_label, VARIANT_GASLESS, 4, 3)],
+        witnesses=_witnesses(chain_label, 4),
+        workload=[transfer_action("deposit", chain_label, 1, from_label, to_label, value)],
+        accounts={from_label: value},
     )
-    return "0x" + tx.digest().hex()
+    return "0x" + parse_scenario(data).workload[0].tx.digest().hex()
 
 
 def deep_reorg_negative_control(seed: int = 1) -> dict:

@@ -6,22 +6,25 @@ user workload, the fault plan, and the seed.  Everything a run does is a pure
 function of this file, which is what makes traces replayable.
 
 Validation is static and side-effect free: it returns a list of diagnostics,
-each naming the offending field and the violated rule.
+each naming the offending field and the violated rule.  Parsing is the one
+reader of the input: it also builds each workload action's transaction and
+the reorg exclusions as digest bytes, so a run reads no scenario text.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from . import codec
-from .chain import Address
+from .chain import Address, IoTRecord, RegistrationRequest, TradingAction, Transaction, UserTransfer
 from .genesis import (
     VARIANT_GASLESS,
     VARIANT_NATIVE_GAS,
     GenesisError,
     GenesisSpec,
+    genesis_hash,
     parse_genesis,
 )
 from .witness import Behavior
@@ -31,7 +34,15 @@ MODES = ("conservation", "strict")
 DEFAULT_TIMEOUT_T = 50
 DEFAULT_SLEEP_T = 10
 
-ACTIONS = ("register", "deposit", "withdraw", "trade", "pay", "record")
+# Workload actions: (required fields, optional fields); README lists the defaults.
+ACTIONS = {
+    "register": (("chain_id", "creator", "side_creator", "attach"), ("genesis_hash", "balance")),
+    "deposit": (("chain_id", "from", "to", "value"), ()),
+    "withdraw": (("chain_id", "from", "to", "value"), ()),
+    "trade": (("chain_id", "from", "to", "value"), ()),
+    "pay": (("from", "to", "value"), ("chain", "gasprice")),
+    "record": (("chain_id",), ("from", "to", "data")),
+}
 
 
 @dataclass(frozen=True)
@@ -72,7 +83,6 @@ class SideChainConfig:
     block_interval: int
     omega: int
     genesis: GenesisSpec
-    genesis_raw: dict
     bridge_head: BridgeHeadConfig
     vault_owners: tuple[Address, ...] = ()
     bank_owners: tuple[Address, ...] = ()
@@ -106,7 +116,7 @@ class ReorgSpec:
     tick: int
     chain_id: Address
     depth: int
-    exclude: tuple[str, ...] = ()  # tx digests dropped from the replacement
+    exclude: frozenset[bytes] = frozenset()  # tx digests dropped from the replacement
 
 
 @dataclass
@@ -130,9 +140,14 @@ class FaultPlan:
 
 @dataclass
 class WorkloadAction:
+    """A parsed user action: at ``tick`` its transaction ``tx`` enters the
+    mempool of chain ``chain``; ``params`` keeps the fields as written, for the trace."""
+
     tick: int
     action: str
-    params: dict[str, Any] = field(default_factory=dict)
+    params: dict[str, Any]
+    chain: Address
+    tx: Transaction
 
 
 @dataclass
@@ -200,6 +215,23 @@ class _Collector:
             return None
         return raw
 
+    def digest(self, raw: Any, field_name: str) -> bytes | None:
+        try:
+            return codec.parse_hex(raw, length=codec.DIGEST_SIZE)
+        except codec.SerializationError as exc:
+            self.err(field_name, str(exc))
+            return None
+
+    def unknown(self, raw: dict, known: Iterable[str], prefix: str) -> None:
+        for key in sorted(set(raw) - set(known)):
+            self.err(prefix + key, "unknown field")
+
+    def items(self, raw: Any, field_name: str) -> list:
+        if not isinstance(raw, list):
+            self.err(field_name, f"expected a list, got {raw!r}")
+            return []
+        return raw
+
 
 def _parse_owner_list(col: _Collector, raw: Any, field_name: str) -> tuple[Address, ...]:
     if not isinstance(raw, list) or not raw:
@@ -225,8 +257,7 @@ def parse_scenario(data: dict) -> Scenario:
         "token_chain", "accounts", "side_chains", "registry", "witnesses",
         "timeouts", "workload", "fault_plan", "seed", "max_ticks", "mode", "labels",
     }
-    for key in sorted(set(data) - known):
-        col.err(key, "unknown field")
+    col.unknown(data, known, "")
 
     # Token chain ------------------------------------------------------------
     tc_raw = data.get("token_chain")
@@ -348,7 +379,6 @@ def parse_scenario(data: dict) -> Scenario:
                 block_interval=interval,
                 omega=omega,
                 genesis=spec,
-                genesis_raw=genesis_raw,
                 bridge_head=BridgeHeadConfig(bh_addr, threshold, fee, minimum),
                 vault_owners=vault_owners,
                 bank_owners=bank_owners,
@@ -416,26 +446,14 @@ def parse_scenario(data: dict) -> Scenario:
     sleep = col.uint(t_raw.get("T", DEFAULT_SLEEP_T), "timeouts.T", minimum=1)
 
     # Workload ------------------------------------------------------------------------
-    workload: list[WorkloadAction] = []
-    wl_raw = data.get("workload", [])
-    if not isinstance(wl_raw, list):
-        col.err("workload", "expected a list")
-        wl_raw = []
-    for i, item in enumerate(wl_raw):
-        prefix = f"workload[{i}]"
-        if not isinstance(item, dict):
-            col.err(prefix, "expected an object")
-            continue
-        tick = col.uint(item.get("tick"), f"{prefix}.tick")
-        action = item.get("action")
-        if action not in ACTIONS:
-            col.err(f"{prefix}.action", f"unknown action {action!r}")
-            continue
-        if tick is None:
-            continue
-        params = {k: v for k, v in item.items() if k not in ("tick", "action")}
-        workload.append(WorkloadAction(tick, action, params))
-    _validate_workload(col, workload, token, accounts, side_chains)
+    actions = _ActionParser(
+        col.diags, token and token.chain_id, accounts, {sc.chain_id: sc for sc in side_chains}
+    )
+    workload = [
+        action
+        for i, item in enumerate(col.items(data.get("workload", []), "workload"))
+        if (action := actions.parse(item, f"workload[{i}]")) is not None
+    ]
 
     # Fault plan --------------------------------------------------------------------------
     fault_plan = _parse_fault_plan(col, data.get("fault_plan", {}), names, side_chains, token)
@@ -467,54 +485,129 @@ def parse_scenario(data: dict) -> Scenario:
     )
 
 
-def _validate_workload(
-    col: _Collector,
-    workload: list[WorkloadAction],
-    token: TokenChainConfig | None,
-    accounts: dict[Address, int],
-    side_chains: list[SideChainConfig],
-) -> None:
-    ids = {sc.chain_id: sc for sc in side_chains}
-    for i, act in enumerate(workload):
-        prefix = f"workload[{i}]"
-        p = act.params
-        if act.action in ("register", "deposit", "withdraw", "trade", "record"):
-            cid = col.addr(p.get("chain_id"), f"{prefix}.chain_id")
-            if cid is not None and cid not in ids:
-                col.err(f"{prefix}.chain_id", "names no configured side chain")
-                continue
-        if act.action == "register":
-            creator = col.addr(p.get("creator"), f"{prefix}.creator")
-            col.addr(p.get("side_creator"), f"{prefix}.side_creator")
-            attach = col.uint(p.get("attach"), f"{prefix}.attach")
-            if creator is not None and creator not in accounts:
-                col.err(f"{prefix}.creator", "not a funded token-chain account")
-            cid = Address.from_hex(p["chain_id"]) if isinstance(p.get("chain_id"), str) else None
-            sc = ids.get(cid) if cid else None
-            if sc is not None and attach is not None and sc.variant == VARIANT_GASLESS:
-                expected = (sc.genesis.bal_resv or 0) + sc.bridge_head.compensation_fee
-                if attach != expected:
-                    # Legal input, but the peg cannot balance; the run will
-                    # surface it as an invariant failure rather than a parse
-                    # error, so negative controls stay expressible.
-                    col.warn(
-                        f"{prefix}.attach",
-                        f"attach {attach} != Bal_Resv + fee = {expected}; "
-                        "the peg will not balance",
-                    )
-        elif act.action in ("deposit", "pay"):
-            sender = col.addr(p.get("from"), f"{prefix}.from")
-            col.addr(p.get("to"), f"{prefix}.to")
-            col.uint(p.get("value"), f"{prefix}.value")
-            if act.action == "deposit" and sender is not None and sender not in accounts:
-                col.err(f"{prefix}.from", "not a funded token-chain account")
-        elif act.action in ("withdraw", "trade"):
-            col.addr(p.get("from"), f"{prefix}.from")
-            col.addr(p.get("to"), f"{prefix}.to")
-            col.uint(p.get("value"), f"{prefix}.value")
-        elif act.action == "record":
-            if not isinstance(p.get("data", ""), str):
-                col.err(f"{prefix}.data", "expected a string")
+@dataclass
+class _ActionParser(_Collector):
+    """Reads workload actions and builds the transaction each one submits.
+
+    Each field is read by its reader in ``_FIELDS``, which reports a
+    diagnostic into the scenario's ``diags`` and returns None for an unusable
+    value; an action is built only when all of its fields read cleanly.
+    """
+
+    diags: list[Diagnostic]
+    token_id: Address | None
+    accounts: dict[Address, int]
+    sides: dict[Address, SideChainConfig]
+
+    def text(self, raw: Any, at: str) -> str | None:
+        if not isinstance(raw, str):
+            self.err(at, "expected a string")
+            return None
+        return raw
+
+    def side(self, raw: Any, at: str) -> SideChainConfig | None:
+        cid = self.addr(raw, at)
+        if cid is not None and cid not in self.sides:
+            self.err(at, "names no configured side chain")
+        return self.sides.get(cid)
+
+    def chain(self, raw: Any, at: str) -> Address | None:
+        if raw == "token":
+            return self.token_id
+        cid = self.addr(raw, at)
+        if cid is not None and cid != self.token_id and cid not in self.sides:
+            self.err(at, 'names no configured chain; use "token" or a chain id')
+            return None
+        return cid
+
+    def parse(self, item: Any, at: str) -> WorkloadAction | None:
+        if not isinstance(item, dict):
+            self.err(at, "expected an object")
+            return None
+        tick = self.uint(item.get("tick"), f"{at}.tick")
+        kind = item.get("action")
+        if kind not in ACTIONS:
+            self.err(f"{at}.action", f"unknown action {kind!r}")
+            return None
+        required, optional = ACTIONS[kind]
+        params = {k: v for k, v in item.items() if k not in ("tick", "action")}
+        self.unknown(params, required + optional, f"{at}.")
+        f: dict[str, Any] = {}
+        for key in required + optional:
+            if key in params:
+                f[key] = _FIELDS[key](self, params[key], f"{at}.{key}")
+            elif key in required:
+                self.err(f"{at}.{key}", "required field is missing")
+        if tick is None or len(f) < len(required) or None in f.values():
+            return None
+        built = self._build(kind, f, at)
+        if built is None:
+            return None
+        # Cache the digest while few transactions exist: CPython 3.11 stops adding keys
+        # to a class's shared __dict__ layout after a few dozen instances, and a key
+        # added later gives every instance that sets it a full-size __dict__.
+        built[1].digest()
+        return WorkloadAction(tick, kind, params, *built)
+
+    def _build(self, kind: str, f: dict[str, Any], at: str) -> tuple[Address, Transaction] | None:
+        """The chain whose mempool takes the action, and its transaction
+        (sender, to, value, gasprice, payload)."""
+        side = f.get("chain_id")
+        payer = {"register": "creator", "deposit": "from"}.get(kind)
+        if payer and f[payer] not in self.accounts:
+            self.err(f"{at}.{payer}", "not a funded token-chain account")
+            return None
+        if kind == "register":
+            genesis = side.genesis
+            expected = (genesis.bal_resv or 0) + side.bridge_head.compensation_fee
+            if side.variant == VARIANT_GASLESS and f["attach"] != expected:
+                # Legal input, but the peg cannot balance; the run will
+                # surface it as an invariant failure rather than a parse
+                # error, so negative controls stay expressible.
+                self.warn(f"{at}.attach", f"attach {f['attach']} != Bal_Resv + fee = "
+                          f"{expected}; the peg will not balance")
+            request = RegistrationRequest(
+                chain_id=side.chain_id,
+                genesis_hash=f.get("genesis_hash") or genesis_hash(genesis),
+                balance=f.get("balance", genesis.total_reserved()),
+                side_creator=f["side_creator"],
+            )
+            return self.token_id, Transaction(
+                f["creator"], side.bridge_head.address, f["attach"], 1, request)
+        if kind == "deposit":
+            return self.token_id, Transaction(
+                f["from"], side.bridge_head.address, f["value"], 1, UserTransfer(dest=f["to"]))
+        if kind == "withdraw" and side.variant == VARIANT_GASLESS:
+            return side.chain_id, Transaction(
+                f["from"], side.genesis.inter_contract, f["value"], 1, UserTransfer(dest=f["to"]))
+        if kind == "withdraw":
+            return side.chain_id, Transaction(
+                f["from"], side.genesis.register_contract, 0, 1,
+                TradingAction(to=f["to"], value=f["value"], cross_chain=True))
+        if kind == "trade":
+            if side.variant == VARIANT_GASLESS:
+                self.err(f"{at}.chain_id", "a gasless side chain has no trading ledger")
+                return None
+            return side.chain_id, Transaction(
+                f["from"], side.genesis.trading_contract, 0, 1,
+                TradingAction(to=f["to"], value=f["value"]))
+        if kind == "pay":
+            return f.get("chain", self.token_id), Transaction(
+                f["from"], f["to"], f["value"], f.get("gasprice", 1), UserTransfer())
+        default = side.genesis.witnesses[0]  # record
+        return side.chain_id, Transaction(
+            f.get("from", default), f.get("to", default), 0, 1, IoTRecord(f.get("data", "")))
+
+
+# The reader of each workload field; a field has one type in every action.
+_FIELDS = {
+    "chain_id": _ActionParser.side,
+    "chain": _ActionParser.chain,
+    **dict.fromkeys(("creator", "side_creator", "from", "to"), _ActionParser.addr),
+    **dict.fromkeys(("attach", "balance", "value", "gasprice"), _ActionParser.uint),
+    "genesis_hash": _ActionParser.digest,
+    "data": _ActionParser.text,
+}
 
 
 def _parse_fault_plan(
@@ -544,15 +637,19 @@ def _parse_fault_plan(
     if token is not None:
         known_ids.add(token.chain_id)
     reorgs = []
-    for i, item in enumerate(raw.get("reorg_schedule", []) or []):
+    for i, item in enumerate(col.items(raw.get("reorg_schedule", []), "fault_plan.reorg_schedule")):
         prefix = f"fault_plan.reorg_schedule[{i}]"
         if not isinstance(item, dict):
             col.err(prefix, "expected an object")
             continue
+        col.unknown(item, ("tick", "chain", "depth", "exclude"), f"{prefix}.")
         tick = col.uint(item.get("tick"), f"{prefix}.tick")
         cid = col.addr(item.get("chain"), f"{prefix}.chain")
         depth = col.uint(item.get("depth"), f"{prefix}.depth")
-        exclude = tuple(item.get("exclude", []) or [])
+        exclude = frozenset(
+            col.digest(text, f"{prefix}.exclude[{j}]")
+            for j, text in enumerate(col.items(item.get("exclude", []), f"{prefix}.exclude"))
+        )
         if cid is not None and cid not in known_ids:
             col.err(f"{prefix}.chain", "names no configured chain")
             continue
@@ -561,7 +658,9 @@ def _parse_fault_plan(
         reorgs.append(ReorgSpec(tick, cid, depth, exclude))
     plan.reorg_schedule = tuple(reorgs)
     changes = []
-    for i, item in enumerate(raw.get("behavior_schedule", []) or []):
+    for i, item in enumerate(
+        col.items(raw.get("behavior_schedule", []), "fault_plan.behavior_schedule")
+    ):
         prefix = f"fault_plan.behavior_schedule[{i}]"
         if not isinstance(item, dict):
             col.err(prefix, "expected an object")
@@ -581,20 +680,16 @@ def _parse_fault_plan(
         changes.append(BehaviorChange(tick, name, behavior))
     plan.behavior_schedule = tuple(changes)
     fails = []
-    for i, name in enumerate(raw.get("fetch_fail", []) or []):
+    for i, name in enumerate(col.items(raw.get("fetch_fail", []), "fault_plan.fetch_fail")):
         if name not in witness_names:
             col.err(f"fault_plan.fetch_fail[{i}]", f"unknown witness {name!r}")
             continue
         fails.append(name)
     plan.fetch_fail = tuple(fails)
-    for key in sorted(
-        set(raw)
-        - {
-            "drop_rate", "dup_rate", "max_delay", "drop_start_tick",
-            "max_consecutive_drops", "reorg_schedule", "behavior_schedule", "fetch_fail",
-        }
-    ):
-        col.err(f"fault_plan.{key}", "unknown field")
+    col.unknown(raw, {
+        "drop_rate", "dup_rate", "max_delay", "drop_start_tick",
+        "max_consecutive_drops", "reorg_schedule", "behavior_schedule", "fetch_fail",
+    }, "fault_plan.")
     return plan
 
 

@@ -36,12 +36,8 @@ from .chain import (
     ChainKind,
     EventTopic,
     InvalidReorg,
-    IoTRecord,
     MultisigAction,
-    RegistrationRequest,
-    TradingAction,
     Transaction,
-    UserTransfer,
 )
 from .contracts import (
     POKE_ACTION,
@@ -53,7 +49,7 @@ from .contracts import (
     ReserveBank,
     TradingBook,
 )
-from .genesis import VARIANT_GASLESS, GenesisSpec, genesis_hash
+from .genesis import VARIANT_GASLESS, GenesisSpec
 from .scenario import Scenario, SideChainConfig, WorkloadAction
 from .witness import (
     Behavior,
@@ -531,7 +527,7 @@ class Simulation(WorldView):
                 })
         elif ev.kind == INJECT_REORG:
             spec = ev.data
-            self.inject_reorg(spec.chain_id, spec.depth, set(spec.exclude))
+            self.inject_reorg(spec.chain_id, spec.depth, spec.exclude)
         elif ev.kind == INJECT_FAULT:
             change = ev.data
             for witness in self.witnesses:
@@ -542,93 +538,10 @@ class Simulation(WorldView):
             })
 
     def _apply_action(self, action: WorkloadAction) -> None:
-        p = action.params
-        sc = self.scenario
-        kind = action.action
-        if kind == "register":
-            side = sc.side_chain(Address.from_hex(p["chain_id"]))
-            genesis = side.genesis
-            tx = Transaction(
-                sender=Address.from_hex(p["creator"]),
-                to=side.bridge_head.address,
-                value=int(p["attach"]),
-                gasprice=1,
-                payload=RegistrationRequest(
-                    chain_id=side.chain_id,
-                    genesis_hash=codec.parse_hex(p["genesis_hash"], length=codec.DIGEST_SIZE)
-                    if "genesis_hash" in p else genesis_hash(genesis),
-                    balance=int(p.get("balance", genesis.total_reserved())),
-                    side_creator=Address.from_hex(p["side_creator"]),
-                ),
-            )
-            target = self.token_id
-        elif kind == "deposit":
-            side = sc.side_chain(Address.from_hex(p["chain_id"]))
-            tx = Transaction(
-                sender=Address.from_hex(p["from"]),
-                to=side.bridge_head.address,
-                value=int(p["value"]),
-                gasprice=1,
-                payload=UserTransfer(dest=Address.from_hex(p["to"])),
-            )
-            target = self.token_id
-        elif kind == "withdraw":
-            side = sc.side_chain(Address.from_hex(p["chain_id"]))
-            if side.variant == VARIANT_GASLESS:
-                tx = Transaction(
-                    sender=Address.from_hex(p["from"]),
-                    to=side.genesis.inter_contract,
-                    value=int(p["value"]),
-                    gasprice=1,
-                    payload=UserTransfer(dest=Address.from_hex(p["to"])),
-                )
-            else:
-                tx = Transaction(
-                    sender=Address.from_hex(p["from"]),
-                    to=side.genesis.register_contract,
-                    value=0,
-                    gasprice=1,
-                    payload=TradingAction(
-                        to=Address.from_hex(p["to"]), value=int(p["value"]), cross_chain=True
-                    ),
-                )
-            target = side.chain_id
-        elif kind == "trade":
-            side = sc.side_chain(Address.from_hex(p["chain_id"]))
-            tx = Transaction(
-                sender=Address.from_hex(p["from"]),
-                to=side.genesis.trading_contract,
-                value=0,
-                gasprice=1,
-                payload=TradingAction(to=Address.from_hex(p["to"]), value=int(p["value"])),
-            )
-            target = side.chain_id
-        elif kind == "pay":
-            chain_ref = p.get("chain", "token")
-            target = self.token_id if chain_ref == "token" else Address.from_hex(chain_ref)
-            tx = Transaction(
-                sender=Address.from_hex(p["from"]),
-                to=Address.from_hex(p["to"]),
-                value=int(p["value"]),
-                gasprice=int(p.get("gasprice", 1)),
-                payload=UserTransfer(),
-            )
-        elif kind == "record":
-            side = sc.side_chain(Address.from_hex(p["chain_id"]))
-            default = side.genesis.witnesses[0]
-            tx = Transaction(
-                sender=Address.from_hex(p["from"]) if "from" in p else default,
-                to=Address.from_hex(p["to"]) if "to" in p else default,
-                value=0,
-                gasprice=1,
-                payload=IoTRecord(data=str(p.get("data", ""))),
-            )
-            target = side.chain_id
-        else:  # unreachable after validation
-            raise ValueError(f"unknown action {kind}")
-        self.hosts[target].mempool.append(tx)
-        self.trace.record(self.tick, "action", str(target), {
-            "action": kind, "tx": tx.digest(), "params": codec.to_plain(p),
+        self.hosts[action.chain].mempool.append(action.tx)
+        self.trace.record(self.tick, "action", str(action.chain), {
+            "action": action.action, "tx": action.tx.digest(),
+            "params": codec.to_plain(action.params),
         })
 
     def _produce(self, chain_id: Address, host: ChainHost) -> None:
@@ -656,10 +569,10 @@ class Simulation(WorldView):
 
     # ---------------------------------------------------------------- reorgs
 
-    def inject_reorg(self, chain_id: Address, depth: int, exclude: set[str]) -> None:
+    def inject_reorg(self, chain_id: Address, depth: int, exclude: frozenset[bytes]) -> None:
         """Replace the top ``depth`` blocks, shifting surviving transactions
-        one block later; ``exclude`` drops transactions from the replacement
-        entirely (they also vanish from every node's view of history)."""
+        one block later; a transaction whose digest is in ``exclude`` is dropped
+        entirely (it also vanishes from every node's view of history)."""
         chain = self.hosts[chain_id].chain
         if depth > chain.height:
             # Scenario validation cannot rule this out: a dormant side chain's
@@ -677,7 +590,7 @@ class Simulation(WorldView):
         for i, blk in enumerate(removed):
             slot = min(i + 1, depth - 1)
             for tx in blk.transactions:
-                if "0x" + tx.digest().hex() in exclude:
+                if tx.digest() in exclude:
                     continue
                 kept[slot].append(tx)
         fork_height = chain.height - depth

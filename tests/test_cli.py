@@ -74,6 +74,16 @@ class TestRun:
         path = write(tmp_path, "bad.json", data)
         assert cli.main(["run", path]) == 1
 
+    def test_bad_genesis_hash_is_invalid_input(self, tmp_path, capsys):
+        data = presets.happy_path()
+        data["workload"][0]["genesis_hash"] = "0xzz"
+        path = write(tmp_path, "badhash.json", data)
+        assert cli.main(["run", path]) == 1
+        err = capsys.readouterr().err
+        assert any(line.startswith("error: workload[0].genesis_hash: ")
+                   for line in err.splitlines())
+        assert "Traceback" not in err
+
     def test_reorg_deeper_than_the_chain_is_invalid_input(self, tmp_path, capsys):
         # Passes validation: the side chain is still dormant (height 0) at tick 3.
         data = presets.registered_with_transfers(

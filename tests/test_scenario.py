@@ -162,3 +162,90 @@ def test_native_initial_height_allowed_gasless_rejected(data):
     native = presets.happy_path(variant="native_gas")
     native["side_chains"][0]["initial_height"] = 3
     assert errors_of(validate_scenario(native)) == []
+
+
+def _add_action(raw, **fields):
+    raw["workload"].append({"tick": 5, **fields})
+    return f"workload[{len(raw['workload']) - 1}]"
+
+
+def _pay(raw, **extra):
+    return _add_action(raw, action="pay", **{
+        "from": presets.addr("alice"), "to": presets.addr("bob"), "value": 1, **extra})
+
+
+def _record(raw, **extra):
+    return _add_action(raw, action="record", chain_id=presets.addr("side-1"), **extra)
+
+
+def _register(raw, key, value):
+    raw["workload"][0][key] = value
+    return "workload[0]"
+
+
+def _reorg(raw, exclude, key="exclude"):
+    raw["fault_plan"] = {"reorg_schedule": [
+        {"tick": 10, "chain": presets.addr("token-chain"), "depth": 1, key: exclude}]}
+    return "fault_plan.reorg_schedule[0]"
+
+
+def _fault_list(raw, key):
+    raw["fault_plan"] = {key: 5}
+    return "fault_plan"
+
+
+DIGEST = "0x" + "ab" * 32
+
+# (mutation returning the field prefix, the field under it)
+BAD_INPUTS = {
+    "genesis_hash_bad_hex": (lambda d: _register(d, "genesis_hash", "0xzz"), "genesis_hash"),
+    "genesis_hash_short": (lambda d: _register(d, "genesis_hash", DIGEST[:-2]), "genesis_hash"),
+    "balance_string": (lambda d: _register(d, "balance", "abc"), "balance"),
+    "balance_float": (lambda d: _register(d, "balance", 1.5), "balance"),
+    "pay_unknown_chain": (lambda d: _pay(d, chain=presets.addr("ghost")), "chain"),
+    "pay_gasprice_not_int": (lambda d: _pay(d, gasprice="x"), "gasprice"),
+    "record_bad_from": (lambda d: _record(d, **{"from": "nothex"}), "from"),
+    "record_bad_to": (lambda d: _record(d, to="0x12"), "to"),
+    "record_data_not_string": (lambda d: _record(d, data=5), "data"),
+    "trade_on_gasless_chain": (
+        lambda d: _add_action(d, action="trade", chain_id=presets.addr("side-1"), **{
+            "from": presets.addr("creator-side"), "to": presets.addr("alice"), "value": 1}),
+        "chain_id",
+    ),
+    "exclude_string": (lambda d: _reorg(d, DIGEST), "exclude"),
+    "exclude_upper_case": (lambda d: _reorg(d, [DIGEST.upper().replace("0X", "0x")]),
+                           "exclude[0]"),
+    "exclude_short": (lambda d: _reorg(d, [DIGEST[:-2]]), "exclude[0]"),
+    "exclude_misspelt": (lambda d: _reorg(d, [DIGEST], key="exlude"), "exlude"),
+    "unknown_action_field": (lambda d: _pay(d, gasprce=2), "gasprce"),
+    "reorg_schedule_not_list": (lambda d: _fault_list(d, "reorg_schedule"), "reorg_schedule"),
+    "behavior_schedule_not_list": (lambda d: _fault_list(d, "behavior_schedule"),
+                                   "behavior_schedule"),
+    "fetch_fail_not_list": (lambda d: _fault_list(d, "fetch_fail"), "fetch_fail"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_diagnosed_at_its_field(data, case):
+    mutate, name = BAD_INPUTS[case]
+    prefix = mutate(data)
+    diags = errors_of(validate_scenario(data))
+    assert f"{prefix}.{name}" in {d.field for d in diags}
+    with pytest.raises(ScenarioInvalid):
+        parse_scenario(data)
+
+
+def test_parsed_actions_carry_their_transactions(data):
+    scenario = parse_scenario(data)
+    (action,) = scenario.workload
+    assert action.chain == scenario.token_chain.chain_id
+    assert action.tx.to == scenario.side_chains[0].bridge_head.address
+    assert action.tx.value == data["workload"][0]["attach"]
+    assert action.params == {k: v for k, v in data["workload"][0].items()
+                             if k not in ("tick", "action")}
+
+
+def test_exclusions_are_digest_bytes(data):
+    _reorg(data, [DIGEST])
+    (spec,) = parse_scenario(data).fault_plan.reorg_schedule
+    assert spec.exclude == frozenset({bytes.fromhex(DIGEST[2:])})
