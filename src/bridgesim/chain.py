@@ -372,9 +372,11 @@ class Chain:
     cross-chain value (tokens there live in the trading ledger contract).
 
     State changes only through ``apply_block`` and ``reorg``.  The undo
-    journal and the memoised ``state_digest`` rely on it: every change goes
-    through ``credit``, ``debit`` or ``_touch_contract`` (a contract about to
-    be called), which record the pre-image and drop the memo.
+    journal and the memoised ``state_digest`` and ``earliest_deadline`` rely
+    on it: every change goes through ``credit``, ``debit`` or
+    ``_touch_contract`` (a contract about to be called), which record the
+    pre-image and drop the memos, and every undo goes through ``_restore``,
+    which drops them too.
     """
 
     def __init__(
@@ -399,7 +401,8 @@ class Chain:
         # every block that changed state; None marks an absent account.
         self._undo: dict[int, tuple[dict[Address, int | None], dict[Address, bytes]]] = {}
         self._open_record()
-        self._digest: bytes | None = None
+        # state_digest and earliest_deadline, until the next change or restore.
+        self._memo: dict[str, Any] = {}
         self.seal_genesis()
 
     # -- inspection ---------------------------------------------------------
@@ -596,7 +599,7 @@ class Chain:
         """Journal the account at ``addr`` before it changes."""
         if addr not in self._accounts_before:
             self._accounts_before[addr] = self.accounts.get(addr)
-        self._digest = None
+        self._memo.clear()
 
     def _touch_contract(self, addr: Address) -> Any:
         """The contract at ``addr`` (None if there is none), journaled before a call."""
@@ -605,7 +608,7 @@ class Chain:
             if addr not in self._contracts_before:
                 self._contracts_before[addr] = pickle.dumps(
                     contract.__dict__, pickle.HIGHEST_PROTOCOL)
-            self._digest = None
+            self._memo.clear()
         return contract
 
     def _restore(self, accounts: dict[Address, int | None],
@@ -620,20 +623,35 @@ class Chain:
         # reference (the scheduler, tests) always see the live state.
         for addr, image in contracts.items():
             self.contracts[addr].__dict__ = pickle.loads(image)
-        self._digest = None
+        self._memo.clear()
 
     def state_digest(self) -> bytes:
         """Content digest of the full ledger + contract state, for comparisons.
 
         Memoised until the next journaled change or restore.
         """
-        if self._digest is None:
+        digest = self._memo.get("digest")
+        if digest is None:
             contracts = {
                 str(addr): self.contracts[addr].state_view() for addr in sorted(self.contracts)
             }
             accounts = {str(a): v for a, v in sorted(self.accounts.items())}
-            self._digest = codec.digest({"accounts": accounts, "contracts": contracts})
-        return self._digest
+            digest = self._memo["digest"] = codec.digest(
+                {"accounts": accounts, "contracts": contracts})
+        return digest
+
+    def earliest_deadline(self) -> int | None:
+        """The earliest lane deadline of any hosted contract; None if none is set.
+
+        Memoised like ``state_digest``: only a block that calls a contract, a
+        rejection rollback or a reorg can move a deadline.
+        """
+        if "deadline" not in self._memo:
+            self._memo["deadline"] = min(
+                (d for c in self.contracts.values() if (d := c.next_deadline()) is not None),
+                default=None,
+            )
+        return self._memo["deadline"]
 
 
 class ApplyContext:

@@ -357,11 +357,12 @@ def action_key(action: str, args: tuple) -> bytes:
 class Contract:
     """What the chain and the scheduler ask of every hosted contract.
 
-    The chain calls ``handle`` for each transaction and ``held_balance`` for
-    token conservation.  The scheduler asks ``has_expired_deadline`` to submit
-    a deadline poke, ``busy`` to decide whether the bridge is at rest,
-    ``lanes`` for quorum safety (each lane's ``unsafe`` count) and
-    ``state_view`` for the per-block state digest (typed values under
+    The chain calls ``handle`` for each transaction, ``held_balance`` for
+    token conservation and ``next_deadline`` for its earliest deadline.  Once
+    that deadline has come, the scheduler asks ``has_expired_deadline`` to
+    submit a deadline poke.  It asks ``busy`` to decide whether the bridge
+    is at rest, ``lanes`` for quorum safety (each lane's ``unsafe`` count)
+    and ``state_view`` for the per-block state digest (typed values under
     ``str`` keys; ``codec.digest`` encodes them).  The defaults fit a
     contract without vote lanes that holds no tokens; a contract with lanes
     lists them in ``lanes``, in poke order.
@@ -379,6 +380,11 @@ class Contract:
 
     def busy(self) -> bool:
         return any(lane.busy() for lane in self.lanes())
+
+    def next_deadline(self) -> int | None:
+        """The earliest deadline among the lanes; None when no lane has one."""
+        return min((lane.deadline for lane in self.lanes() if lane.deadline is not None),
+                   default=None)
 
     def has_expired_deadline(self, now: int) -> bool:
         return any(lane.expired(now) for lane in self.lanes())

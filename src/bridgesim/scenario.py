@@ -265,6 +265,8 @@ def parse_scenario(data: dict) -> Scenario:
     if not isinstance(tc_raw, dict):
         col.err("token_chain", "required object is missing")
     else:
+        col.unknown(tc_raw, ("chain_id", "total_supply", "block_interval", "omega"),
+                    "token_chain.")
         cid = col.addr(tc_raw.get("chain_id"), "token_chain.chain_id")
         supply = col.uint(tc_raw.get("total_supply"), "token_chain.total_supply", minimum=1)
         interval = col.uint(tc_raw.get("block_interval"), "token_chain.block_interval", minimum=1)
@@ -296,6 +298,7 @@ def parse_scenario(data: dict) -> Scenario:
     if not isinstance(reg_raw, dict):
         col.err("registry", "required object is missing")
     else:
+        col.unknown(reg_raw, ("address", "owners", "required"), "registry.")
         addr = col.addr(reg_raw.get("address"), "registry.address")
         owners = _parse_owner_list(col, reg_raw.get("owners"), "registry.owners")
         required = col.uint(reg_raw.get("required", 2), "registry.required", minimum=1)
@@ -315,6 +318,8 @@ def parse_scenario(data: dict) -> Scenario:
         if not isinstance(item, dict):
             col.err(prefix, "expected an object")
             continue
+        col.unknown(item, ("variant", "block_interval", "omega", "genesis", "bridge_head",
+                           "owners", "initial_height"), f"{prefix}.")
         variant = item.get("variant")
         if variant not in (VARIANT_GASLESS, VARIANT_NATIVE_GAS):
             col.err(f"{prefix}.variant", f"must be one of {VARIANT_GASLESS!r}, {VARIANT_NATIVE_GAS!r}")
@@ -346,6 +351,8 @@ def parse_scenario(data: dict) -> Scenario:
         if not isinstance(bh_raw, dict):
             col.err(f"{prefix}.bridge_head", "required object is missing")
             continue
+        col.unknown(bh_raw, ("address", "threshold", "compensation_fee", "entrance_fee_minimum"),
+                    f"{prefix}.bridge_head.")
         bh_addr = col.addr(bh_raw.get("address"), f"{prefix}.bridge_head.address")
         threshold = col.uint(bh_raw.get("threshold"), f"{prefix}.bridge_head.threshold", minimum=1)
         fee = col.uint(bh_raw.get("compensation_fee"), f"{prefix}.bridge_head.compensation_fee")
@@ -355,6 +362,8 @@ def parse_scenario(data: dict) -> Scenario:
         owners_raw = item.get("owners") if isinstance(item.get("owners"), dict) else {}
         required = col.uint(owners_raw.get("required", 2), f"{prefix}.owners.required", minimum=1)
         vault_owners = bank_owners = trading_owners = ()
+        col.unknown(owners_raw, ("required", "vault", "bank") if variant == VARIANT_GASLESS
+                    else ("required", "trading"), f"{prefix}.owners.")
         if variant == VARIANT_GASLESS:
             vault_owners = _parse_owner_list(col, owners_raw.get("vault"), f"{prefix}.owners.vault")
             bank_owners = _parse_owner_list(col, owners_raw.get("bank"), f"{prefix}.owners.bank")
@@ -406,6 +415,8 @@ def parse_scenario(data: dict) -> Scenario:
         if not isinstance(item, dict):
             col.err(prefix, "expected an object")
             continue
+        col.unknown(item, ("name", "chain_id", "token_address", "side_address", "behavior"),
+                    f"{prefix}.")
         name = item.get("name")
         if not isinstance(name, str) or not name:
             col.err(f"{prefix}.name", "expected a non-empty string")
@@ -442,6 +453,7 @@ def parse_scenario(data: dict) -> Scenario:
     if not isinstance(t_raw, dict):
         col.err("timeouts", "expected an object")
         t_raw = {}
+    col.unknown(t_raw, ("t", "T"), "timeouts.")
     timeout = col.uint(t_raw.get("t", DEFAULT_TIMEOUT_T), "timeouts.t", minimum=1)
     sleep = col.uint(t_raw.get("T", DEFAULT_SLEEP_T), "timeouts.T", minimum=1)
 
@@ -665,6 +677,7 @@ def _parse_fault_plan(
         if not isinstance(item, dict):
             col.err(prefix, "expected an object")
             continue
+        col.unknown(item, ("tick", "witness", "behavior"), f"{prefix}.")
         tick = col.uint(item.get("tick"), f"{prefix}.tick")
         name = item.get("witness")
         if name not in witness_names:

@@ -7,12 +7,17 @@ ticks; each tick executes fixed phases in a fixed order:
      actions entering mempools, delayed network deliveries, reorg injections,
      witness behavior changes;
   2. block production for every chain whose interval divides the tick;
-  3. the witness phase (every witness steps, in roster order);
+  3. the witness phase: each witness whose wake tick has come steps, in
+     roster order.  A witness wakes on every tick until its cursors anchor
+     their first windows, then on every multiple of its sleep period T;
   4. the owner phase (owner daemons watch for registration success and submit
      the vault-suicide approvals);
-  5. settledness bookkeeping: when the bridge is at rest, the peg invariants
-     are evaluated and recorded, and the run ends at the first rest point with
-     nothing left to do.
+  5. settledness bookkeeping: when the bridge comes to rest, the peg
+     invariants are evaluated and recorded, and the run ends at the first rest
+     point with nothing left to do.  Settledness is derived again only after a
+     tick that changed something: one that dispatched an event, offered a
+     block a transaction, stepped a live witness or moved an owner daemon.  A
+     tick that did none of these leaves every input of that answer as it was.
 
 Faults exist only on the message and block channels: witness submissions can
 be dropped, duplicated or delayed (seeded), chains can be reorganized, and
@@ -150,12 +155,15 @@ class OwnerDaemon:
         """(cursor, chain, watched contracts) per chain the daemon still scans."""
         return () if self.submitted else self._watches
 
-    def step(self) -> list[Transaction]:
+    def step(self) -> tuple[bool, list[Transaction]]:
+        """Scan what is confirmed: (whether a cursor moved, the approvals due)."""
         watches = self.watches()
         if not watches:
-            return []
+            return False, []
+        moved = False
         for cursor, chain, watched in watches:
             while (batch := form_batch(cursor, chain, watched)) is not None:
+                moved = True
                 for ev in batch[0]:
                     if (
                         ev.topic == EventTopic.EXIST_OR_NOT
@@ -172,7 +180,7 @@ class OwnerDaemon:
                         self.seen_payout = True
         if self.seen_registry_success and self.seen_payout:
             self.submitted = True
-            return [
+            return True, [
                 Transaction(
                     sender=owner,
                     to=self.side.genesis.register_contract,
@@ -182,7 +190,7 @@ class OwnerDaemon:
                 )
                 for owner in self.side.vault_owners
             ]
-        return []
+        return moved, []
 
 
 class Simulation(WorldView):
@@ -484,21 +492,29 @@ class Simulation(WorldView):
 
     def _run_tick(self) -> None:
         tick = self.tick
+        changed = tick == 0  # no earlier answer to keep
         while self.events and self.events[0].fire_tick <= tick:
-            ev = heapq.heappop(self.events)
-            self._dispatch(ev)
+            self._dispatch(heapq.heappop(self.events))
+            changed = True
         for chain_id, host in self.hosts.items():
             if host.due(tick):
-                self._produce(chain_id, host)
+                changed |= self._produce(chain_id, host)
         for witness in self.witnesses:
-            witness.step(self, tick)
+            if witness.wake <= tick:
+                changed |= witness.step(self, tick)
         for daemon in self.owner_daemons:
-            for tx in daemon.step():
+            moved, txs = daemon.step()
+            changed |= moved
+            for tx in txs:
                 self.hosts[daemon.side.chain_id].mempool.append(tx)
                 self.trace.record(tick, "submit", str(daemon.side.chain_id), {
                     "owner": tx.sender, "tx": tx.digest(),
                     "payload": tx.payload.TAG, "round": None,
                 })
+        if not changed:
+            # The last answer stands: unsettled, or settled, checked and
+            # not finished.
+            return
         settled = self._settled()
         if settled and not self.was_settled:
             results = self.check_invariants()
@@ -544,15 +560,18 @@ class Simulation(WorldView):
             "params": codec.to_plain(action.params),
         })
 
-    def _produce(self, chain_id: Address, host: ChainHost) -> None:
+    def _produce(self, chain_id: Address, host: ChainHost) -> bool:
+        """Seal one block; True if it was offered any transaction."""
         chain = host.chain
         txs: list[Transaction] = []
-        for addr in chain.contract_order:
-            if chain.contracts[addr].has_expired_deadline(self.tick):
-                txs.append(Transaction(
-                    sender=addr, to=addr, value=0, gasprice=0,
-                    payload=MultisigAction(action=POKE_ACTION),
-                ))
+        deadline = chain.earliest_deadline()
+        if deadline is not None and deadline <= self.tick:
+            for addr in chain.contract_order:
+                if chain.contracts[addr].has_expired_deadline(self.tick):
+                    txs.append(Transaction(
+                        sender=addr, to=addr, value=0, gasprice=0,
+                        payload=MultisigAction(action=POKE_ACTION),
+                    ))
         txs.extend(host.mempool)
         host.mempool = []
         block, rejections = chain.apply_block(txs, now=self.tick)
@@ -566,6 +585,7 @@ class Simulation(WorldView):
             "events": block.events,
             "state": chain.state_digest(),
         })
+        return bool(txs)
 
     # ---------------------------------------------------------------- reorgs
 
@@ -607,6 +627,8 @@ class Simulation(WorldView):
             replacement.append(blk)
         chain.reorg(depth, replacement)
         self._progress.pop(chain_id, None)
+        # The state changed under a bridge that may be at rest: check it again.
+        self.was_settled = False
         self.trace.record(self.tick, "reorg", str(chain_id), {
             "depth": depth,
             "fork_height": fork_height,

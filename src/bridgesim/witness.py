@@ -279,6 +279,7 @@ class WitnessNode:
         self.relayed_origins: set[tuple] = set()
         self.resend_count = 0
         self._force_submit: set[tuple] = set()
+        self.wake = 0  # the next tick ``step`` is due
         self._rng = random.Random(f"{seed}:witness:{config.name}")
 
     # -- helpers -------------------------------------------------------------
@@ -510,15 +511,27 @@ class WitnessNode:
 
     # -- the relay loop -------------------------------------------------------
 
-    def step(self, view: "WorldView", tick: int) -> None:
+    def step(self, view: "WorldView", tick: int) -> bool:
+        """Scan and submit at this witness's wake tick; True if it was live.
+
+        The scheduler calls it only at ``wake``, and ``step`` then sets the
+        next wake tick: every tick while a cursor has not yet anchored its
+        first window, else the next multiple of ``sleep``.  A crashed witness
+        does nothing but keeps waking on that rule, so it acts again on the
+        first such tick after it recovers.  No other state makes a step due:
+        only the handlers ``_scan`` runs fill ``_force_submit``, and
+        ``_submit_due`` empties it in the same step.
+        """
         cfg = self.config
-        if cfg.behavior == Behavior.CRASHED:
-            return
-        if tick % cfg.sleep != 0 and not self._force_submit \
-                and not any(c.first_time for c in self.cursors.values()):
-            return
-        self._scan(view)
-        self._submit_due(view, tick)
+        live = cfg.behavior != Behavior.CRASHED
+        if live:
+            self._scan(view)
+            self._submit_due(view, tick)
+        if any(c.first_time for c in self.cursors.values()):
+            self.wake = tick + 1
+        else:
+            self.wake = (tick // cfg.sleep + 1) * cfg.sleep
+        return live
 
     def _scan(self, view: "WorldView") -> None:
         for chain_id, cursor, watched, handler in self.scans:

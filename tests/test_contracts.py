@@ -491,6 +491,41 @@ class TestInterRelayInbound:
         assert chain.balance(to) == 160
 
 
+class TestEarliestDeadline:
+    """``Chain.earliest_deadline`` is memoised; a vote, a rejection rollback
+    and a reorg each leave it equal to the lanes' own deadlines."""
+
+    def open_tally(self, now=10):
+        chain, _, relay, _ = make_side()
+        entries = [entry(Address.from_label("side-user"), 100)]
+        assert chain.earliest_deadline() is None
+        chain.apply_block(votes(WIT_S[:2], RELAY_ADDR, INBOUND, entries), now=now)
+        assert chain.earliest_deadline() == relay.stream.deadline == now + TIMEOUT
+        return chain, relay, entries
+
+    def test_a_reorg_restores_a_concluded_lanes_deadline(self):
+        chain, relay, entries = self.open_tally()
+        chain.apply_block(votes(WIT_S[2:3], RELAY_ADDR, INBOUND, entries), now=20)
+        assert chain.earliest_deadline() is None
+        chain.reorg(1, [])  # drops the concluding vote's block, replays nothing
+        assert chain.earliest_deadline() == relay.stream.deadline == 10 + TIMEOUT
+
+    def test_a_rejection_rollback_keeps_the_accepted_votes_deadline(self):
+        chain, _, relay, _ = make_side()
+        entries = [entry(Address.from_label("side-user"), 100)]
+        assert chain.earliest_deadline() is None
+        outsider = relay_tx(OWNER1, RELAY_ADDR, INBOUND, entries)
+        _, rejections = chain.apply_block(
+            votes(WIT_S[:1], RELAY_ADDR, INBOUND, entries) + [outsider], now=10)
+        assert [r.tx for r in rejections] == [outsider]
+        assert chain.earliest_deadline() == relay.stream.deadline == 10 + TIMEOUT
+
+    def test_a_poke_clears_it(self):
+        chain, relay, _ = self.open_tally()
+        chain.apply_block([poke_tx(RELAY_ADDR)], now=10 + TIMEOUT)
+        assert chain.earliest_deadline() is relay.stream.deadline is None
+
+
 class TestInterRelayOutbound:
     def fund(self, chain, user, amount):
         # move tokens out of the bank into a user account through the

@@ -194,6 +194,21 @@ def _fault_list(raw, key):
     return "fault_plan"
 
 
+def _extra(raw, path, key, value=1):
+    """Add ``key`` to the object at ``path``; return that object's field name."""
+    obj = raw
+    for step in path:
+        obj = obj[step]
+    obj[key] = value
+    return "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)[1:]
+
+
+def _behavior_change(raw, **extra):
+    raw["fault_plan"] = {"behavior_schedule": [
+        {"tick": 5, "witness": raw["witnesses"][0]["name"], "behavior": "crashed", **extra}]}
+    return "fault_plan.behavior_schedule[0]"
+
+
 DIGEST = "0x" + "ab" * 32
 
 # (mutation returning the field prefix, the field under it)
@@ -222,6 +237,19 @@ BAD_INPUTS = {
     "behavior_schedule_not_list": (lambda d: _fault_list(d, "behavior_schedule"),
                                    "behavior_schedule"),
     "fetch_fail_not_list": (lambda d: _fault_list(d, "fetch_fail"), "fetch_fail"),
+    "witness_field_typo": (lambda d: _extra(d, ("witnesses", 0), "behaviour", "crashed"),
+                           "behaviour"),
+    "side_chain_field_typo": (lambda d: _extra(d, ("side_chains", 0), "initial_heigth", 5),
+                              "initial_heigth"),
+    "bridge_head_field_typo": (lambda d: _extra(d, ("side_chains", 0, "bridge_head"), "treshold"),
+                               "treshold"),
+    "owners_field_typo": (lambda d: _extra(d, ("side_chains", 0, "owners"), "vaults"), "vaults"),
+    "owners_of_the_other_variant": (lambda d: _extra(d, ("side_chains", 0, "owners"), "trading"),
+                                    "trading"),
+    "token_chain_field_typo": (lambda d: _extra(d, ("token_chain",), "omgea"), "omgea"),
+    "registry_field_typo": (lambda d: _extra(d, ("registry",), "owner"), "owner"),
+    "timeouts_field_typo": (lambda d: _extra(d, ("timeouts",), "sleep"), "sleep"),
+    "behavior_change_field_typo": (lambda d: _behavior_change(d, tik=5), "tik"),
 }
 
 
