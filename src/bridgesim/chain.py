@@ -27,7 +27,7 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 from . import codec
 
@@ -87,7 +87,7 @@ class InvalidTransaction(Exception):
 
 
 class InvalidReorg(Exception):
-    """Reorg request is structurally impossible (depth/linkage)."""
+    """Reorg request is structurally impossible (depth)."""
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +504,7 @@ class Chain:
 
     def apply_block(
         self,
-        transactions: Iterable[Transaction],
+        transactions: list[Transaction],
         now: int = 0,
     ) -> tuple[Block, list[Rejection]]:
         """Seal the next block from ``transactions``, applied in order.
@@ -519,7 +519,9 @@ class Chain:
         accepted: list[Transaction] = []
         events: list[Event] = []
         rejections: list[Rejection] = []
-        before = self.ledger_total() if self.has_token_ledger() else None
+        # A block without transactions changes nothing, so only a block with
+        # some is held to conservation.
+        before = self.ledger_total() if transactions and self.has_token_ledger() else None
         for tx in transactions:
             ctx = ApplyContext(self, height, len(accepted), events, now)
             try:
@@ -551,32 +553,27 @@ class Chain:
             )
         return block, rejections
 
-    def reorg(self, depth: int, replacement: list[Block]) -> None:
-        """Drop the top ``depth`` blocks and append ``replacement``.
+    def reorg(self, depth: int, replacement: list[list[Transaction]], now: int) -> None:
+        """Drop the top ``depth`` blocks and seal one block per batch in
+        ``replacement``, produced at ``now``.
 
-        The dropped blocks' undo records are restored, newest first, and the
-        replacement transactions are re-applied through the normal path, so
-        the surviving history fully determines the resulting state.
+        The dropped blocks' undo records are restored, newest first, and each
+        batch is applied through ``apply_block``, so the new blocks hold what
+        that path accepts and the surviving history fully determines the
+        resulting state.
         """
         if depth < 0 or depth > self.height:
             raise InvalidReorg(f"depth {depth} out of range (height {self.height})")
         if depth == 0 and not replacement:
             return
         fork_height = self.height - depth
-        expected_parent = self.blocks[fork_height].hash
-        for i, blk in enumerate(replacement):
-            if blk.height != fork_height + 1 + i:
-                raise InvalidReorg(f"replacement block {i} has height {blk.height}")
-            if blk.parent_hash != expected_parent:
-                raise InvalidReorg(f"replacement block {i} does not link to fork point")
-            expected_parent = blk.compute_hash()
         for h in range(self.height, fork_height, -1):
             record = self._undo.pop(h, None)
             if record is not None:
                 self._restore(*record)
         self.blocks = self.blocks[: fork_height + 1]
-        for blk in replacement:
-            self.apply_block(blk.transactions, now=blk.produced_at)
+        for txs in replacement:
+            self.apply_block(txs, now=now)
 
     def replay_from_genesis(self) -> "Chain":
         """Independent oracle: rebuild state by replaying every block."""

@@ -358,9 +358,9 @@ class Contract:
     """What the chain and the scheduler ask of every hosted contract.
 
     The chain calls ``handle`` for each transaction, ``held_balance`` for
-    token conservation and ``next_deadline`` for its earliest deadline.  Once
-    that deadline has come, the scheduler asks ``has_expired_deadline`` to
-    submit a deadline poke.  It asks ``busy`` to decide whether the bridge
+    token conservation and ``next_deadline`` for its earliest deadline.  The
+    scheduler pokes every contract whose ``next_deadline`` has come.  It
+    asks ``busy`` to decide whether the bridge
     is at rest, ``lanes`` for quorum safety (each lane's ``unsafe`` count)
     and ``state_view`` for the per-block state digest (typed values under
     ``str`` keys; ``codec.digest`` encodes them).  The defaults fit a
@@ -385,9 +385,6 @@ class Contract:
         """The earliest deadline among the lanes; None when no lane has one."""
         return min((lane.deadline for lane in self.lanes() if lane.deadline is not None),
                    default=None)
-
-    def has_expired_deadline(self, now: int) -> bool:
-        return any(lane.expired(now) for lane in self.lanes())
 
     def state_view(self) -> dict:
         raise NotImplementedError
@@ -446,9 +443,6 @@ class Contract:
 @dataclass
 class PendingRegistration:
     chain_id: Address
-    genesis_hash: bytes
-    balance: int
-    side_creator: Address
     creator: Address
     amount: int  # attach minus compensation fee; the locked portion
     fee_pot: int
@@ -583,9 +577,6 @@ class BridgeHead(Contract):
         self.locked += amount
         self.pending = PendingRegistration(
             chain_id=req.chain_id,
-            genesis_hash=req.genesis_hash,
-            balance=req.balance,
-            side_creator=req.side_creator,
             creator=tx.sender,
             amount=amount,
             fee_pot=self.compensation_fee,

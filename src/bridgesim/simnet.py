@@ -36,7 +36,6 @@ from typing import Any, Iterable, Iterator
 from . import codec, trace as trace_mod
 from .chain import (
     Address,
-    Block,
     Chain,
     ChainKind,
     EventTopic,
@@ -147,9 +146,6 @@ class OwnerDaemon:
                 (self.token_cursor, token, frozenset({registry_addr})),
                 (self.side_cursor, side_chain, frozenset({side.genesis.register_contract})),
             )
-
-    def idle(self) -> bool:
-        return self.submitted or not (self.seen_registry_success and self.seen_payout)
 
     def watches(self) -> tuple:
         """(cursor, chain, watched contracts) per chain the daemon still scans."""
@@ -282,16 +278,9 @@ class Simulation(WorldView):
                 name=entry.name,
                 token_address=entry.token_address,
                 side_address=entry.side_address,
-                side_chain_id=entry.chain_id,
-                variant=side.variant,
+                genesis=side.genesis,
                 bridge_head=side.bridge_head.address,
                 registry=sc.registry.address,
-                vault=side.genesis.register_contract if side.variant == VARIANT_GASLESS else None,
-                relay=side.genesis.inter_contract,
-                bank=side.genesis.bank_contract,
-                gateway=side.genesis.register_contract
-                if side.variant != VARIANT_GASLESS
-                else None,
                 omega_token=token_cfg.omega,
                 omega_side=side.omega,
                 timeout=sc.timeout,
@@ -567,7 +556,8 @@ class Simulation(WorldView):
         deadline = chain.earliest_deadline()
         if deadline is not None and deadline <= self.tick:
             for addr in chain.contract_order:
-                if chain.contracts[addr].has_expired_deadline(self.tick):
+                due = chain.contracts[addr].next_deadline()
+                if due is not None and due <= self.tick:
                     txs.append(Transaction(
                         sender=addr, to=addr, value=0, gasprice=0,
                         payload=MultisigAction(action=POKE_ACTION),
@@ -614,18 +604,7 @@ class Simulation(WorldView):
                     continue
                 kept[slot].append(tx)
         fork_height = chain.height - depth
-        parent = chain.blocks[fork_height].hash
-        replacement = []
-        for i, txs in enumerate(kept):
-            blk = Block(
-                height=fork_height + 1 + i,
-                parent_hash=parent,
-                transactions=txs,
-                produced_at=self.tick,
-            )
-            parent = blk.compute_hash()
-            replacement.append(blk)
-        chain.reorg(depth, replacement)
+        chain.reorg(depth, kept, now=self.tick)
         self._progress.pop(chain_id, None)
         # The state changed under a bridge that may be at rest: check it again.
         self.was_settled = False
@@ -647,8 +626,6 @@ class Simulation(WorldView):
         if any(host.mempool for host in self.hosts.values()):
             return False
         if any(not w.idle() for w in self.witnesses):
-            return False
-        if any(not d.idle() for d in self.owner_daemons):
             return False
         if any(contract.busy() for contract in self._contracts):
             return False
@@ -766,12 +743,12 @@ class Simulation(WorldView):
                             and ev.payload.get("kind") == "transfer"
                         ) or (
                             ev.topic == EventTopic.EXIST_OR_NOT and ev.payload.get("success")
-                            and ev.payload.get("chain_id") == cfg.side_chain_id
+                            and ev.payload.get("chain_id") == cfg.genesis.chain_id
                         )
                     else:
                         worthy = ev.topic == EventTopic.ASSETS_LOCKED or (
                             ev.topic == EventTopic.CROSS_CHAIN_ARRIVED
-                            and ev.contract == cfg.gateway
+                            and ev.contract == cfg.genesis.register_contract
                         )
                     if worthy:
                         wanted.add(ev.origin_plain(chain_id))

@@ -73,29 +73,6 @@ def registration_conditions(
     ]
 
 
-def validate_registration(
-    genesis: GenesisSpec,
-    side_height: int,
-    claimed_hash: bytes,
-    claimed_balance: int,
-    claimed_chain_id: Address,
-    registered_ids: set[Address],
-    token_chain_id: Address,
-) -> bool:
-    """True exactly when every registration condition holds."""
-    return all(
-        registration_conditions(
-            genesis,
-            side_height,
-            claimed_hash,
-            claimed_balance,
-            claimed_chain_id,
-            registered_ids,
-            token_chain_id,
-        )
-    )
-
-
 def validate_registration_nativegas(
     claimed_chain_id: Address,
     actual_chain_id: Address | None,
@@ -183,19 +160,19 @@ def form_batch(
 
 @dataclass
 class WitnessConfig:
+    """One witness's keys and timing, and the side chain it serves.
+
+    The side chain's genesis names the contracts the witness talks to there:
+    registration relays go to ``SC_Register``, inbound relays to ``SC_Inter``
+    where the chain has one (gasless) and to ``SC_Register`` otherwise.
+    """
+
     name: str
     token_address: Address
     side_address: Address
-    side_chain_id: Address
-    variant: str
+    genesis: GenesisSpec
     bridge_head: Address
     registry: Address
-    # Gasless side contracts (None on native-gas chains)
-    vault: Address | None
-    relay: Address | None
-    bank: Address | None
-    # Native-gas side contract (None on gasless chains)
-    gateway: Address | None
     omega_token: int
     omega_side: int
     timeout: int       # resend timeout t, in ticks
@@ -206,9 +183,9 @@ class WitnessConfig:
         return {self.bridge_head, self.registry}
 
     def side_watched(self) -> set[Address]:
-        if self.variant == VARIANT_GASLESS:
-            return {a for a in (self.vault, self.relay, self.bank) if a is not None}
-        return {self.gateway} if self.gateway else set()
+        g = self.genesis
+        return {a for a in (g.register_contract, g.inter_contract, g.bank_contract)
+                if a is not None}
 
 
 @dataclass
@@ -223,15 +200,15 @@ class PendingVote:
     entries: tuple[TransferEntry, ...] = ()
     verdict: bool = True
     chain_id: Address | None = None  # registration confirmations only
-    last_submit: int | None = None
+    last_submit: int | None = None  # None: due on the next step
 
     @classmethod
     def relay(cls, target_chain: Address, target: Address, direction: str,
-              entries: tuple[TransferEntry, ...], last_submit: int | None = None) -> PendingVote:
+              entries: tuple[TransferEntry, ...]) -> PendingVote:
         """A relay batch, with the subject that binds its entries."""
         return cls(kind="relay", target_chain=target_chain, target=target,
                    direction=direction, subject=entries_subject(direction, entries),
-                   entries=entries, last_submit=last_submit)
+                   entries=entries)
 
 
 def _event_entry(origin_chain: Address, ev: Event, to: Address | None = None,
@@ -250,9 +227,7 @@ def _event_entry(origin_chain: Address, ev: Event, to: Address | None = None,
 @dataclass
 class ObservedRegistration:
     side_creator: Address
-    amount: int
     payout: int
-    subject: bytes
 
 
 class WitnessNode:
@@ -261,24 +236,23 @@ class WitnessNode:
     def __init__(self, config: WitnessConfig, token_chain_id: Address, seed: int) -> None:
         self.config = config
         self.token_chain_id = token_chain_id
+        self.side_chain_id = side_chain_id = config.genesis.chain_id
         self.cursors: dict[Address, RelayCursor] = {
             token_chain_id: RelayCursor(omega=config.omega_token),
-            config.side_chain_id: RelayCursor(omega=config.omega_side),
+            side_chain_id: RelayCursor(omega=config.omega_side),
         }
         # (chain id, cursor, watched contracts, event handler) per scanned
         # chain.  The addresses never change, so the table is built once.
         self.scans: tuple[tuple, ...] = (
             (token_chain_id, self.cursors[token_chain_id],
              frozenset(config.token_watched()), self._handle_token_event),
-            (config.side_chain_id, self.cursors[config.side_chain_id],
+            (side_chain_id, self.cursors[side_chain_id],
              frozenset(config.side_watched()), self._handle_side_event),
         )
         self.pending: dict[tuple, PendingVote] = {}
         self.adopted_rounds: dict[tuple, int] = {}
         self.observed_registration: ObservedRegistration | None = None
         self.relayed_origins: set[tuple] = set()
-        self.resend_count = 0
-        self._force_submit: set[tuple] = set()
         self.wake = 0  # the next tick ``step`` is due
         self._rng = random.Random(f"{seed}:witness:{config.name}")
 
@@ -294,9 +268,9 @@ class WitnessNode:
         key = self._round_key(target, direction)
         if next_round > self.adopted_rounds.get(key, 0):
             self.adopted_rounds[key] = next_round
-            for pkey, vote in self.pending.items():
+            for vote in self.pending.values():
                 if vote.target == target and vote.direction == direction:
-                    self._force_submit.add(pkey)
+                    vote.last_submit = None
 
     def idle(self) -> bool:
         return not self.pending
@@ -377,7 +351,7 @@ class WitnessNode:
             return True
         if cfg.behavior == Behavior.BYZANTINE_REJECT_ALL:
             return False
-        if cfg.variant == VARIANT_GASLESS:
+        if cfg.genesis.variant == VARIANT_GASLESS:
             try:
                 spec = view.fetch_genesis(self, claimed_chain_id)
             except FetchFailure:
@@ -385,15 +359,10 @@ class WitnessNode:
             side_height = view.side_height(claimed_chain_id)
             if side_height is None:
                 return None
-            return validate_registration(
-                spec,
-                side_height,
-                payload["genesis_hash"],
-                payload["balance"],
-                claimed_chain_id,
-                registered,
-                self.token_chain_id,
-            )
+            return all(registration_conditions(
+                spec, side_height, payload["genesis_hash"], payload["balance"],
+                claimed_chain_id, registered, self.token_chain_id,
+            ))
         actual = view.actual_chain_id(claimed_chain_id)
         return validate_registration_nativegas(
             claimed_chain_id, actual, registered, self.token_chain_id
@@ -401,7 +370,7 @@ class WitnessNode:
 
     def _payout_for(self, view: "WorldView", payload: dict) -> int:
         """Registration payout a witness will relay to the side chain."""
-        if self.config.variant == VARIANT_GASLESS:
+        if self.config.genesis.variant == VARIANT_GASLESS:
             try:
                 return view.fetch_genesis(self, payload["chain_id"]).bal_resv
             except FetchFailure:
@@ -415,9 +384,7 @@ class WitnessNode:
             if payload.get("kind") == REGISTRATION:
                 self.observed_registration = ObservedRegistration(
                     side_creator=payload["side_creator"],
-                    amount=payload["amount"],
                     payout=self._payout_for(view, payload),
-                    subject=payload["subject"],
                 )
                 verdict = self._decide_registration(view, payload)
                 if verdict is None:
@@ -433,20 +400,18 @@ class WitnessNode:
                     verdict=verdict,
                     chain_id=payload["chain_id"],
                 )
-                self._force_submit.add(key)
             elif payload.get("kind") == "transfer":
-                target = cfg.relay if cfg.variant == VARIANT_GASLESS else cfg.gateway
-                self._queue_entry(cfg.side_chain_id, target, INBOUND,
+                target = cfg.genesis.inter_contract or cfg.genesis.register_contract
+                self._queue_entry(self.side_chain_id, target, INBOUND,
                                   _event_entry(self.token_chain_id, ev))
         elif ev.topic == EventTopic.EXIST_OR_NOT and ev.contract == cfg.registry:
             payload = ev.payload
-            if payload["chain_id"] != cfg.side_chain_id:
+            if payload["chain_id"] != self.side_chain_id:
                 return
             if not payload["success"] or self.observed_registration is None:
                 return
             obs = self.observed_registration
-            target = cfg.vault if cfg.variant == VARIANT_GASLESS else cfg.gateway
-            self._queue_entry(cfg.side_chain_id, target, REGISTRATION,
+            self._queue_entry(self.side_chain_id, cfg.genesis.register_contract, REGISTRATION,
                               _event_entry(self.token_chain_id, ev, obs.side_creator, obs.payout))
         elif ev.topic == EventTopic.REGISTRATION_RESULT and ev.contract == cfg.bridge_head:
             self._settle_result(cfg.bridge_head, REGISTRATION, ev.payload)
@@ -454,14 +419,14 @@ class WitnessNode:
             self._settle_result(cfg.bridge_head, ev.payload.get("stream", OUTBOUND), ev.payload)
 
     def _handle_side_event(self, view: "WorldView", ev: Event) -> None:
-        cfg = self.config
         if ev.topic == EventTopic.ASSETS_LOCKED:
-            self._queue_entry(self.token_chain_id, cfg.bridge_head, OUTBOUND,
-                              _event_entry(cfg.side_chain_id, ev))
-        elif ev.topic == EventTopic.CROSS_CHAIN_ARRIVED and ev.contract == cfg.gateway:
-            # Escrowed withdraw request awaiting the side-chain quorum.
-            self._queue_entry(cfg.side_chain_id, cfg.gateway, OUTBOUND,
-                              _event_entry(cfg.side_chain_id, ev))
+            self._queue_entry(self.token_chain_id, self.config.bridge_head, OUTBOUND,
+                              _event_entry(self.side_chain_id, ev))
+        elif ev.topic == EventTopic.CROSS_CHAIN_ARRIVED:
+            # Escrowed withdraw request, back to the contract holding it for
+            # the side-chain quorum.
+            self._queue_entry(self.side_chain_id, ev.contract, OUTBOUND,
+                              _event_entry(self.side_chain_id, ev))
         elif ev.topic == EventTopic.REGISTRATION_RESULT:
             self._settle_result(ev.contract, REGISTRATION, ev.payload)
         elif ev.topic == EventTopic.CONSENSUS_RESULT:
@@ -479,7 +444,6 @@ class WitnessNode:
             merged[entry.origin_plain()] = entry
             entries = tuple(sorted(merged.values(), key=lambda e: e.origin_plain()))
         self.pending[key] = PendingVote.relay(target_chain, target, direction, entries)
-        self._force_submit.add(key)
 
     def _settle_result(self, contract: Address, direction: str, payload: dict) -> None:
         self._adopt(contract, direction, payload["next_round"])
@@ -502,8 +466,7 @@ class WitnessNode:
                     del self.pending[key]
                 elif len(remaining) != len(vote.entries):
                     self.pending[key] = PendingVote.relay(
-                        vote.target_chain, vote.target, direction, remaining, vote.last_submit)
-                    self._force_submit.add(key)
+                        vote.target_chain, vote.target, direction, remaining)
             elif vote.kind == "confirm" and success:
                 # The registration concluded even if the subject we saw was
                 # announced under a different request instance.
@@ -519,8 +482,11 @@ class WitnessNode:
         first window, else the next multiple of ``sleep``.  A crashed witness
         does nothing but keeps waking on that rule, so it acts again on the
         first such tick after it recovers.  No other state makes a step due:
-        only the handlers ``_scan`` runs fill ``_force_submit``, and
-        ``_submit_due`` empties it in the same step.
+        a vote is due while it is unsent (``last_submit`` is None), only the
+        handlers ``_scan`` runs leave a vote unsent, and ``_submit_due`` sends
+        every such vote in the same step.  A sent vote is resent once
+        ``timeout`` ticks have passed since it went, which the next wake at or
+        after that tick does.
         """
         cfg = self.config
         live = cfg.behavior != Behavior.CRASHED
@@ -544,15 +510,10 @@ class WitnessNode:
                     handler(view, ev)
 
     def _submit_due(self, view: "WorldView", tick: int) -> None:
-        self._force_submit &= set(self.pending)
         for key in sorted(self.pending, key=str):
             vote = self.pending[key]
-            due = key in self._force_submit
-            resend = False
-            if not due and vote.last_submit is not None:
-                due = tick - vote.last_submit >= self.config.timeout
-                resend = due
-            if not due:
+            resend = vote.last_submit is not None
+            if resend and tick - vote.last_submit < self.config.timeout:
                 continue
             round_no = self.adopted_round(vote.target, vote.direction)
             if vote.kind == "confirm":
@@ -561,13 +522,11 @@ class WitnessNode:
                 txs = self.relay_and_vote(vote.entries, vote.target, vote.direction,
                                           round_no, vote.subject)
             if resend and txs:
-                self.resend_count += 1
                 view.log_resend(self, vote, round_no)
             for tx in txs:
                 self.relayed_origins.update(e.origin_plain() for e in vote.entries)
                 view.submit(self, vote.target_chain, tx)
             vote.last_submit = tick
-            self._force_submit.discard(key)
             if not txs:
                 # This behavior never submits this vote; drop it so the node
                 # does not hold up quiescence.

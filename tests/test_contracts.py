@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from bridgesim import codec
 from bridgesim.chain import (
     Address,
-    Block,
     Chain,
     ChainKind,
     Confirm,
@@ -507,7 +506,7 @@ class TestEarliestDeadline:
         chain, relay, entries = self.open_tally()
         chain.apply_block(votes(WIT_S[2:3], RELAY_ADDR, INBOUND, entries), now=20)
         assert chain.earliest_deadline() is None
-        chain.reorg(1, [])  # drops the concluding vote's block, replays nothing
+        chain.reorg(1, [], now=30)  # drops the concluding vote's block, replays nothing
         assert chain.earliest_deadline() == relay.stream.deadline == 10 + TIMEOUT
 
     def test_a_rejection_rollback_keeps_the_accepted_votes_deadline(self):
@@ -1247,17 +1246,12 @@ def test_rollbacks_and_reorgs_match_full_replay(kind, data):
         now += data.draw(st.integers(0, 30))
         if chain.height and data.draw(st.booleans()):
             depth = data.draw(st.integers(0, chain.height))
-            fork = chain.height - depth
-            dropped = chain.blocks[fork + 1:]
-            parent = chain.blocks[fork].hash
+            dropped = chain.blocks[chain.height - depth + 1:]
             replacement = []
             for i in range(data.draw(st.integers(0, depth + 1))):
                 kept = dropped[i].transactions if i < depth and data.draw(st.booleans()) else []
-                blk = Block(height=fork + 1 + i, parent_hash=parent,
-                            transactions=kept + draw_txs(), produced_at=now)
-                parent = blk.compute_hash()
-                replacement.append(blk)
-            chain.reorg(depth, replacement)
+                replacement.append(kept + draw_txs())
+            chain.reorg(depth, replacement, now=now)
         else:
             chain.apply_block(draw_txs(), now=now)
         assert_matches_replay(chain)
@@ -1274,7 +1268,7 @@ def test_contracts_keep_identity_across_rollback_and_reorg():
     assert relay.stream.tallies[entries_subject(INBOUND, entries)].yes == {WIT_S[0]}
     chain.apply_block([relay_tx(WIT_S[i], RELAY_ADDR, INBOUND, entries) for i in (1, 2)])
     assert bank.balance == BAL_BANK - 10 and relay.stream.round == 1
-    chain.reorg(1, [Block(height=2, parent_hash=chain.blocks[1].hash, transactions=[])])
+    chain.reorg(1, [[]], now=0)
     assert chain.contracts[RELAY_ADDR] is relay and chain.contracts[BANK_ADDR] is bank
     assert chain.contracts[VAULT_ADDR] is vault
     assert bank.balance == BAL_BANK and relay.stream.round == 0

@@ -99,14 +99,16 @@ def test_kept_answers_match_a_full_recomputation_at_every_tick(case, every_tick)
 
 
 @pytest.mark.parametrize("case", sorted(RUNS))
-def test_force_submit_is_empty_after_every_step(case, monkeypatch):
-    """Why the wake rule reads only ``sleep`` and ``first_time``."""
+def test_every_pending_vote_has_been_sent_after_every_step(case, monkeypatch):
+    """Why the wake rule reads only ``sleep`` and ``first_time``: an unsent
+    vote is due at once, and no step leaves one behind."""
     step = WitnessNode.step
     steps = []
 
     def checked(witness, view, tick):
         live = step(witness, view, tick)
-        assert not witness._force_submit, f"{witness.config.name} at tick {tick}"
+        unsent = [key for key, vote in witness.pending.items() if vote.last_submit is None]
+        assert not unsent, f"{witness.config.name} at tick {tick}"
         steps.append(live)
         return live
 
@@ -229,16 +231,27 @@ def test_poke_scans_run_only_once_a_deadline_has_come(monkeypatch):
     sim = simnet.Simulation(parse_scenario(faulty()))
     host_of = {id(contract): host.chain for host in sim.hosts.values()
                for contract in host.chain.contracts.values()}
-    has_expired = Contract.has_expired_deadline
+    next_deadline = Contract.next_deadline
+    earliest_deadline = Chain.earliest_deadline
+    in_memo = []
     scans = set()
 
-    def counted(contract, now):
-        chain = host_of[id(contract)]
-        assert fresh_deadline(chain) <= now
-        scans.add((now, chain.chain_id))
-        return has_expired(contract, now)
+    def memo(chain):
+        in_memo.append(chain)
+        try:
+            return earliest_deadline(chain)
+        finally:
+            in_memo.pop()
 
-    monkeypatch.setattr(Contract, "has_expired_deadline", counted)
+    def counted(contract):
+        if not in_memo:  # a poke scan asking, not the chain's memo
+            chain = host_of[id(contract)]
+            assert fresh_deadline(chain) <= sim.tick
+            scans.add((sim.tick, chain.chain_id))
+        return next_deadline(contract)
+
+    monkeypatch.setattr(Chain, "earliest_deadline", memo)
+    monkeypatch.setattr(Contract, "next_deadline", counted)
     result = sim.run()
     blocks = sum(1 for line in result.trace_lines if json.loads(line)["kind"] == "block")
     assert scans and len(scans) * 10 < blocks

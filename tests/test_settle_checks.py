@@ -46,7 +46,7 @@ def rescan_relay_worthy(sim, witness):
                             ev.payload.get("kind") == "transfer":
                         wanted.add(origin)
                     elif ev.topic == EventTopic.EXIST_OR_NOT and ev.payload.get("success") \
-                            and ev.payload.get("chain_id") == cfg.side_chain_id:
+                            and ev.payload.get("chain_id") == cfg.genesis.chain_id:
                         wanted.add(origin)
                 else:
                     if ev.contract not in cfg.side_watched():
@@ -54,7 +54,7 @@ def rescan_relay_worthy(sim, witness):
                     if ev.topic == EventTopic.ASSETS_LOCKED:
                         wanted.add(origin)
                     elif ev.topic == EventTopic.CROSS_CHAIN_ARRIVED and \
-                            ev.contract == cfg.gateway:
+                            ev.contract == cfg.genesis.register_contract:
                         wanted.add(origin)
     return wanted
 

@@ -3,7 +3,7 @@
 import itertools
 
 from bridgesim import witness as witness_mod
-from bridgesim.chain import Address, Chain, ChainKind, TransferEntry
+from bridgesim.chain import Address, Chain, ChainKind, Event, EventTopic, TransferEntry
 from bridgesim.contracts import INBOUND, OUTBOUND, entries_subject
 from bridgesim.genesis import genesis_hash, parse_genesis
 from bridgesim.witness import (
@@ -13,7 +13,6 @@ from bridgesim.witness import (
     WitnessNode,
     form_batch,
     registration_conditions,
-    validate_registration,
     validate_registration_nativegas,
 )
 
@@ -48,35 +47,35 @@ class TestRegistrationValidation:
         }
 
     def test_all_conditions_met_accepts(self):
-        assert validate_registration(**self.inputs()) is True
+        assert all(registration_conditions(**self.inputs())) is True
 
     def test_nonzero_height_rejects(self):
         kw = self.inputs()
         kw["side_height"] = 3
-        assert validate_registration(**kw) is False
+        assert all(registration_conditions(**kw)) is False
 
     def test_chain_id_equal_to_token_chain_rejects(self):
         genesis = gasless_genesis()
         object.__setattr__(genesis, "chain_id", TOKEN_ID)  # forged file
-        assert validate_registration(
+        assert all(registration_conditions(
             genesis, 0, genesis_hash(genesis), genesis.total_reserved(),
             TOKEN_ID, set(), TOKEN_ID,
-        ) is False
+        )) is False
 
     def test_registered_id_rejects(self):
         kw = self.inputs()
         kw["registered_ids"] = {kw["claimed_chain_id"]}
-        assert validate_registration(**kw) is False
+        assert all(registration_conditions(**kw)) is False
 
     def test_hash_mismatch_rejects(self):
         kw = self.inputs()
         kw["claimed_hash"] = b"\x00" * 32
-        assert validate_registration(**kw) is False
+        assert all(registration_conditions(**kw)) is False
 
     def test_balance_mismatch_rejects(self):
         kw = self.inputs()
         kw["claimed_balance"] += 1
-        assert validate_registration(**kw) is False
+        assert all(registration_conditions(**kw)) is False
 
     def build_case(self, mask):
         """Construct inputs where condition i holds iff mask[i] is True.
@@ -113,7 +112,7 @@ class TestRegistrationValidation:
             kw = self.build_case(mask)
             conditions = registration_conditions(**kw)
             assert conditions == list(mask), f"toggles not independent for {mask}"
-            assert validate_registration(**kw) is all(mask)
+            assert all(registration_conditions(**kw)) is all(mask)
 
 
 class TestNativeGasValidation:
@@ -205,19 +204,14 @@ class TestFormBatch:
         assert events == []
 
 
-def witness_config(behavior=Behavior.HONEST, variant="gasless"):
+def witness_config(behavior=Behavior.HONEST):
     return WitnessConfig(
         name="w0",
         token_address=Address.from_label("w0-token"),
         side_address=Address.from_label("w0-side"),
-        side_chain_id=Address.from_label("side"),
-        variant=variant,
+        genesis=gasless_genesis(),
         bridge_head=Address.from_label("bridge-head"),
         registry=Address.from_label("registry"),
-        vault=Address.from_label("side-vault"),
-        relay=Address.from_label("side-relay"),
-        bank=Address.from_label("side-bank"),
-        gateway=None,
         omega_token=2,
         omega_side=1,
         timeout=50,
@@ -238,7 +232,7 @@ def sample_entries():
 class TestRelayAndVote:
     def test_honest_witness_builds_one_bound_transaction(self):
         node = WitnessNode(witness_config(), TOKEN_ID, seed=1)
-        txs = node.relay_and_vote(sample_entries(), node.config.relay, INBOUND, 0)
+        txs = node.relay_and_vote(sample_entries(), node.config.genesis.inter_contract, INBOUND, 0)
         assert len(txs) == 1
         tx = txs[0]
         assert tx.round == 0
@@ -254,16 +248,16 @@ class TestRelayAndVote:
 
     def test_crashed_witness_submits_nothing(self):
         node = WitnessNode(witness_config(Behavior.CRASHED), TOKEN_ID, seed=1)
-        assert node.relay_and_vote(sample_entries(), node.config.relay, INBOUND, 0) == []
+        assert node.relay_and_vote(sample_entries(), node.config.genesis.inter_contract, INBOUND, 0) == []
 
     def test_reject_all_witness_never_relays(self):
         node = WitnessNode(witness_config(Behavior.BYZANTINE_REJECT_ALL), TOKEN_ID, seed=1)
-        assert node.relay_and_vote(sample_entries(), node.config.relay, INBOUND, 0) == []
+        assert node.relay_and_vote(sample_entries(), node.config.genesis.inter_contract, INBOUND, 0) == []
 
     def test_equivocator_corrupts_content_consistently(self):
         node = WitnessNode(witness_config(Behavior.EQUIVOCATING), TOKEN_ID, seed=1)
-        [tx1] = node.relay_and_vote(sample_entries(), node.config.relay, INBOUND, 0)
-        [tx2] = node.relay_and_vote(sample_entries(), node.config.relay, INBOUND, 0)
+        [tx1] = node.relay_and_vote(sample_entries(), node.config.genesis.inter_contract, INBOUND, 0)
+        [tx2] = node.relay_and_vote(sample_entries(), node.config.genesis.inter_contract, INBOUND, 0)
         honest_subject = entries_subject(INBOUND, sample_entries())
         # each submission lies, the lie is internally consistent, and two
         # submissions do not pool with each other or with honest votes
@@ -282,10 +276,10 @@ class TestRelayAndVote:
 
         monkeypatch.setattr(witness_mod, "entries_subject", counted)
         honest = WitnessNode(witness_config(), TOKEN_ID, seed=1)
-        [tx] = honest.relay_and_vote(sample_entries(), honest.config.relay, INBOUND, 0, bound)
+        [tx] = honest.relay_and_vote(sample_entries(), honest.config.genesis.inter_contract, INBOUND, 0, bound)
         assert tx.payload.subject == bound and hashed == []
         liar = WitnessNode(witness_config(Behavior.EQUIVOCATING), TOKEN_ID, seed=1)
-        [tx] = liar.relay_and_vote(sample_entries(), liar.config.relay, INBOUND, 0, bound)
+        [tx] = liar.relay_and_vote(sample_entries(), liar.config.genesis.inter_contract, INBOUND, 0, bound)
         assert hashed == [tx.payload.entries]
         assert tx.payload.subject == entries_subject(INBOUND, tx.payload.entries) != bound
 
@@ -319,3 +313,67 @@ class TestApproveAllVerdict:
             "balance": genesis.total_reserved(),
         }
         assert node._decide_registration(View(), payload) is False
+
+
+class RecordingView(witness_mod.WorldView):
+    """Chains with nothing to scan; records submissions and resend logs."""
+
+    def __init__(self):
+        self.sent = []      # (tick, chain id, transaction)
+        self.resends = []   # (tick, round)
+        self.tick = 0
+
+    def chain(self, chain_id):
+        return Chain(chain_id, ChainKind.TOKEN, {"Chain_ID": chain_id}, 0)
+
+    def submit(self, witness, chain_id, tx):
+        self.sent.append((self.tick, chain_id, tx))
+
+    def log_resend(self, witness, vote, round_no):
+        self.resends.append((self.tick, round_no))
+
+
+class TestDueRule:
+    """A pending vote goes out on the first step after it is queued or its
+    round moves, and again only once ``timeout`` has passed since it went."""
+
+    def step(self, node, view, ticks):
+        for tick in ticks:
+            view.tick = tick
+            node.step(view, tick)
+
+    def test_a_vote_is_resent_at_timeout_and_sent_at_once_in_an_adopted_round(self):
+        node = WitnessNode(witness_config(), TOKEN_ID, seed=1)
+        genesis = gasless_genesis()
+        view = RecordingView()
+        deposit = Event(node.config.bridge_head, EventTopic.CROSS_CHAIN_ARRIVED,
+                        {"kind": "transfer", "to": Address.from_label("dest"), "value": 70},
+                        height=5, tx_index=0, seq=0)
+        node._handle_token_event(view, deposit)
+        self.step(node, view, [10])
+        [(tick, chain_id, tx)] = view.sent
+        # Inbound relays go to the gasless chain's SC_Inter.
+        assert (tick, chain_id, tx.to, tx.round) == (10, genesis.chain_id,
+                                                     genesis.inter_contract, 0)
+        assert view.resends == []
+
+        self.step(node, view, range(11, 60))  # before the timeout of 50
+        assert len(view.sent) == 1 and view.resends == []
+        self.step(node, view, [60])
+        assert [(t, tx.round) for t, _, tx in view.sent[1:]] == [(60, 0)]
+        assert view.resends == [(60, 0)]
+
+        timeout = Event(genesis.inter_contract, EventTopic.CONSENSUS_RESULT,
+                        {"stream": INBOUND, "origins": [], "duplicate": False, "round": 0,
+                         "next_round": 3, "subject": b"", "success": False,
+                         "error": "timeout"},
+                        height=9, tx_index=0, seq=0)
+        node._handle_side_event(view, timeout)
+        self.step(node, view, [61])
+        assert [(t, tx.round) for t, _, tx in view.sent[2:]] == [(61, 3)]
+        assert view.resends == [(60, 0)]
+        self.step(node, view, range(62, 111))
+        assert len(view.sent) == 3
+        self.step(node, view, [111])
+        assert [(t, tx.round) for t, _, tx in view.sent[3:]] == [(111, 3)]
+        assert view.resends == [(60, 0), (111, 3)]
