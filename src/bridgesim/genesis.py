@@ -19,19 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import codec
+from . import codec, reader
 from .chain import Address
-
-GASLESS_FIELDS = (
-    "Chain_ID",
-    "SC_Register",
-    "Bal_Resv",
-    "SC_Inter",
-    "SC_Bank",
-    "Bal_Bank",
-    "Wit_Addr_List",
-)
-NATIVE_GAS_FIELDS = ("Chain_ID", "SC_Register", "SC_Trading", "Wit_Addr_List")
 
 VARIANT_GASLESS = "gasless"
 VARIANT_NATIVE_GAS = "native_gas"
@@ -89,76 +78,76 @@ def genesis_hash(spec: GenesisSpec | dict) -> bytes:
     return codec.digest(spec.canonical() if isinstance(spec, GenesisSpec) else spec)
 
 
-def _addr(raw: object, field: str) -> Address:
-    if not isinstance(raw, str):
-        raise GenesisError(field, f"expected 0x-hex address string, got {type(raw).__name__}")
-    try:
-        return Address.from_hex(raw)
-    except codec.SerializationError as exc:
-        raise GenesisError(field, str(exc)) from exc
+def genesis_variant(raw: object) -> str:
+    """The layout a genesis object is held to: the trading-ledger field marks
+    the native-gas layout, and anything else is held to the gasless layout."""
+    return VARIANT_NATIVE_GAS if isinstance(raw, dict) and "SC_Trading" in raw else VARIANT_GASLESS
 
 
-def _amount(raw: object, field: str) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise GenesisError(field, f"expected integer token amount, got {raw!r}")
-    if raw < 0:
-        raise GenesisError(field, "token amounts cannot be negative")
-    return raw
+_witness_list = reader.list_of(reader.addr, non_empty=True, unique="witness address")
+_TABLES = {
+    VARIANT_GASLESS: {
+        "Chain_ID": reader.addr,
+        "SC_Register": reader.addr,
+        "Bal_Resv": reader.uint(),
+        "SC_Inter": reader.addr,
+        "SC_Bank": reader.addr,
+        "Bal_Bank": reader.uint(),
+        "Wit_Addr_List": _witness_list,
+    },
+    VARIANT_NATIVE_GAS: {
+        "Chain_ID": reader.addr,
+        "SC_Register": reader.addr,
+        "SC_Trading": reader.addr,
+        "Wit_Addr_List": _witness_list,
+    },
+}
+GASLESS_FIELDS = tuple(_TABLES[VARIANT_GASLESS])
+NATIVE_GAS_FIELDS = tuple(_TABLES[VARIANT_NATIVE_GAS])
+
+
+def read_genesis(col: reader.Collector, raw: object, at: str) -> GenesisSpec | None:
+    """Reader of a genesis object of either variant.
+
+    Unknown or missing fields are rejected so the canonical form (and
+    therefore the hash) is unambiguous.
+    """
+    f = col.obj(raw, at, lambda raw: _TABLES[genesis_variant(raw)])
+    if f is None or len(f) != len(raw):  # every field is required: the rest are unknown
+        return None
+    prefix = f"{at}." if at else ""
+    spec = GenesisSpec(
+        variant=genesis_variant(raw),
+        chain_id=f["Chain_ID"],
+        register_contract=f["SC_Register"],
+        witnesses=f["Wit_Addr_List"],
+        inter_contract=f.get("SC_Inter"),
+        bank_contract=f.get("SC_Bank"),
+        trading_contract=f.get("SC_Trading"),
+        bal_resv=f.get("Bal_Resv"),
+        bal_bank=f.get("Bal_Bank"),
+    )
+    contract_addrs = [a for a in (spec.register_contract, spec.inter_contract,
+                                  spec.bank_contract, spec.trading_contract) if a is not None]
+    if len(set(contract_addrs)) != len(contract_addrs):
+        col.err(prefix + "SC_Register", "contract addresses must be distinct")
+        return None
+    if set(contract_addrs) & set(spec.witnesses):
+        col.err(prefix + "Wit_Addr_List", "a witness address collides with a contract")
+        return None
+    return spec
 
 
 def parse_genesis(data: dict) -> GenesisSpec:
-    """Parse and structurally validate a genesis dict of either variant.
-
-    The variant is inferred from the field set; unknown or missing fields are
-    rejected so the canonical form (and therefore the hash) is unambiguous.
-    """
-    if not isinstance(data, dict):
-        raise GenesisError("<root>", "genesis must be a JSON object")
-    keys = set(data)
-    # The trading-ledger field marks the native-gas layout; anything else is
-    # held to the gasless layout.
-    if "SC_Trading" in keys:
-        variant, fields = VARIANT_NATIVE_GAS, NATIVE_GAS_FIELDS
-    else:
-        variant, fields = VARIANT_GASLESS, GASLESS_FIELDS
-    for name in fields:
-        if name not in keys:
-            raise GenesisError(name, "required field is missing")
-    for name in sorted(keys - set(fields)):
-        raise GenesisError(name, "unknown field")
-
-    wit_raw = data["Wit_Addr_List"]
-    if not isinstance(wit_raw, list) or not wit_raw:
-        raise GenesisError("Wit_Addr_List", "expected a non-empty list of addresses")
-    witnesses = tuple(_addr(w, f"Wit_Addr_List[{i}]") for i, w in enumerate(wit_raw))
-    if len(set(witnesses)) != len(witnesses):
-        raise GenesisError("Wit_Addr_List", "duplicate witness address")
-
-    if variant == VARIANT_GASLESS:
-        spec = GenesisSpec(
-            variant=variant,
-            chain_id=_addr(data["Chain_ID"], "Chain_ID"),
-            register_contract=_addr(data["SC_Register"], "SC_Register"),
-            inter_contract=_addr(data["SC_Inter"], "SC_Inter"),
-            bank_contract=_addr(data["SC_Bank"], "SC_Bank"),
-            bal_resv=_amount(data["Bal_Resv"], "Bal_Resv"),
-            bal_bank=_amount(data["Bal_Bank"], "Bal_Bank"),
-            witnesses=witnesses,
-        )
-        contract_addrs = [spec.register_contract, spec.inter_contract, spec.bank_contract]
-    else:
-        spec = GenesisSpec(
-            variant=variant,
-            chain_id=_addr(data["Chain_ID"], "Chain_ID"),
-            register_contract=_addr(data["SC_Register"], "SC_Register"),
-            trading_contract=_addr(data["SC_Trading"], "SC_Trading"),
-            witnesses=witnesses,
-        )
-        contract_addrs = [spec.register_contract, spec.trading_contract]
-    if len(set(contract_addrs)) != len(contract_addrs):
-        raise GenesisError("SC_Register", "contract addresses must be distinct")
-    for caddr in contract_addrs:
-        if caddr in witnesses:
-            raise GenesisError("Wit_Addr_List", "a witness address collides with a contract")
+    """Parse and structurally validate a genesis dict of either variant;
+    raises GenesisError naming the first faulty field."""
+    col = reader.Collector()
+    spec = read_genesis(col, data, "")
+    if spec is None:
+        first = col.errors[0]
+        raise GenesisError(first.field, first.message)
     return spec
 
+
+def is_genesis_file(data: object) -> bool:
+    return isinstance(data, dict) and "Chain_ID" in data

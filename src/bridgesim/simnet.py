@@ -68,6 +68,7 @@ from .witness import (
 # Scheduled-event kinds
 DELIVER_TX = "deliver_tx"
 WORKLOAD = "workload"
+SETUP_TX = "setup_tx"
 INJECT_REORG = "inject_reorg"
 INJECT_FAULT = "inject_fault"
 
@@ -141,7 +142,7 @@ class OwnerDaemon:
         self.seen_payout = False
         self.submitted = False
         self._watches: tuple = ()
-        if side.variant == VARIANT_GASLESS:
+        if side.genesis.variant == VARIANT_GASLESS:
             self._watches = (
                 (self.token_cursor, token, frozenset({registry_addr})),
                 (self.side_cursor, side_chain, frozenset({side.genesis.register_contract})),
@@ -184,7 +185,7 @@ class OwnerDaemon:
                     gasprice=0,
                     payload=MultisigAction(action="suicide"),
                 )
-                for owner in self.side.vault_owners
+                for owner in self.side.owners["vault"]
             ]
         return moved, []
 
@@ -308,7 +309,7 @@ class Simulation(WorldView):
         # chain must still be at height 0 when its registration is validated.
         for side in sc.side_chains:
             for owner in sc.registry.owners:
-                self._push(0, WORKLOAD, (token_cfg.chain_id, Transaction(
+                self._push(0, SETUP_TX, (token_cfg.chain_id, Transaction(
                     sender=owner, to=sc.registry.address, value=0, gasprice=0,
                     payload=MultisigAction(action="authorize", args=(side.bridge_head.address,)),
                 )))
@@ -324,7 +325,7 @@ class Simulation(WorldView):
 
     def _build_side_chain(self, side: SideChainConfig, threshold: int) -> Chain:
         g = side.genesis
-        if side.variant == VARIANT_GASLESS:
+        if g.variant == VARIANT_GASLESS:
             chain = Chain(
                 g.chain_id,
                 ChainKind.GASLESS_SIDE,
@@ -337,13 +338,13 @@ class Simulation(WorldView):
                 witnesses=g.witnesses,
                 threshold=threshold,
                 timeout=self.scenario.timeout,
-                owners=side.vault_owners,
+                owners=side.owners["vault"],
                 required=side.owners_required,
             )
             bank = ReserveBank(
                 address=g.bank_contract,
                 balance=g.bal_bank,
-                owners=side.bank_owners,
+                owners=side.owners["bank"],
                 required=side.owners_required,
                 authorized_relay=g.inter_contract,
             )
@@ -360,8 +361,6 @@ class Simulation(WorldView):
             chain.register_contract(g.register_contract, vault)
             chain.register_contract(g.bank_contract, bank)
             chain.register_contract(g.inter_contract, relay)
-            chain.witness_exempt = set(g.witnesses) | set(side.vault_owners) | set(side.bank_owners)
-            chain.seal_genesis()
         else:
             chain = Chain(
                 g.chain_id,
@@ -372,7 +371,7 @@ class Simulation(WorldView):
             trading = TradingBook(
                 address=g.trading_contract,
                 chain_id=g.chain_id,
-                owners=side.trading_owners,
+                owners=side.owners["trading"],
                 required=side.owners_required,
                 authorized_gateway=g.register_contract,
             )
@@ -385,10 +384,10 @@ class Simulation(WorldView):
             )
             chain.register_contract(g.trading_contract, trading)
             chain.register_contract(g.register_contract, gateway)
-            chain.witness_exempt = set(g.witnesses) | set(side.trading_owners)
-            chain.seal_genesis()
-            for _ in range(side.initial_height):
-                chain.apply_block([])
+        chain.witness_exempt = set(g.witnesses).union(*side.owners.values())
+        chain.seal_genesis()
+        for _ in range(side.initial_height):
+            chain.apply_block([])
         return chain
 
     # -------------------------------------------------------------- WorldView
@@ -521,15 +520,13 @@ class Simulation(WorldView):
             self.hosts[chain_id].mempool.append(tx)
             self.trace.record(self.tick, "deliver", str(chain_id), {"tx": tx.digest()})
         elif ev.kind == WORKLOAD:
-            data = ev.data
-            if isinstance(data, WorkloadAction):
-                self._apply_action(data)
-            else:  # pre-built setup transaction
-                chain_id, tx = data
-                self.hosts[chain_id].mempool.append(tx)
-                self.trace.record(self.tick, "action", str(chain_id), {
-                    "action": "setup", "tx": tx.digest(), "payload": tx.payload,
-                })
+            self._apply_action(ev.data)
+        elif ev.kind == SETUP_TX:
+            chain_id, tx = ev.data
+            self.hosts[chain_id].mempool.append(tx)
+            self.trace.record(self.tick, "action", str(chain_id), {
+                "action": "setup", "tx": tx.digest(), "payload": tx.payload,
+            })
         elif ev.kind == INJECT_REORG:
             spec = ev.data
             self.inject_reorg(spec.chain_id, spec.depth, spec.exclude)
@@ -668,7 +665,7 @@ class Simulation(WorldView):
         for side in sc.side_chains:
             head = self.bridge_heads[side.chain_id]
             side_chain = self.hosts[side.chain_id].chain
-            if side.variant == VARIANT_GASLESS:
+            if side.genesis.variant == VARIANT_GASLESS:
                 circulating = sum(side_chain.accounts.values())
                 out.append(InvariantResult(
                     "peg_conservation", str(side.chain_id),
@@ -702,7 +699,7 @@ class Simulation(WorldView):
         self._registry_prev = set(ids)
 
         for side in sc.side_chains:
-            if side.variant != VARIANT_GASLESS:
+            if side.genesis.variant != VARIANT_GASLESS:
                 continue
             side_chain = self.hosts[side.chain_id].chain
             bank: ReserveBank = side_chain.contracts[side.genesis.bank_contract]
@@ -727,6 +724,10 @@ class Simulation(WorldView):
         read, up to the end of the witness's scanned windows.
         """
         cfg = witness.config
+        # A gasless witness that cannot fetch the genesis abstains from the
+        # registration vote, so it has no vault payout to relay.
+        relays_payout = (cfg.genesis.variant != VARIANT_GASLESS
+                         or cfg.name not in self.scenario.fault_plan.fetch_fail)
         found: set[tuple] = set()
         for chain_id, cursor, watched, _ in witness.scans:
             chain = self.hosts[chain_id].chain
@@ -742,7 +743,8 @@ class Simulation(WorldView):
                             ev.topic == EventTopic.CROSS_CHAIN_ARRIVED
                             and ev.payload.get("kind") == "transfer"
                         ) or (
-                            ev.topic == EventTopic.EXIST_OR_NOT and ev.payload.get("success")
+                            relays_payout and ev.topic == EventTopic.EXIST_OR_NOT
+                            and ev.payload.get("success")
                             and ev.payload.get("chain_id") == cfg.genesis.chain_id
                         )
                     else:
@@ -828,13 +830,13 @@ class Simulation(WorldView):
             head = self.bridge_heads[side.chain_id]
             chain = self.hosts[side.chain_id].chain
             entry = {
-                "variant": side.variant,
+                "variant": side.genesis.variant,
                 "locked": head.locked,
                 "fee_reserve": head.fee_reserve,
                 "registered": head.registered,
                 "height": chain.height,
             }
-            if side.variant == VARIANT_GASLESS:
+            if side.genesis.variant == VARIANT_GASLESS:
                 vault: RegistrationVault = chain.contracts[side.genesis.register_contract]
                 bank: ReserveBank = chain.contracts[side.genesis.bank_contract]
                 entry.update({

@@ -342,8 +342,11 @@ class WitnessNode:
 
     # -- event handling -------------------------------------------------------
 
-    def _decide_registration(self, view: "WorldView", payload: dict) -> bool | None:
-        """Verdict for a registration request; None means abstain."""
+    def _decide_registration(
+        self, view: "WorldView", payload: dict, spec: GenesisSpec | None
+    ) -> bool | None:
+        """Verdict for a registration request; None means abstain.  ``spec``
+        is the fetched genesis of the claimed chain (None on a native-gas one)."""
         cfg = self.config
         claimed_chain_id = payload["chain_id"]
         registered = view.registry_ids()
@@ -351,11 +354,7 @@ class WitnessNode:
             return True
         if cfg.behavior == Behavior.BYZANTINE_REJECT_ALL:
             return False
-        if cfg.genesis.variant == VARIANT_GASLESS:
-            try:
-                spec = view.fetch_genesis(self, claimed_chain_id)
-            except FetchFailure:
-                return None
+        if spec is not None:
             side_height = view.side_height(claimed_chain_id)
             if side_height is None:
                 return None
@@ -368,28 +367,29 @@ class WitnessNode:
             claimed_chain_id, actual, registered, self.token_chain_id
         )
 
-    def _payout_for(self, view: "WorldView", payload: dict) -> int:
-        """Registration payout a witness will relay to the side chain."""
-        if self.config.genesis.variant == VARIANT_GASLESS:
-            try:
-                return view.fetch_genesis(self, payload["chain_id"]).bal_resv
-            except FetchFailure:
-                pass
-        return payload["amount"]
-
     def _handle_token_event(self, view: "WorldView", ev: Event) -> None:
         cfg = self.config
         if ev.topic == EventTopic.CROSS_CHAIN_ARRIVED and ev.contract == cfg.bridge_head:
             payload = ev.payload
             if payload.get("kind") == REGISTRATION:
-                self.observed_registration = ObservedRegistration(
-                    side_creator=payload["side_creator"],
-                    payout=self._payout_for(view, payload),
-                )
-                verdict = self._decide_registration(view, payload)
+                # A gasless chain's payout is its genesis's Bal_Resv; a
+                # witness that cannot fetch the genesis neither votes nor
+                # relays a payout.
+                spec = None
+                if cfg.genesis.variant == VARIANT_GASLESS:
+                    try:
+                        spec = view.fetch_genesis(self, payload["chain_id"])
+                    except FetchFailure:
+                        view.log_abstain(self, "genesis fetch failed")
+                        return
+                verdict = self._decide_registration(view, payload, spec)
                 if verdict is None:
                     view.log_abstain(self, "genesis fetch failed")
                     return
+                self.observed_registration = ObservedRegistration(
+                    side_creator=payload["side_creator"],
+                    payout=payload["amount"] if spec is None else spec.bal_resv,
+                )
                 key = ("confirm", str(cfg.bridge_head))
                 self.pending[key] = PendingVote(
                     kind="confirm",

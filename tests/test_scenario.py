@@ -5,12 +5,15 @@ import copy
 import pytest
 
 from bridgesim import presets
+from bridgesim.genesis import genesis_hash
 from bridgesim.scenario import (
+    FaultPlan,
     ScenarioInvalid,
     parse_scenario,
     validate_genesis_data,
     validate_scenario,
 )
+from bridgesim.witness import Behavior
 
 
 @pytest.fixture
@@ -203,6 +206,13 @@ def _extra(raw, path, key, value=1):
     return "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)[1:]
 
 
+def _native(raw):
+    """Replace the gasless reference scenario with the native-gas one."""
+    raw.clear()
+    raw.update(presets.happy_path(variant="native_gas"))
+    return raw
+
+
 def _behavior_change(raw, **extra):
     raw["fault_plan"] = {"behavior_schedule": [
         {"tick": 5, "witness": raw["witnesses"][0]["name"], "behavior": "crashed", **extra}]}
@@ -250,6 +260,10 @@ BAD_INPUTS = {
     "registry_field_typo": (lambda d: _extra(d, ("registry",), "owner"), "owner"),
     "timeouts_field_typo": (lambda d: _extra(d, ("timeouts",), "sleep"), "sleep"),
     "behavior_change_field_typo": (lambda d: _behavior_change(d, tik=5), "tik"),
+    "owners_required_exceeds_gasless_lists": (
+        lambda d: _extra(d, ("side_chains", 0, "owners"), "required", 3), "required"),
+    "owners_required_exceeds_native_list": (
+        lambda d: _extra(_native(d), ("side_chains", 0, "owners"), "required", 3), "required"),
 }
 
 
@@ -277,3 +291,138 @@ def test_exclusions_are_digest_bytes(data):
     _reorg(data, [DIGEST])
     (spec,) = parse_scenario(data).fault_plan.reorg_schedule
     assert spec.exclude == frozenset({bytes.fromhex(DIGEST[2:])})
+
+
+def _every_object(variant):
+    """A valid scenario holding one object of every kind the reader reads."""
+    data = presets.happy_path(variant=variant)
+    side = presets.addr("side-1")
+    data["workload"] += [
+        presets.transfer_action("deposit", "side-1", 5, "alice", "alice-side", 10),
+        presets.transfer_action("withdraw", "side-1", 6, "alice-side", "alice", 5),
+        presets.transfer_action("trade", "side-1", 7, "alice-side", "bob-side", 1)
+        if variant == "native_gas" else
+        {"tick": 7, "action": "record", "chain_id": side, "data": "reading"},
+        {"tick": 8, "action": "pay", "from": presets.addr("alice"),
+         "to": presets.addr("bob"), "value": 1},
+    ]
+    data["fault_plan"] = {
+        "reorg_schedule": [{"tick": 10, "chain": presets.addr("token-chain"), "depth": 1}],
+        "behavior_schedule": [{"tick": 5, "witness": "side-1-w0", "behavior": "crashed"}],
+    }
+    return data
+
+
+# object kind: (variant, path to one object of that kind, a required field or None)
+OBJECTS = {
+    "scenario": ("gasless", (), "max_ticks"),
+    "token_chain": ("gasless", ("token_chain",), "omega"),
+    "accounts": ("gasless", ("accounts",), None),
+    "registry": ("gasless", ("registry",), "address"),
+    "side_chain": ("gasless", ("side_chains", 0), "block_interval"),
+    "genesis_gasless": ("gasless", ("side_chains", 0, "genesis"), "SC_Bank"),
+    "genesis_native": ("native_gas", ("side_chains", 0, "genesis"), "SC_Register"),
+    "bridge_head": ("gasless", ("side_chains", 0, "bridge_head"), "threshold"),
+    "owners_gasless": ("gasless", ("side_chains", 0, "owners"), "vault"),
+    "owners_native": ("native_gas", ("side_chains", 0, "owners"), "trading"),
+    "witness": ("gasless", ("witnesses", 0), "side_address"),
+    "timeouts": ("gasless", ("timeouts",), None),
+    "fault_plan": ("gasless", ("fault_plan",), None),
+    "reorg": ("gasless", ("fault_plan", "reorg_schedule", 0), "depth"),
+    "behavior_change": ("gasless", ("fault_plan", "behavior_schedule", 0), "behavior"),
+    "register": ("gasless", ("workload", 0), "attach"),
+    "deposit": ("gasless", ("workload", 1), "value"),
+    "withdraw": ("gasless", ("workload", 2), "to"),
+    "record": ("gasless", ("workload", 3), "chain_id"),
+    "trade": ("native_gas", ("workload", 3), "from"),
+    "pay": ("gasless", ("workload", 4), "from"),
+}
+
+
+def _path(steps):
+    return "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in steps)[1:] or "<root>"
+
+
+def _replace(data, steps, value):
+    if not steps:
+        return value
+    parent = data
+    for step in steps[:-1]:
+        parent = parent[step]
+    parent[steps[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("kind", sorted(OBJECTS))
+def test_every_object_kind_names_its_faults(kind):
+    """A deleted required field, an unknown field and a list in place of the
+    object are each named at their own path."""
+    variant, steps, required = OBJECTS[kind]
+    assert errors_of(validate_scenario(_every_object(variant))) == []
+    data = _every_object(variant)
+    obj = data
+    for step in steps:
+        obj = obj[step]
+    obj["bogus"] = 1
+    field = f"{_path(steps)}.bogus" if steps else "bogus"
+    assert field in {d.field for d in errors_of(validate_scenario(data))}
+    if required is not None:
+        data = _every_object(variant)
+        obj = data
+        for step in steps:
+            obj = obj[step]
+        del obj[required]
+        field = f"{_path(steps)}.{required}" if steps else required
+        assert field in {d.field for d in errors_of(validate_scenario(data))}
+    data = _replace(_every_object(variant), steps, [])
+    assert _path(steps) in {d.field for d in errors_of(validate_scenario(data))}
+
+
+def test_bare_genesis_reports_every_fault():
+    genesis = presets.happy_path()["side_chains"][0]["genesis"]
+    del genesis["SC_Bank"]
+    genesis["Bal_Resv"] = -1
+    assert {d.field for d in validate_genesis_data(genesis)} == {"SC_Bank", "Bal_Resv"}
+
+
+def test_reading_leaves_the_input_as_written():
+    data = _every_object("gasless")
+    del data["timeouts"]  # every default is taken
+    written = copy.deepcopy(data)
+    scenario = parse_scenario(data)
+    assert data == written and scenario.raw is data
+
+
+def test_omitted_optional_fields_take_their_defaults():
+    data = _every_object("gasless")
+    side = data["side_chains"][0]
+    for obj, key in ((data, "seed"), (data, "mode"), (data, "timeouts"), (data, "labels"),
+                     (data["registry"], "required"), (side, "initial_height"),
+                     (side["owners"], "required"), (data["workload"][3], "data")):
+        del obj[key]
+    data["fault_plan"] = {}
+    scenario = parse_scenario(data)
+    assert (scenario.seed, scenario.mode, scenario.timeout, scenario.sleep) == (
+        0, "conservation", 50, 10)
+    assert scenario.registry.required == 2
+    parsed = scenario.side_chains[0]
+    assert (parsed.owners_required, parsed.initial_height) == (2, 0)
+    assert scenario.fault_plan == FaultPlan()
+    assert all(w.behavior == Behavior.HONEST for w in scenario.witnesses)
+    register, record, pay = (next(a for a in scenario.workload if a.action == kind)
+                             for kind in ("register", "record", "pay"))
+    request = register.tx.payload
+    assert request.genesis_hash == genesis_hash(parsed.genesis)
+    assert request.balance == parsed.genesis.total_reserved()
+    assert record.tx.payload.data == ""
+    assert record.tx.sender == record.tx.to == parsed.genesis.witnesses[0]
+    assert (pay.chain, pay.tx.gasprice) == (scenario.token_chain.chain_id, 1)
+
+    del data["fault_plan"]
+    assert parse_scenario(data).fault_plan == FaultPlan()
+    data["timeouts"] = {}
+    data["fault_plan"] = {"reorg_schedule": [
+        {"tick": 10, "chain": presets.addr("token-chain"), "depth": 1}]}
+    scenario = parse_scenario(data)
+    assert (scenario.timeout, scenario.sleep) == (50, 10)
+    assert scenario.fault_plan.reorg_schedule[0].exclude == frozenset()

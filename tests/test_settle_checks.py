@@ -33,6 +33,9 @@ RESUMED = ("relay_matches_canon", "window_contiguity", "zero_gasprice_rule")
 
 def rescan_relay_worthy(sim, witness):
     cfg = witness.config
+    # A gasless witness that cannot fetch the genesis relays no vault payout.
+    relays_payout = (cfg.genesis.variant != "gasless"
+                     or cfg.name not in sim.scenario.fault_plan.fetch_fail)
     wanted = set()
     for chain_id, cursor in witness.cursors.items():
         chain = sim.hosts[chain_id].chain
@@ -46,7 +49,8 @@ def rescan_relay_worthy(sim, witness):
                             ev.payload.get("kind") == "transfer":
                         wanted.add(origin)
                     elif ev.topic == EventTopic.EXIST_OR_NOT and ev.payload.get("success") \
-                            and ev.payload.get("chain_id") == cfg.genesis.chain_id:
+                            and ev.payload.get("chain_id") == cfg.genesis.chain_id \
+                            and relays_payout:
                         wanted.add(origin)
                 else:
                     if ev.contract not in cfg.side_watched():
@@ -134,6 +138,13 @@ def test_fixtures_match_the_rescan_at_every_settle_point(fixture, seed, checks):
         assert failed(checks, "relay_matches_canon")
     else:
         assert not failed(checks, "relay_matches_canon")
+
+
+def test_fetch_failure_matches_the_rescan(checks):
+    data = presets.registered_with_transfers(deposits=[300], withdrawals=[100])
+    data["fault_plan"] = {"fetch_fail": ["side-1-w3"]}
+    run(data, None)
+    assert checks and not failed(checks, "relay_matches_canon")
 
 
 def test_reorgs_and_crash_flips_match_the_rescan(checks):

@@ -157,6 +157,17 @@ class TestFaults:
                     if json.loads(l)["kind"] == "abstain"]
         assert abstains and abstains[0]["payload"]["witness"] == "side-1-w3"
 
+    def test_a_witness_that_cannot_fetch_relays_no_payout(self):
+        data = presets.happy_path()
+        data["fault_plan"] = {"fetch_fail": ["side-1-w3"]}
+        result = run(data)
+        assert result.quiescent and result.failures == []
+        assert side_summary(result)["vault_suicided"]
+        submits = [r for r in map(json.loads, result.trace_lines) if r["kind"] == "submit"
+                   and r["chain"] == presets.addr("side-1")
+                   and r["payload"].get("witness") == "side-1-w3"]
+        assert submits == []
+
 
 class TestReorgs:
     def test_depth_within_window_is_invisible_to_the_peg(self):

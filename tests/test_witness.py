@@ -297,7 +297,7 @@ class TestApproveAllVerdict:
             "genesis_hash": b"\x00" * 32,
             "balance": 1,  # nonsense claim
         }
-        assert node._decide_registration(View(), payload) is True
+        assert node._decide_registration(View(), payload, None) is True
 
     def test_reject_all_refuses_a_valid_registration(self):
         node = WitnessNode(witness_config(Behavior.BYZANTINE_REJECT_ALL), TOKEN_ID, seed=1)
@@ -312,7 +312,7 @@ class TestApproveAllVerdict:
             "genesis_hash": genesis_hash(genesis),
             "balance": genesis.total_reserved(),
         }
-        assert node._decide_registration(View(), payload) is False
+        assert node._decide_registration(View(), payload, None) is False
 
 
 class RecordingView(witness_mod.WorldView):
@@ -331,6 +331,56 @@ class RecordingView(witness_mod.WorldView):
 
     def log_resend(self, witness, vote, round_no):
         self.resends.append((self.tick, round_no))
+
+
+class TestRegistrationRequest:
+    def request(self, genesis):
+        return Event(Address.from_label("bridge-head"), EventTopic.CROSS_CHAIN_ARRIVED, {
+            "kind": "registration", "chain_id": genesis.chain_id, "amount": 1,
+            "balance": genesis.total_reserved(), "genesis_hash": genesis_hash(genesis),
+            "side_creator": Address.from_label("creator-side"), "round": 0, "subject": b"s",
+        }, height=5, tx_index=0, seq=0)
+
+    def test_the_genesis_is_fetched_once_per_request(self):
+        genesis = gasless_genesis()
+
+        class View(RecordingView):
+            fetches = 0
+
+            def fetch_genesis(self, witness, chain_id):
+                View.fetches += 1
+                return genesis
+
+            def registry_ids(self):
+                return set()
+
+            def side_height(self, chain_id):
+                return 0
+
+        node = WitnessNode(witness_config(), TOKEN_ID, seed=1)
+        node._handle_token_event(View(), self.request(genesis))
+        assert View.fetches == 1
+        assert node.observed_registration.payout == genesis.bal_resv
+        assert next(iter(node.pending.values())).verdict is True
+
+    def test_a_failed_fetch_abstains_and_observes_nothing(self):
+        class View(RecordingView):
+            abstains = []
+
+            def fetch_genesis(self, witness, chain_id):
+                raise witness_mod.FetchFailure("unreachable")
+
+            def registry_ids(self):
+                return set()
+
+            def log_abstain(self, witness, reason):
+                self.abstains.append(reason)
+
+        node = WitnessNode(witness_config(), TOKEN_ID, seed=1)
+        view = View()
+        node._handle_token_event(view, self.request(gasless_genesis()))
+        assert view.abstains == ["genesis fetch failed"]
+        assert node.observed_registration is None and node.pending == {}
 
 
 class TestDueRule:
