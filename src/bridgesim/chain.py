@@ -3,7 +3,8 @@
 Each chain is an append-only list of blocks over an account ledger plus a set
 of contract state machines.  Block application is the only way state changes:
 transactions are applied in order, contracts emit events, and every block
-stores the events it produced.  A reorganization replaces the top ``depth``
+stores the events it produced; the chain indexes the heights of the blocks
+that hold any.  A reorganization replaces the top ``depth``
 blocks.
 
 State is journaled, not copied.  The first time a block touches an account or
@@ -24,6 +25,7 @@ a token ledger.  There are no block rewards.
 
 from __future__ import annotations
 
+import bisect
 import pickle
 from dataclasses import dataclass, field
 from enum import Enum
@@ -397,6 +399,9 @@ class Chain:
         genesis = Block(height=0, parent_hash=GENESIS_PARENT, transactions=[])
         genesis.hash = codec.digest(genesis_spec)
         self.blocks: list[Block] = [genesis]
+        # Ascending heights of the blocks that hold events; readers looking
+        # for events walk these instead of every height.
+        self.event_heights: list[int] = []
         # height -> undo record (account pre-images, contract pre-images) of
         # every block that changed state; None marks an absent account.
         self._undo: dict[int, tuple[dict[Address, int | None], dict[Address, bytes]]] = {}
@@ -427,6 +432,11 @@ class Chain:
 
     def events_at(self, height: int) -> list[Event]:
         return self.blocks[height].events
+
+    def heights_with_events(self, first: int, last: int) -> list[int]:
+        """The heights in ``first..last`` whose blocks hold events, ascending."""
+        heights = self.event_heights
+        return heights[bisect.bisect_left(heights, first):bisect.bisect_right(heights, last)]
 
     # -- mutation -----------------------------------------------------------
 
@@ -543,6 +553,8 @@ class Chain:
         block.hash = block.compute_hash()
         block.events = events
         self.blocks.append(block)
+        if events:
+            self.event_heights.append(height)
         if self._accounts_before or self._contracts_before:
             self._undo[height] = (self._accounts_before, self._contracts_before)
         if before is not None:
@@ -572,6 +584,7 @@ class Chain:
             if record is not None:
                 self._restore(*record)
         self.blocks = self.blocks[: fork_height + 1]
+        del self.event_heights[bisect.bisect_right(self.event_heights, fork_height):]
         for txs in replacement:
             self.apply_block(txs, now=now)
 

@@ -283,6 +283,10 @@ class _Reader(Collector):
             self.err(at, "names no configured side chain")
         return side
 
+    def side_id(self, raw: Any, at: str) -> Address | None:
+        side = self.side(raw, at)
+        return side and side.chain_id
+
     def action(self, raw: Any, at: str) -> WorkloadAction | None:
         f = self.obj(raw, at, _action_table)
         if f is None:
@@ -415,7 +419,7 @@ _SIDE_CHAIN = {
 }
 _behavior = one_of((b.value for b in Behavior), Behavior)
 _WITNESS = {
-    "name": text, "chain_id": addr, "token_address": addr, "side_address": addr,
+    "name": text, "chain_id": _Reader.side_id, "token_address": addr, "side_address": addr,
     "behavior": (_behavior, Behavior.HONEST),
 }
 _TIMEOUTS = {"t": (uint(1), DEFAULT_TIMEOUT_T), "T": (uint(1), DEFAULT_SLEEP_T)}

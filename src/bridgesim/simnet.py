@@ -9,15 +9,18 @@ ticks; each tick executes fixed phases in a fixed order:
   2. block production for every chain whose interval divides the tick;
   3. the witness phase: each witness whose wake tick has come steps, in
      roster order.  A witness wakes on every tick until its cursors anchor
-     their first windows, then on every multiple of its sleep period T;
+     their first windows, then on every multiple of its sleep period T.  A
+     step reads every window that has become ready and sends only the votes
+     that are due, so a step with nothing to read or send does no work;
   4. the owner phase (owner daemons watch for registration success and submit
      the vault-suicide approvals);
   5. settledness bookkeeping: when the bridge comes to rest, the peg
      invariants are evaluated and recorded, and the run ends at the first rest
      point with nothing left to do.  Settledness is derived again only after a
      tick that changed something: one that dispatched an event, offered a
-     block a transaction, stepped a live witness or moved an owner daemon.  A
-     tick that did none of these leaves every input of that answer as it was.
+     block a transaction, or had a witness or an owner daemon act (read a
+     batch, anchor a first window, or submit or drop a vote).  A tick that
+     did none of these leaves every input of that answer as it was.
 
 Faults exist only on the message and block channels: witness submissions can
 be dropped, duplicated or delayed (seeded), chains can be reorganized, and
@@ -62,7 +65,7 @@ from .witness import (
     WitnessConfig,
     WitnessNode,
     WorldView,
-    form_batch,
+    scan_ready,
 )
 
 # Scheduled-event kinds
@@ -153,15 +156,18 @@ class OwnerDaemon:
         return () if self.submitted else self._watches
 
     def step(self) -> tuple[bool, list[Transaction]]:
-        """Scan what is confirmed: (whether a cursor moved, the approvals due)."""
+        """Scan what is confirmed: (whether it read a batch, anchored a
+        cursor's first window or submitted, the approvals due)."""
         watches = self.watches()
         if not watches:
             return False, []
-        moved = False
+        acted = False
         for cursor, chain, watched in watches:
-            while (batch := form_batch(cursor, chain, watched)) is not None:
-                moved = True
-                for ev in batch[0]:
+            anchoring = cursor.first_time
+            batches = scan_ready(cursor, chain, watched)
+            acted |= bool(batches) or (anchoring and not cursor.first_time)
+            for events, _ in batches:
+                for ev in events:
                     if (
                         ev.topic == EventTopic.EXIST_OR_NOT
                         and ev.payload.get("success")
@@ -187,7 +193,7 @@ class OwnerDaemon:
                 )
                 for owner in self.side.owners["vault"]
             ]
-        return moved, []
+        return acted, []
 
 
 class Simulation(WorldView):
@@ -491,8 +497,8 @@ class Simulation(WorldView):
             if witness.wake <= tick:
                 changed |= witness.step(self, tick)
         for daemon in self.owner_daemons:
-            moved, txs = daemon.step()
-            changed |= moved
+            acted, txs = daemon.step()
+            changed |= acted
             for tx in txs:
                 self.hosts[daemon.side.chain_id].mempool.append(tx)
                 self.trace.record(tick, "submit", str(daemon.side.chain_id), {
@@ -562,16 +568,8 @@ class Simulation(WorldView):
         txs.extend(host.mempool)
         host.mempool = []
         block, rejections = chain.apply_block(txs, now=self.tick)
-        self.trace.record(self.tick, "block", str(chain_id), {
-            "height": block.height,
-            "hash": block.hash,
-            "txs": [tx.digest() for tx in block.transactions],
-            "rejected": [
-                {"tx": r.tx.digest(), "reason": r.reason} for r in rejections
-            ],
-            "events": block.events,
-            "state": chain.state_digest(),
-        })
+        self.trace.record(self.tick, "block", str(chain_id),
+                          trace_mod.block_payload(block, rejections, chain.state_digest()))
         return bool(txs)
 
     # ---------------------------------------------------------------- reorgs
@@ -734,7 +732,7 @@ class Simulation(WorldView):
             progress = self._progress_of(chain_id)
             read, wanted = progress.relay_worthy.get(witness, (-1, set()))
             end = min(cursor.next_start - 1, chain.height)
-            for height in range(read + 1, end + 1):
+            for height in chain.heights_with_events(read + 1, end):
                 for ev in chain.events_at(height):
                     if ev.contract not in watched:
                         continue
@@ -869,8 +867,8 @@ def _unscanned(watches: Iterable[tuple]) -> Iterator:
     """Watched events at or past each cursor's next start, for every
     (cursor, chain, watched contracts) triple."""
     for cursor, chain, watched in watches:
-        for block in chain.blocks[cursor.next_start:]:
-            for ev in block.events:
+        for height in chain.heights_with_events(cursor.next_start, chain.height):
+            for ev in chain.events_at(height):
                 if ev.contract in watched:
                     yield ev
 

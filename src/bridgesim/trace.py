@@ -15,8 +15,9 @@ from . import codec
 
 TRACE_FORMAT = 1
 
-# One encoder for every trace line; ``codec.plain_leaf`` makes bytes and
-# ``canonical()`` objects plain as the encoder reaches them.
+# One encoder for trace payloads and the values in a block record;
+# ``codec.plain_leaf`` makes bytes and ``canonical()`` objects plain as the
+# encoder reaches them.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=codec.plain_leaf)
 
 
@@ -25,34 +26,51 @@ def dumps(record: dict) -> str:
     return _ENCODER.encode(record)
 
 
+# Every line, and the payload of a block record, is joined from its members'
+# texts: the bytes ``dumps`` gives the same record, without walking it.  A
+# line's tick and seq are ints, which the encoder writes as ``str`` does,
+# and ``_quote`` is the escaper it applies to str values.
+_LINE = codec.Shape("tick", "seq", "kind", "chain", "payload")
+_BLOCK = codec.Shape("height", "hash", "txs", "rejected", "events", "state")
+_quote = json.encoder.encode_basestring_ascii
+
+
+def block_payload(block, rejections: list, state: bytes) -> str:
+    """The text of a block record's payload: the block's height and hash, its
+    transactions' digests, the rejections with their reasons, its events and
+    the chain's state digest after it."""
+    text = codec.canonical_dumps
+    return _BLOCK.text(
+        text(block.height), text(block.hash),
+        codec.array([text(tx.digest()) for tx in block.transactions]),
+        codec.array([dumps({"tx": r.tx.digest(), "reason": r.reason}) for r in rejections]),
+        codec.array([dumps(ev) for ev in block.events]),
+        text(state),
+    )
+
+
 class TraceWriter:
     def __init__(self) -> None:
         self.lines: list[str] = []
         self._seq = 0
 
+    def _line(self, tick: int, seq: int, kind: str, chain: str, payload: str) -> None:
+        self.lines.append(_LINE.text(str(tick), str(seq), _quote(kind), _quote(chain), payload))
+
     def header(self, scenario, threshold_override: int | None) -> None:
-        self.lines.append(dumps({
-            "tick": -1,
-            "seq": 0,
-            "kind": "header",
-            "chain": "",
-            "payload": {
-                "format": TRACE_FORMAT,
-                "hash_algorithm": codec.HASH_ALGORITHM,
-                "scenario": scenario.raw,
-                "threshold_override": threshold_override,
-            },
+        self._line(-1, 0, "header", "", dumps({
+            "format": TRACE_FORMAT,
+            "hash_algorithm": codec.HASH_ALGORITHM,
+            "scenario": scenario.raw,
+            "threshold_override": threshold_override,
         }))
 
-    def record(self, tick: int, kind: str, chain: str, payload: dict) -> None:
+    def record(self, tick: int, kind: str, chain: str, payload: dict | str) -> None:
+        """Append one record; ``payload`` is a dict for the encoder, or the
+        text ``block_payload`` joined."""
         self._seq += 1
-        self.lines.append(dumps({
-            "tick": tick,
-            "seq": self._seq,
-            "kind": kind,
-            "chain": chain,
-            "payload": payload,
-        }))
+        self._line(tick, self._seq, kind, chain,
+                   payload if type(payload) is str else dumps(payload))
 
 
 class TraceError(ValueError):

@@ -7,8 +7,8 @@ reorganization no deeper than that window can never change what the witness
 has already acted on.  Consensus results are learned the same way, which makes
 the whole relay loop reorg-immune for bounded depths.
 
-The relay loop per target contract is: scan the next confirmed window, merge
-its relay-worthy events with anything still unconfirmed, submit one relay
+The relay loop per target contract is: scan the confirmed windows, merge
+their relay-worthy events with anything still unconfirmed, submit one relay
 transaction carrying the batch and its content digest, then wait for the
 matching consensus-result event.  If nothing concludes within the timeout the
 batch is resent, adopting whatever round the contract last announced.
@@ -107,6 +107,8 @@ class RelayCursor:
     ``omega``); every later window is the next contiguous ``omega`` blocks and
     opens once the head is at least ``omega`` past its end.  ``omega == 0``
     models instant finality: everything up to the head is scanned immediately.
+    ``history`` holds one (start, end) span per scan that moved the cursor;
+    the spans tile the heights read, in order.
     """
 
     omega: int
@@ -126,31 +128,48 @@ class RelayCursor:
         end = start + self.omega - 1
         return (start, end) if head >= end + self.omega else None
 
-    def advance(self, window: tuple[int, int]) -> None:
-        self.history.append(window)
-        self.next_start = window[1] + 1
+    def advance(self, span: tuple[int, int]) -> None:
+        self.history.append(span)
+        self.next_start = span[1] + 1
         self.first_time = False
 
 
-def form_batch(
+def scan_ready(
     cursor: RelayCursor, chain: Chain, watched: AbstractSet[Address]
-) -> tuple[list[Event], tuple[int, int]] | None:
-    """Collect the next confirmed window of events from watched contracts.
+) -> list[tuple[list[Event], tuple[int, int]]]:
+    """Read every window that has cleared the revertible zone.
 
-    None when the window has not cleared the revertible zone; the caller
-    sleeps and retries.  Otherwise the cursor advances, so successive batches
-    cover contiguous, disjoint height ranges.
+    The cursor moves past all of them, so successive scans cover contiguous,
+    disjoint height ranges.  Returned are (events, window) for the windows
+    that hold events of watched contracts, in height order; windows without
+    any are passed over unread.
     """
-    window = cursor.window_if_ready(chain.height)
-    if window is None:
-        return None
-    events: list[Event] = []
-    for height in range(window[0], window[1] + 1):
-        for ev in chain.events_at(height):
-            if ev.contract in watched:
-                events.append(ev)
-    cursor.advance(window)
-    return events, window
+    head = chain.height
+    first = cursor.window_if_ready(head)
+    if first is None:
+        return []
+    omega, first_end = cursor.omega, first[1]
+    end = first_end
+    if omega:
+        # Later windows are contiguous, ``omega`` wide, and ready while the
+        # head is ``omega`` past their end.
+        end += (head - omega - first_end) // omega * omega
+    batches: list[tuple[list[Event], tuple[int, int]]] = []
+    for height in chain.heights_with_events(first[0], end):
+        events = [ev for ev in chain.events_at(height) if ev.contract in watched]
+        if not events:
+            continue
+        if height <= first_end:
+            window = first
+        else:
+            start = height - (height - first_end - 1) % omega
+            window = (start, start + omega - 1)
+        if batches and batches[-1][1] == window:
+            batches[-1][0].extend(events)
+        else:
+            batches.append((events, window))
+    cursor.advance((first[0], end))
+    return batches
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +494,11 @@ class WitnessNode:
     # -- the relay loop -------------------------------------------------------
 
     def step(self, view: "WorldView", tick: int) -> bool:
-        """Scan and submit at this witness's wake tick; True if it was live.
+        """Scan and submit at this witness's wake tick; True if it acted.
+
+        It acted when it read a batch, anchored a cursor's first window, or
+        submitted or dropped a vote: only these change what the scheduler's
+        settledness reads, so a step that did none of them leaves it as it was.
 
         The scheduler calls it only at ``wake``, and ``step`` then sets the
         next wake tick: every tick while a cursor has not yet anchored its
@@ -489,32 +512,42 @@ class WitnessNode:
         after that tick does.
         """
         cfg = self.config
-        live = cfg.behavior != Behavior.CRASHED
-        if live:
-            self._scan(view)
-            self._submit_due(view, tick)
+        acted = False
+        if cfg.behavior != Behavior.CRASHED:
+            acted = self._scan(view)
+            if any(self._due(vote, tick) for vote in self.pending.values()):
+                self._submit_due(view, tick)
+                acted = True
         if any(c.first_time for c in self.cursors.values()):
             self.wake = tick + 1
         else:
             self.wake = (tick // cfg.sleep + 1) * cfg.sleep
-        return live
+        return acted
 
-    def _scan(self, view: "WorldView") -> None:
+    def _scan(self, view: "WorldView") -> bool:
+        """Read every ready window; True if a batch was read or a first
+        window anchored."""
+        acted = False
         for chain_id, cursor, watched, handler in self.scans:
-            chain = view.chain(chain_id)
-            while (batch := form_batch(cursor, chain, watched)) is not None:
-                events, window = batch
-                if events:
-                    view.log_batch(self, chain_id, window, len(events))
+            anchoring = cursor.first_time
+            batches = scan_ready(cursor, view.chain(chain_id), watched)
+            acted |= bool(batches) or (anchoring and not cursor.first_time)
+            for events, window in batches:
+                view.log_batch(self, chain_id, window, len(events))
                 for ev in events:
                     handler(view, ev)
+        return acted
+
+    def _due(self, vote: PendingVote, tick: int) -> bool:
+        """Unsent, or sent ``timeout`` or more ticks ago."""
+        return vote.last_submit is None or tick - vote.last_submit >= self.config.timeout
 
     def _submit_due(self, view: "WorldView", tick: int) -> None:
         for key in sorted(self.pending, key=str):
             vote = self.pending[key]
-            resend = vote.last_submit is not None
-            if resend and tick - vote.last_submit < self.config.timeout:
+            if not self._due(vote, tick):
                 continue
+            resend = vote.last_submit is not None
             round_no = self.adopted_round(vote.target, vote.direction)
             if vote.kind == "confirm":
                 txs = self._confirm_tx(vote, round_no)

@@ -1213,6 +1213,7 @@ def assert_matches_replay(chain):
     oracle = chain.replay_from_genesis()
     assert [b.hash for b in chain.blocks] == [b.hash for b in oracle.blocks]
     assert [b.events for b in chain.blocks] == [b.events for b in oracle.blocks]
+    assert chain.event_heights == [b.height for b in chain.blocks if b.events]
     assert list(chain.accounts.items()) == list(oracle.accounts.items())
     assert chain.state_digest() == oracle.state_digest()
     for addr, live in chain.contracts.items():
@@ -1233,7 +1234,8 @@ def assert_matches_replay(chain):
 def test_rollbacks_and_reorgs_match_full_replay(kind, data):
     """Votes, deposits, owner actions and rejected transactions, mixed with
     reorgs of any depth up to the height, leave exactly the state, lanes,
-    paid origins and block hashes that replaying the surviving blocks builds."""
+    paid origins and block hashes that replaying the surviving blocks builds,
+    and an event index that names exactly the blocks holding events."""
     build, menu = UNDO_CHAINS[kind]
     chain = build()
     now = 0

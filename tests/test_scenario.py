@@ -219,6 +219,16 @@ def _behavior_change(raw, **extra):
     return "fault_plan.behavior_schedule[0]"
 
 
+def _ghost_witness(raw):
+    """Add a witness of a side chain the scenario does not configure."""
+    raw["witnesses"].append({
+        "name": "ghost-w0", "chain_id": presets.addr("ghost"),
+        "token_address": presets.addr("ghost-w0-token"),
+        "side_address": presets.addr("ghost-w0-side"),
+    })
+    return f"witnesses[{len(raw['witnesses']) - 1}]"
+
+
 DIGEST = "0x" + "ab" * 32
 
 # (mutation returning the field prefix, the field under it)
@@ -262,6 +272,7 @@ BAD_INPUTS = {
     "behavior_change_field_typo": (lambda d: _behavior_change(d, tik=5), "tik"),
     "owners_required_exceeds_gasless_lists": (
         lambda d: _extra(d, ("side_chains", 0, "owners"), "required", 3), "required"),
+    "witness_of_unknown_chain": (_ghost_witness, "chain_id"),
     "owners_required_exceeds_native_list": (
         lambda d: _extra(_native(d), ("side_chains", 0, "owners"), "required", 3), "required"),
 }

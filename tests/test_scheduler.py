@@ -16,7 +16,7 @@ from bridgesim import cli, presets, simnet
 from bridgesim.chain import Address, Chain
 from bridgesim.contracts import Contract
 from bridgesim.scenario import is_genesis_file, parse_scenario
-from bridgesim.witness import WitnessNode
+from bridgesim.witness import Behavior, WitnessNode
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 FIXTURES = sorted(
@@ -106,11 +106,11 @@ def test_every_pending_vote_has_been_sent_after_every_step(case, monkeypatch):
     steps = []
 
     def checked(witness, view, tick):
-        live = step(witness, view, tick)
+        acted = step(witness, view, tick)
         unsent = [key for key, vote in witness.pending.items() if vote.last_submit is None]
         assert not unsent, f"{witness.config.name} at tick {tick}"
-        steps.append(live)
-        return live
+        steps.append(acted)
+        return acted
 
     monkeypatch.setattr(WitnessNode, "step", checked)
     build, override = RUNS[case]
@@ -119,15 +119,16 @@ def test_every_pending_vote_has_been_sent_after_every_step(case, monkeypatch):
 
 
 def record_steps(monkeypatch):
-    """(witness name, tick, a cursor still first_time, live) per step call."""
+    """(witness name, tick, a cursor still first_time, live) per step call;
+    a witness is live when it is not crashed as the step begins."""
     step = WitnessNode.step
     calls = []
 
     def recorded(witness, view, tick):
         first = any(c.first_time for c in witness.cursors.values())
-        live = step(witness, view, tick)
+        live = witness.config.behavior != Behavior.CRASHED
         calls.append((witness.config.name, tick, first, live))
-        return live
+        return step(witness, view, tick)
 
     monkeypatch.setattr(WitnessNode, "step", recorded)
     return calls
@@ -155,6 +156,33 @@ def test_witnesses_step_only_on_sleep_and_first_time_ticks(monkeypatch):
                    for r in map(json.loads, result.trace_lines))
     idle_steps = [tick for _, tick, _, _ in calls if tick in idle]
     assert len(idle_steps) == len(sim.witnesses) * len(range(120, 350, sim.scenario.sleep))
+
+
+def test_quiet_steps_leave_settledness_alone(monkeypatch):
+    """Between the deposit's payout and the withdrawal no step reads an event
+    or submits, so no step asks for settledness to be derived again: the
+    idle sleep ticks, where every witness steps, derive it not once."""
+    step, settled = WitnessNode.step, simnet.Simulation._settled
+    acted, derived = [], []
+
+    def stepped(witness, view, tick):
+        result = step(witness, view, tick)
+        if result:
+            acted.append(tick)
+        return result
+
+    def counted(sim):
+        derived.append(sim.tick)
+        return settled(sim)
+
+    monkeypatch.setattr(WitnessNode, "step", stepped)
+    monkeypatch.setattr(simnet.Simulation, "_settled", counted)
+    data = presets.registered_with_transfers(deposits=[100], withdrawals=[40], spacing=300)
+    result = simnet.run_scenario(parse_scenario(data))
+    assert result.quiescent and result.failures == []
+    idle = range(120, 350)
+    assert acted and not any(tick in idle for tick in acted)
+    assert derived and not any(tick in idle for tick in derived)
 
 
 def test_a_recovered_witness_steps_on_its_next_sleep_tick(monkeypatch):

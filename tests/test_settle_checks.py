@@ -201,9 +201,11 @@ def test_reorg_through_checked_heights_is_read_again(checks):
     assert [tick for tick in failed(checks, "relay_matches_canon") if tick > 115]
 
 
-def test_resumed_window_check_still_fails(checks, monkeypatch):
-    """A witness that skips blocks after the first settle point breaks window
-    contiguity; the check that resumes from that point reports it."""
+@pytest.mark.parametrize("shift", [2, -1], ids=["skipped", "doubled"])
+def test_resumed_window_check_still_fails(checks, monkeypatch, shift):
+    """A witness that skips blocks, or reads one again, after the first
+    settle point breaks window contiguity; the check that resumes from that
+    point reports it."""
     data = presets.registered_with_transfers(deposits=[120, 80], withdrawals=[30], spacing=45)
     sim = simnet.Simulation(parse_scenario(data))
     cursor = sim.witnesses[0].cursors[sim.token_id]
@@ -212,7 +214,7 @@ def test_resumed_window_check_still_fails(checks, monkeypatch):
     def check_then_skip(self):
         results = resumed(self)
         if len(checks) == 1:
-            cursor.next_start += 2
+            cursor.next_start += shift
         return results
 
     monkeypatch.setattr(simnet.Simulation, "check_invariants", check_then_skip)

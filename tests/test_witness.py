@@ -2,17 +2,22 @@
 
 import itertools
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from bridgesim import witness as witness_mod
-from bridgesim.chain import Address, Chain, ChainKind, Event, EventTopic, TransferEntry
-from bridgesim.contracts import INBOUND, OUTBOUND, entries_subject
+from bridgesim.chain import (
+    Address, Chain, ChainKind, Event, EventTopic, IoTRecord, Transaction, TransferEntry,
+)
+from bridgesim.contracts import INBOUND, OUTBOUND, Contract, entries_subject
 from bridgesim.genesis import genesis_hash, parse_genesis
 from bridgesim.witness import (
     Behavior,
     RelayCursor,
     WitnessConfig,
     WitnessNode,
-    form_batch,
     registration_conditions,
+    scan_ready,
     validate_registration_nativegas,
 )
 
@@ -145,34 +150,37 @@ def chain_of_height(height, chain_id=TOKEN_ID):
     return chain
 
 
-class TestFormBatch:
+class TestScanReady:
     def test_first_window_is_anchored_two_windows_behind_head(self):
         chain = chain_of_height(25)
         cursor = RelayCursor(omega=6)
-        _, window = form_batch(cursor, chain, set())
-        assert window == (14, 19)
+        scan_ready(cursor, chain, set())
+        assert cursor.history == [(14, 19)]
 
     def test_first_window_waits_for_depth(self):
         chain = chain_of_height(10)
         cursor = RelayCursor(omega=6)
-        assert form_batch(cursor, chain, set()) is None
+        assert scan_ready(cursor, chain, set()) == []
+        assert cursor.first_time and cursor.history == []
 
     def test_next_window_gated_on_head_advancing_a_full_window(self):
         chain = chain_of_height(25)
         cursor = RelayCursor(omega=6)
-        form_batch(cursor, chain, set())  # consumes [14, 19]
+        scan_ready(cursor, chain, set())  # consumes [14, 19]
         while chain.height < 30:
             chain.apply_block([])
-        assert form_batch(cursor, chain, set()) is None  # 30 < 25 + 6
+        scan_ready(cursor, chain, set())
+        assert cursor.history == [(14, 19)]  # 30 < 25 + 6
         chain.apply_block([])  # head 31
-        _, window = form_batch(cursor, chain, set())
-        assert window == (20, 25)
+        scan_ready(cursor, chain, set())
+        assert cursor.history[-1] == (20, 25)
 
     def test_windows_are_contiguous_and_disjoint(self):
-        chain = chain_of_height(60)
+        chain = chain_of_height(0)
         cursor = RelayCursor(omega=3)
-        while form_batch(cursor, chain, set()) is not None:
-            pass
+        for _ in range(60):
+            chain.apply_block([])
+            scan_ready(cursor, chain, set())
         for (s1, e1), (s2, e2) in zip(cursor.history, cursor.history[1:]):
             assert s2 == e1 + 1
         assert cursor.history[0][0] >= 0
@@ -180,12 +188,13 @@ class TestFormBatch:
     def test_omega_zero_scans_to_head_immediately(self):
         chain = chain_of_height(5)
         cursor = RelayCursor(omega=0)
-        _, window = form_batch(cursor, chain, set())
-        assert window == (0, 5)
-        assert form_batch(cursor, chain, set()) is None
+        scan_ready(cursor, chain, set())
+        assert cursor.history == [(0, 5)]
+        assert scan_ready(cursor, chain, set()) == []
+        assert cursor.history == [(0, 5)]
         chain.apply_block([])
-        _, window = form_batch(cursor, chain, set())
-        assert window == (6, 6)
+        scan_ready(cursor, chain, set())
+        assert cursor.history[-1] == (6, 6)
 
     def test_events_filtered_to_watched_contracts(self):
         from bridgesim.contracts import ChainIdRegistry
@@ -200,8 +209,80 @@ class TestFormBatch:
         for _ in range(8):
             chain.apply_block([])
         cursor_watching = RelayCursor(omega=2)
-        events, _ = form_batch(cursor_watching, chain, {Address.from_label("reg")})
-        assert events == []
+        assert scan_ready(cursor_watching, chain, {Address.from_label("reg")}) == []
+
+
+def form_batch(cursor, chain, watched):
+    """The reference: the next confirmed window of watched events, one window
+    per call, as the witness read them before windows were read together."""
+    window = cursor.window_if_ready(chain.height)
+    if window is None:
+        return None
+    events = []
+    for height in range(window[0], window[1] + 1):
+        for ev in chain.events_at(height):
+            if ev.contract in watched:
+                events.append(ev)
+    cursor.advance(window)
+    return events, window
+
+
+class Emitter(Contract):
+    """Emits one event per transaction it is sent."""
+
+    def __init__(self, address):
+        self.address = address
+
+    def state_view(self):
+        return {}
+
+    def transact(self, ctx, tx):
+        ctx.emit(self.address, EventTopic.ASSETS_LOCKED, {})
+
+
+EMITTERS = [Address.from_label(f"emitter-{i}") for i in range(3)]
+SENDER = Address.from_label("x")
+# Per block, the emitters sent a transaction (so each emits an event there).
+BLOCK = st.lists(st.sampled_from(range(len(EMITTERS))), max_size=3)
+# Blocks to add before a scan, or a reorg (depth, replacement blocks).
+MOVE = st.one_of(
+    st.lists(BLOCK, max_size=9),
+    st.tuples(st.integers(0, 4), st.lists(BLOCK, max_size=5)),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(omega=st.integers(0, 4), watched=st.sets(st.sampled_from(range(len(EMITTERS)))),
+       moves=st.lists(MOVE, max_size=12))
+def test_scan_reads_what_the_reference_loop_reads(omega, watched, moves):
+    """One scan reads the batches and windows a ``form_batch`` loop reads,
+    leaves the cursor where the loop leaves it, and records one span that
+    tiles the loop's windows."""
+    chain = Chain(TOKEN_ID, ChainKind.TOKEN, {"Chain_ID": TOKEN_ID}, 100, {SENDER: 100})
+    for addr in EMITTERS:
+        chain.register_contract(addr, Emitter(addr))
+    chain.seal_genesis()
+    watched = {EMITTERS[i] for i in watched}
+    cursor, reference = RelayCursor(omega=omega), RelayCursor(omega=omega)
+
+    def block(picks):
+        return [Transaction(SENDER, EMITTERS[i], 0, 1, IoTRecord("")) for i in picks]
+
+    for move in moves:
+        if isinstance(move, tuple):
+            depth, replacement = move
+            chain.reorg(min(depth, chain.height), [block(b) for b in replacement], now=0)
+        else:
+            for picks in move:
+                chain.apply_block(block(picks))
+        expected = list(iter(lambda: form_batch(reference, chain, watched), None))
+        spans = len(cursor.history)
+        assert scan_ready(cursor, chain, watched) == [(ev, w) for ev, w in expected if ev]
+        assert (cursor.next_start, cursor.first_time) == \
+            (reference.next_start, reference.first_time)
+        windows = [w for _, w in expected]
+        assert cursor.history[spans:] == ([(windows[0][0], windows[-1][1])] if windows else [])
+        assert all(b[0] == a[1] + 1 for a, b in zip(windows, windows[1:]))
 
 
 def witness_config(behavior=Behavior.HONEST):
@@ -383,14 +464,39 @@ class TestRegistrationRequest:
         assert node.observed_registration is None and node.pending == {}
 
 
+class TestStepActed:
+    def test_anchoring_a_first_window_counts_as_acting(self):
+        """Anchoring passes over the heights below the first window unread,
+        so events there stop counting as unscanned: the step acted, though
+        the window holds no event and nothing is sent.  The next step, with
+        nothing new confirmed, did not."""
+        node = WitnessNode(witness_config(), TOKEN_ID, seed=1)
+        chains = {TOKEN_ID: chain_of_height(25),
+                  node.side_chain_id: chain_of_height(25, node.side_chain_id)}
+
+        class View(RecordingView):
+            def chain(self, chain_id):
+                return chains[chain_id]
+
+        view = View()
+        assert node.step(view, 1)
+        assert not any(c.first_time for c in node.cursors.values())
+        assert view.sent == [] and node.pending == {}
+        assert not node.step(view, node.wake)
+
+
 class TestDueRule:
     """A pending vote goes out on the first step after it is queued or its
     round moves, and again only once ``timeout`` has passed since it went."""
 
     def step(self, node, view, ticks):
+        """The ticks at which ``step`` reports that it acted."""
+        acted = []
         for tick in ticks:
             view.tick = tick
-            node.step(view, tick)
+            if node.step(view, tick):
+                acted.append(tick)
+        return acted
 
     def test_a_vote_is_resent_at_timeout_and_sent_at_once_in_an_adopted_round(self):
         node = WitnessNode(witness_config(), TOKEN_ID, seed=1)
@@ -400,16 +506,17 @@ class TestDueRule:
                         {"kind": "transfer", "to": Address.from_label("dest"), "value": 70},
                         height=5, tx_index=0, seq=0)
         node._handle_token_event(view, deposit)
-        self.step(node, view, [10])
+        assert self.step(node, view, [10]) == [10]
         [(tick, chain_id, tx)] = view.sent
         # Inbound relays go to the gasless chain's SC_Inter.
         assert (tick, chain_id, tx.to, tx.round) == (10, genesis.chain_id,
                                                      genesis.inter_contract, 0)
         assert view.resends == []
 
-        self.step(node, view, range(11, 60))  # before the timeout of 50
+        # Before the timeout of 50 a step has nothing to send: it does nothing.
+        assert self.step(node, view, range(11, 60)) == []
         assert len(view.sent) == 1 and view.resends == []
-        self.step(node, view, [60])
+        assert self.step(node, view, [60]) == [60]
         assert [(t, tx.round) for t, _, tx in view.sent[1:]] == [(60, 0)]
         assert view.resends == [(60, 0)]
 
