@@ -10,8 +10,9 @@ blocks.
 State is journaled, not copied.  The first time a block touches an account or
 a contract, the chain keeps its pre-image in the block's undo record: the old
 balance (or that the account was absent), or the contract's pickled
-``__dict__``.  A rejected transaction restores the block-start pre-images and
-replays the accepted prefix; a reorg restores the undo records of the
+``__dict__``.  A rejected transaction restores the block-start pre-images,
+drops from the record those it added itself and replays the accepted prefix
+against the rest; a reorg restores the undo records of the
 dropped blocks, newest first, then applies the replacement.  Only blocks that
 changed state have a record.
 
@@ -338,7 +339,7 @@ class Event:
         return (str(chain_id), self.height, self.seq)
 
 
-@dataclass
+@dataclass(slots=True)
 class Block:
     height: int
     parent_hash: bytes
@@ -349,11 +350,13 @@ class Block:
 
     SHAPE = codec.Shape("height", "parent_hash", "transactions")
 
-    def compute_hash(self) -> bytes:
-        """Digest of height, parent hash and the transactions' cached texts."""
+    def compute_hash(self, parent_text: str | None = None) -> bytes:
+        """Digest of height, parent hash (or its given text) and the txs' texts."""
+        if parent_text is None:
+            parent_text = codec.canonical_dumps(self.parent_hash)
         return codec.digest_text(self.SHAPE.text(
-            codec.canonical_dumps(self.height), codec.canonical_dumps(self.parent_hash),
-            codec.array([tx.text() for tx in self.transactions]),
+            int.__repr__(self.height), parent_text,
+            codec.array([tx.text() for tx in self.transactions]) if self.transactions else "[]",
         ))
 
 
@@ -399,6 +402,8 @@ class Chain:
         genesis = Block(height=0, parent_hash=GENESIS_PARENT, transactions=[])
         genesis.hash = codec.digest(genesis_spec)
         self.blocks: list[Block] = [genesis]
+        # The head block and the canonical text of its hash (``head_text``).
+        self._head_text = (genesis, codec.canonical_dumps(genesis.hash))
         # Ascending heights of the blocks that hold events; readers looking
         # for events walk these instead of every height.
         self.event_heights: list[int] = []
@@ -419,6 +424,15 @@ class Chain:
     @property
     def head(self) -> Block:
         return self.blocks[-1]
+
+    def head_text(self) -> str:
+        """The canonical text of the head block's hash, kept until the head
+        changes (a new block, a reorg, or a block appended directly)."""
+        block, text = self._head_text
+        head = self.blocks[-1]
+        if block is not head:
+            self._head_text = (head, text := codec.canonical_dumps(head.hash))
+        return text
 
     def balance(self, addr: Address) -> int:
         return self.accounts.get(addr, 0)
@@ -524,45 +538,49 @@ class Chain:
         scheduler tick at which the block is produced; contracts use it for
         their deadlines.
         """
-        height = self.height + 1
-        self._open_record()
+        head = self.blocks[-1]
+        height = head.height + 1
         accepted: list[Transaction] = []
         events: list[Event] = []
         rejections: list[Rejection] = []
-        # A block without transactions changes nothing, so only a block with
-        # some is held to conservation.
-        before = self.ledger_total() if transactions and self.has_token_ledger() else None
-        for tx in transactions:
-            ctx = ApplyContext(self, height, len(accepted), events, now)
-            try:
-                self._apply_tx(tx, ctx)
-            except Exception as exc:  # noqa: BLE001 - any contract error rejects the tx
-                # Roll back to the block start and replay the accepted prefix;
-                # rejections are rare, so this beats journaling per tx.
-                self._restore(self._accounts_before, self._contracts_before)
-                self._open_record()
-                events.clear()
-                for i, prev in enumerate(accepted):
-                    self._apply_tx(prev, ApplyContext(self, height, i, events, now))
-                rejections.append(Rejection(tx, f"{type(exc).__name__}: {exc}"))
-                continue
-            accepted.append(tx)
-        block = Block(
-            height=height, parent_hash=self.head.hash, transactions=accepted, produced_at=now
-        )
-        block.hash = block.compute_hash()
-        block.events = events
+        # A block without transactions changes nothing: it opens no undo
+        # record and is not held to conservation.
+        if transactions:
+            self._open_record()
+            record = (self._accounts_before, self._contracts_before)
+            before = self.ledger_total() if self.has_token_ledger() else None
+            for tx in transactions:
+                marks = [len(pre_images) for pre_images in record]
+                try:
+                    self._apply_tx(tx, ApplyContext(self, height, len(accepted), events, now))
+                except Exception as exc:  # noqa: BLE001 - any contract error rejects the tx
+                    # Roll back to the block start and replay the accepted
+                    # prefix; rejections are rare, so this beats journaling per
+                    # tx.  The pre-images this transaction added go: the prefix
+                    # never touched those entries, and finds its own intact.
+                    self._restore(*record)
+                    for pre_images, mark in zip(record, marks):
+                        for key in list(pre_images)[mark:]:
+                            del pre_images[key]
+                    events.clear()
+                    for i, prev in enumerate(accepted):
+                        self._apply_tx(prev, ApplyContext(self, height, i, events, now))
+                    rejections.append(Rejection(tx, f"{type(exc).__name__}: {exc}"))
+                    continue
+                accepted.append(tx)
+            if any(record):
+                self._undo[height] = record
+            if before is not None:
+                after = self.ledger_total()
+                assert after == before == self.total_supply, (
+                    f"conservation broken on {self.chain_id}: {before} -> {after}, "
+                    f"supply {self.total_supply}"
+                )
+        block = Block(height, head.hash, accepted, events, produced_at=now)
+        block.hash = block.compute_hash(self.head_text())
         self.blocks.append(block)
         if events:
             self.event_heights.append(height)
-        if self._accounts_before or self._contracts_before:
-            self._undo[height] = (self._accounts_before, self._contracts_before)
-        if before is not None:
-            after = self.ledger_total()
-            assert after == before == self.total_supply, (
-                f"conservation broken on {self.chain_id}: {before} -> {after}, "
-                f"supply {self.total_supply}"
-            )
         return block, rejections
 
     def reorg(self, depth: int, replacement: list[list[Transaction]], now: int) -> None:
@@ -640,15 +658,23 @@ class Chain:
 
         Memoised until the next journaled change or restore.
         """
-        digest = self._memo.get("digest")
-        if digest is None:
+        memo = self._memo.get("digest")
+        if memo is None:
             contracts = {
                 str(addr): self.contracts[addr].state_view() for addr in sorted(self.contracts)
             }
             accounts = {str(a): v for a, v in sorted(self.accounts.items())}
-            digest = self._memo["digest"] = codec.digest(
-                {"accounts": accounts, "contracts": contracts})
-        return digest
+            digest = codec.digest({"accounts": accounts, "contracts": contracts})
+            memo = self._memo["digest"] = (digest, codec.canonical_dumps(digest))
+        return memo[0]
+
+    def state_text(self) -> str:
+        """The canonical text of ``state_digest()``, memoised with it."""
+        memo = self._memo.get("digest")
+        if memo is None:
+            self.state_digest()
+            memo = self._memo["digest"]
+        return memo[1]
 
     def earliest_deadline(self) -> int | None:
         """The earliest lane deadline of any hosted contract; None if none is set.

@@ -138,7 +138,8 @@ class Shape:
 
     ``text`` takes the members' canonical texts in the order the keys are
     given here.  The sorted key order the encoder would use is worked out
-    once, when the shape is made, so joining a value costs one format call.
+    once, when the shape is made, so joining a value costs one format call:
+    ``text`` is the bound ``str.format`` of the shape's template.
     """
 
     def __init__(self, *keys: str) -> None:
@@ -146,10 +147,7 @@ class Shape:
         members = (
             _quote(keys[i]).replace("{", "{{").replace("}", "}}") + ":{%d}" % i for i in order
         )
-        self._format = "{{" + ",".join(members) + "}}"
-
-    def text(self, *members: str) -> str:
-        return self._format.format(*members)
+        self.text = ("{{" + ",".join(members) + "}}").format
 
 
 class Encoded:

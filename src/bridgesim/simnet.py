@@ -6,14 +6,15 @@ ticks; each tick executes fixed phases in a fixed order:
   1. scheduled events due this tick, in (tick, sequence) order -- workload
      actions entering mempools, delayed network deliveries, reorg injections,
      witness behavior changes;
-  2. block production for every chain whose interval divides the tick;
+  2. block production for every chain whose interval divides the tick; a
+     block's trace line reuses the chain's texts of its hash and state digest;
   3. the witness phase: each witness whose wake tick has come steps, in
      roster order.  A witness wakes on every tick until its cursors anchor
      their first windows, then on every multiple of its sleep period T.  A
      step reads every window that has become ready and sends only the votes
      that are due, so a step with nothing to read or send does no work;
-  4. the owner phase (owner daemons watch for registration success and submit
-     the vault-suicide approvals);
+  4. the owner phase: the daemons still watching for registration success and
+     the vault payout step, and submit the vault-suicide approvals;
   5. settledness bookkeeping: when the bridge comes to rest, the peg
      invariants are evaluated and recorded, and the run ends at the first rest
      point with nothing left to do.  Settledness is derived again only after a
@@ -89,14 +90,10 @@ class ChainHost:
     chain: Chain
     interval: int
     mempool: list[Transaction] = field(default_factory=list)
+    label: str = field(init=False)  # the chain id's text, for trace lines
 
-    def due(self, tick: int) -> bool:
-        # A dormant chain (height 0, nothing queued) produces no blocks, so a
-        # side chain is still at height 0 when its registration is validated;
-        # once alive it produces on every interval to advance confirmations.
-        if tick <= 0 or tick % self.interval != 0:
-            return False
-        return bool(self.mempool) or self.chain.height > 0
+    def __post_init__(self) -> None:
+        self.label = str(self.chain.chain_id)
 
 
 @dataclass
@@ -120,7 +117,7 @@ class ScanProgress:
     """How far the settle-point checks have read one chain, and what they found.
 
     A block below a recorded height changes only when ``inject_reorg``
-    reorganizes the chain, which drops the chain's progress; the next check
+    reorganizes the chain, which resets the chain's progress; the next check
     then reads it again from genesis.
     """
 
@@ -216,9 +213,9 @@ class Simulation(WorldView):
         self.ended_at: int | None = None
         self.quiescent = False
         self._registry_prev: set[str] = set()
-        self._progress: dict[Address, ScanProgress] = {}
 
         self._build()
+        self._progress = {chain_id: ScanProgress() for chain_id in self.hosts}
 
     # ------------------------------------------------------------------ build
 
@@ -490,13 +487,18 @@ class Simulation(WorldView):
         while self.events and self.events[0].fire_tick <= tick:
             self._dispatch(heapq.heappop(self.events))
             changed = True
-        for chain_id, host in self.hosts.items():
-            if host.due(tick):
-                changed |= self._produce(chain_id, host)
+        for host in self.hosts.values():
+            # A dormant chain (height 0, nothing queued) produces no blocks, so a
+            # side chain is still at height 0 when its registration is validated;
+            # once alive it produces on every interval to advance confirmations.
+            if tick % host.interval == 0 and tick and (host.mempool or host.chain.height):
+                changed |= self._produce(host)
         for witness in self.witnesses:
             if witness.wake <= tick:
                 changed |= witness.step(self, tick)
         for daemon in self.owner_daemons:
+            if not daemon.watches():
+                continue  # native gas, or done: nothing left to read
             acted, txs = daemon.step()
             changed |= acted
             for tx in txs:
@@ -552,7 +554,7 @@ class Simulation(WorldView):
             "params": codec.to_plain(action.params),
         })
 
-    def _produce(self, chain_id: Address, host: ChainHost) -> bool:
+    def _produce(self, host: ChainHost) -> bool:
         """Seal one block; True if it was offered any transaction."""
         chain = host.chain
         txs: list[Transaction] = []
@@ -567,9 +569,9 @@ class Simulation(WorldView):
                     ))
         txs.extend(host.mempool)
         host.mempool = []
-        block, rejections = chain.apply_block(txs, now=self.tick)
-        self.trace.record(self.tick, "block", str(chain_id),
-                          trace_mod.block_payload(block, rejections, chain.state_digest()))
+        _, rejections = chain.apply_block(txs, now=self.tick)
+        self.trace.record(self.tick, "block", host.label,
+                          trace_mod.block_payload(chain, rejections))
         return bool(txs)
 
     # ---------------------------------------------------------------- reorgs
@@ -600,7 +602,7 @@ class Simulation(WorldView):
                 kept[slot].append(tx)
         fork_height = chain.height - depth
         chain.reorg(depth, kept, now=self.tick)
-        self._progress.pop(chain_id, None)
+        self._progress[chain_id] = ScanProgress()
         # The state changed under a bridge that may be at rest: check it again.
         self.was_settled = False
         self.trace.record(self.tick, "reorg", str(chain_id), {
@@ -712,9 +714,6 @@ class Simulation(WorldView):
         out.append(self._check_zero_gasprice())
         return out
 
-    def _progress_of(self, chain_id: Address) -> ScanProgress:
-        return self._progress.setdefault(chain_id, ScanProgress())
-
     def _relay_worthy(self, witness: WitnessNode) -> set[tuple]:
         """Origins of every event this witness should ever have relayed.
 
@@ -729,7 +728,7 @@ class Simulation(WorldView):
         found: set[tuple] = set()
         for chain_id, cursor, watched, _ in witness.scans:
             chain = self.hosts[chain_id].chain
-            progress = self._progress_of(chain_id)
+            progress = self._progress[chain_id]
             read, wanted = progress.relay_worthy.get(witness, (-1, set()))
             end = min(cursor.next_start - 1, chain.height)
             for height in chain.heights_with_events(read + 1, end):
@@ -780,7 +779,7 @@ class Simulation(WorldView):
         for witness in self.witnesses:
             ok = True
             for chain_id, cursor, _, _ in witness.scans:
-                progress = self._progress_of(chain_id)
+                progress = self._progress[chain_id]
                 read, prev_end, good = progress.windows.get(witness, (0, None, True))
                 for start, end in cursor.history[read:]:
                     if end < start - 1 or (prev_end is not None and start != prev_end + 1):
@@ -799,7 +798,7 @@ class Simulation(WorldView):
         bad = 0
         for chain_id, host in self.hosts.items():
             chain = host.chain
-            progress = self._progress_of(chain_id)
+            progress = self._progress[chain_id]
             if progress.gas_read < chain.height:
                 allowed = chain.witness_exempt.union(chain.contract_order)
                 for height in range(progress.gas_read + 1, chain.height + 1):
@@ -814,10 +813,7 @@ class Simulation(WorldView):
         for res in results:
             if not res.passed:
                 self.invariant_failures.append(res)
-        self.trace.record(self.tick, "invariant", "", {
-            "final": final,
-            "results": [r.to_record() for r in results],
-        })
+        self.trace.record(self.tick, "invariant", "", trace_mod.invariants_payload(final, results))
 
     # ---------------------------------------------------------------- summary
 

@@ -26,36 +26,57 @@ def dumps(record: dict) -> str:
     return _ENCODER.encode(record)
 
 
-# Every line, and the payload of a block record, is joined from its members'
-# texts: the bytes ``dumps`` gives the same record, without walking it.  A
-# line's tick and seq are ints, which the encoder writes as ``str`` does,
-# and ``_quote`` is the escaper it applies to str values.
-_LINE = codec.Shape("tick", "seq", "kind", "chain", "payload")
+# Every line, and the payload of a block or invariant record, is joined from
+# its members' texts: the bytes ``dumps`` gives the same record, without
+# walking it.  A line is the head its (chain, kind) pair makes once, the
+# payload, and the seq and tick, which sort after it; ``_quote`` is the
+# escaper the encoder applies to str values.
+_HEAD = '{{"chain":{},"kind":{},"payload":'.format
 _BLOCK = codec.Shape("height", "hash", "txs", "rejected", "events", "state")
 _quote = json.encoder.encode_basestring_ascii
 
 
-def block_payload(block, rejections: list, state: bytes) -> str:
-    """The text of a block record's payload: the block's height and hash, its
-    transactions' digests, the rejections with their reasons, its events and
-    the chain's state digest after it."""
+def block_payload(chain, rejections: list) -> str:
+    """The text of the record of ``chain``'s head block: its height and hash,
+    its transactions' digests, the rejections with their reasons, its events
+    and the chain's state digest after it."""
+    block = chain.head
+    txs, events = block.transactions, block.events
     text = codec.canonical_dumps
     return _BLOCK.text(
-        text(block.height), text(block.hash),
-        codec.array([text(tx.digest()) for tx in block.transactions]),
-        codec.array([dumps({"tx": r.tx.digest(), "reason": r.reason}) for r in rejections]),
-        codec.array([dumps(ev) for ev in block.events]),
-        text(state),
+        int.__repr__(block.height), chain.head_text(),
+        codec.array([text(tx.digest()) for tx in txs]) if txs else "[]",
+        codec.array([dumps({"tx": r.tx.digest(), "reason": r.reason}) for r in rejections])
+        if rejections else "[]",
+        codec.array([dumps(ev) for ev in events]) if events else "[]",
+        chain.state_text(),
     )
+
+
+_INVARIANTS = codec.Shape("final", "results")
+_RESULT = codec.Shape("name", "chain", "pass", "details")
+_BOOL = ("false", "true")
+
+
+def invariants_payload(final: bool, results: list) -> str:
+    """The text of an ``invariant`` record's payload: whether the check is the
+    run's final one, and each result's name, chain, verdict and details."""
+    return _INVARIANTS.text(_BOOL[final], codec.array([
+        _RESULT.text(_quote(r.name), _quote(r.chain), _BOOL[r.passed], _quote(r.details))
+        for r in results]))
 
 
 class TraceWriter:
     def __init__(self) -> None:
         self.lines: list[str] = []
         self._seq = 0
+        self._heads: dict[tuple[str, str], str] = {}
 
     def _line(self, tick: int, seq: int, kind: str, chain: str, payload: str) -> None:
-        self.lines.append(_LINE.text(str(tick), str(seq), _quote(kind), _quote(chain), payload))
+        head = self._heads.get((chain, kind))
+        if head is None:
+            head = self._heads[chain, kind] = _HEAD(_quote(chain), _quote(kind))
+        self.lines.append(f'{head}{payload},"seq":{seq},"tick":{tick}}}')
 
     def header(self, scenario, threshold_override: int | None) -> None:
         self._line(-1, 0, "header", "", dumps({

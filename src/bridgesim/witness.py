@@ -154,6 +154,11 @@ def scan_ready(
         # Later windows are contiguous, ``omega`` wide, and ready while the
         # head is ``omega`` past their end.
         end += (head - omega - first_end) // omega * omega
+    heights = chain.event_heights
+    if not heights or heights[-1] < first[0]:
+        # No event at or past the first window: pass over them all unread.
+        cursor.advance((first[0], end))
+        return []
     batches: list[tuple[list[Event], tuple[int, int]]] = []
     for height in chain.heights_with_events(first[0], end):
         events = [ev for ev in chain.events_at(height) if ev.contract in watched]
@@ -261,13 +266,17 @@ class WitnessNode:
             side_chain_id: RelayCursor(omega=config.omega_side),
         }
         # (chain id, cursor, watched contracts, event handler) per scanned
-        # chain.  The addresses never change, so the table is built once.
+        # chain.  The addresses never change, so the table is built once; the
+        # handlers are functions, not bound methods, so a node is no cycle.
         self.scans: tuple[tuple, ...] = (
             (token_chain_id, self.cursors[token_chain_id],
-             frozenset(config.token_watched()), self._handle_token_event),
+             frozenset(config.token_watched()), WitnessNode._handle_token_event),
             (side_chain_id, self.cursors[side_chain_id],
-             frozenset(config.side_watched()), self._handle_side_event),
+             frozenset(config.side_watched()), WitnessNode._handle_side_event),
         )
+        # ``scans`` with each chain ahead of its id, looked up on the first step.
+        self._resolved: tuple[tuple, ...] | None = None
+        self.anchored = False  # every cursor has anchored its first window
         self.pending: dict[tuple, PendingVote] = {}
         self.adopted_rounds: dict[tuple, int] = {}
         self.observed_registration: ObservedRegistration | None = None
@@ -515,27 +524,27 @@ class WitnessNode:
         acted = False
         if cfg.behavior != Behavior.CRASHED:
             acted = self._scan(view)
-            if any(self._due(vote, tick) for vote in self.pending.values()):
+            if self.pending and any(self._due(vote, tick) for vote in self.pending.values()):
                 self._submit_due(view, tick)
                 acted = True
-        if any(c.first_time for c in self.cursors.values()):
-            self.wake = tick + 1
-        else:
-            self.wake = (tick // cfg.sleep + 1) * cfg.sleep
+        self.anchored = self.anchored or not any(c.first_time for c in self.cursors.values())
+        self.wake = (tick // cfg.sleep + 1) * cfg.sleep if self.anchored else tick + 1
         return acted
 
     def _scan(self, view: "WorldView") -> bool:
         """Read every ready window; True if a batch was read or a first
         window anchored."""
+        if self._resolved is None:
+            self._resolved = tuple((view.chain(c), c, *rest) for c, *rest in self.scans)
         acted = False
-        for chain_id, cursor, watched, handler in self.scans:
+        for chain, chain_id, cursor, watched, handler in self._resolved:
             anchoring = cursor.first_time
-            batches = scan_ready(cursor, view.chain(chain_id), watched)
+            batches = scan_ready(cursor, chain, watched)
             acted |= bool(batches) or (anchoring and not cursor.first_time)
             for events, window in batches:
                 view.log_batch(self, chain_id, window, len(events))
                 for ev in events:
-                    handler(view, ev)
+                    handler(self, view, ev)
         return acted
 
     def _due(self, vote: PendingVote, tick: int) -> bool:

@@ -1,6 +1,7 @@
 """Chain substrate: block application, conservation, reorgs, genesis hashing."""
 
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -184,7 +185,53 @@ class PayThenFail(Contract):
         raise ContractError("payout refused after the credit")
 
 
+class Counter(Contract):
+    """Counts the calls it takes."""
+
+    def __init__(self, address: Address) -> None:
+        self.address = address
+        self.calls = 0
+
+    def state_view(self) -> dict:
+        return {"calls": self.calls}
+
+    def transact(self, ctx, tx) -> None:
+        self.calls += 1
+
+
 class TestRejectionRollback:
+    def test_rejections_keep_the_pre_images_of_the_accepted_prefix(self, monkeypatch):
+        """Two rejected calls after an accepted prefix: each drops from the
+        block's undo record only the pre-images it added, the absent account
+        it created among them, and the prefix is replayed against the record
+        without pickling its contract again."""
+        payer, counter = Address.from_label("pay-then-fail"), Address.from_label("counter")
+        D = Address.from_label("d")
+        chain = Chain(Address.from_label("token"), ChainKind.TOKEN, {}, 1005, {A: 600, B: 400})
+        chain.register_contract(payer, PayThenFail(payer))
+        chain.register_contract(counter, Counter(counter))
+        chain.seal_genesis()
+        pickled = []
+        dumps = pickle.dumps
+        monkeypatch.setattr(pickle, "dumps", lambda *args: pickled.append(1) or dumps(*args))
+
+        def call(to, dest=None):
+            return Transaction(sender=A, to=to, value=0, gasprice=1,
+                               payload=UserTransfer(dest=dest))
+
+        block, rejections = chain.apply_block(
+            [pay(A, B, 1), call(counter), call(payer, C), call(payer, D), pay(B, C, 2)])
+        assert [r.tx for r in rejections] == [call(payer, C), call(payer, D)]
+        assert block.transactions == [pay(A, B, 1), call(counter), pay(B, C, 2)]
+        accounts, contracts = chain._undo[block.height]
+        assert accounts == {A: 600, B: 400, C: None} and list(contracts) == [counter]
+        # The counter once, and each rejected call's payer, dropped with it.
+        assert len(pickled) == 3
+        assert chain.contracts[counter].calls == 1
+        chain.reorg(1, [[]], now=0)
+        assert list(chain.accounts.items()) == [(A, 600), (B, 400)]
+        assert chain.contracts[counter].calls == 0
+
     def test_account_created_by_a_rejected_tx_is_absent_again(self):
         payer = Address.from_label("pay-then-fail")
         chain = Chain(Address.from_label("token"), ChainKind.TOKEN, {}, 1005, {A: 600, B: 400})

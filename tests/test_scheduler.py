@@ -15,6 +15,7 @@ import pytest
 from bridgesim import cli, presets, simnet
 from bridgesim.chain import Address, Chain
 from bridgesim.contracts import Contract
+from bridgesim.genesis import VARIANT_GASLESS
 from bridgesim.scenario import is_genesis_file, parse_scenario
 from bridgesim.witness import Behavior, WitnessNode
 
@@ -327,3 +328,27 @@ def test_an_owner_submission_on_a_quiet_tick_unsettles_the_bridge():
     sim._run_tick()
     assert daemon.submitted and mempool
     assert not sim.was_settled
+
+
+def test_idle_owner_daemons_are_not_stepped(monkeypatch):
+    """A daemon that watches nothing leaves the owner phase: the native-gas
+    chain's daemon is never stepped, and the gasless chain's daemon steps on
+    every tick up to the one on which it submits, and on none after."""
+    sim = simnet.Simulation(parse_scenario(fixture("mixed_variants")))
+    step = simnet.OwnerDaemon.step
+    steps = []
+
+    def counted(daemon):
+        steps.append((daemon, sim.tick))
+        return step(daemon)
+
+    monkeypatch.setattr(simnet.OwnerDaemon, "step", counted)
+    result = sim.run()
+    assert result.ok and result.quiescent
+    gasless, native = sim.owner_daemons
+    assert native.side.genesis.variant != gasless.side.genesis.variant == VARIANT_GASLESS
+    assert gasless.submitted and not native.submitted
+    submits = [r["tick"] for r in map(json.loads, result.trace_lines)
+               if r["kind"] == "submit" and "owner" in r["payload"]]
+    assert submits and set(submits) == {submits[0]}
+    assert steps == [(gasless, tick) for tick in range(submits[0] + 1)]

@@ -244,20 +244,24 @@ EMITTERS = [Address.from_label(f"emitter-{i}") for i in range(3)]
 SENDER = Address.from_label("x")
 # Per block, the emitters sent a transaction (so each emits an event there).
 BLOCK = st.lists(st.sampled_from(range(len(EMITTERS))), max_size=3)
-# Blocks to add before a scan, or a reorg (depth, replacement blocks).
+# Blocks to add before a scan, a run of that many empty blocks (which leaves
+# every event below the next ready window), or a reorg (depth, replacement
+# blocks).
 MOVE = st.one_of(
     st.lists(BLOCK, max_size=9),
+    st.integers(1, 12),
     st.tuples(st.integers(0, 4), st.lists(BLOCK, max_size=5)),
 )
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(omega=st.integers(0, 4), watched=st.sets(st.sampled_from(range(len(EMITTERS)))),
-       moves=st.lists(MOVE, max_size=12))
-def test_scan_reads_what_the_reference_loop_reads(omega, watched, moves):
+       moves=st.lists(MOVE, max_size=12), eventless=st.booleans())
+def test_scan_reads_what_the_reference_loop_reads(omega, watched, moves, eventless):
     """One scan reads the batches and windows a ``form_batch`` loop reads,
     leaves the cursor where the loop leaves it, and records one span that
-    tiles the loop's windows."""
+    tiles the loop's windows.  On an ``eventless`` chain the transactions
+    go to no contract, so no block holds an event."""
     chain = Chain(TOKEN_ID, ChainKind.TOKEN, {"Chain_ID": TOKEN_ID}, 100, {SENDER: 100})
     for addr in EMITTERS:
         chain.register_contract(addr, Emitter(addr))
@@ -266,12 +270,16 @@ def test_scan_reads_what_the_reference_loop_reads(omega, watched, moves):
     cursor, reference = RelayCursor(omega=omega), RelayCursor(omega=omega)
 
     def block(picks):
-        return [Transaction(SENDER, EMITTERS[i], 0, 1, IoTRecord("")) for i in picks]
+        return [Transaction(SENDER, SENDER if eventless else EMITTERS[i], 0, 1, IoTRecord(""))
+                for i in picks]
 
     for move in moves:
         if isinstance(move, tuple):
             depth, replacement = move
             chain.reorg(min(depth, chain.height), [block(b) for b in replacement], now=0)
+        elif isinstance(move, int):
+            for _ in range(move):
+                chain.apply_block([])
         else:
             for picks in move:
                 chain.apply_block(block(picks))
