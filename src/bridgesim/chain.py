@@ -7,14 +7,20 @@ stores the events it produced; the chain indexes the heights of the blocks
 that hold any.  A reorganization replaces the top ``depth``
 blocks.
 
+Admission comes before the journal.  Each transaction first meets the rules
+that only read state: gas, negative value, the payload kind when no contract
+is called, and for a zero-value contract call the contract's ``check`` (lane
+routing, roster membership, round).  A refusal there is recorded with its
+reason and touches nothing.
+
 State is journaled, not copied.  The first time a block touches an account or
 a contract, the chain keeps its pre-image in the block's undo record: the old
 balance (or that the account was absent), or the contract's pickled
-``__dict__``.  A rejected transaction restores the block-start pre-images,
-drops from the record those it added itself and replays the accepted prefix
-against the rest; a reorg restores the undo records of the
-dropped blocks, newest first, then applies the replacement.  Only blocks that
-changed state have a record.
+``__dict__``.  A transaction that fails once it is applied (inside its
+contract, or on a debit) restores the block-start pre-images, drops from the
+record those it added itself and replays the accepted prefix against the
+rest; a reorg restores the undo records of the dropped blocks, newest first,
+then applies the replacement.  Only blocks that changed state have a record.
 
 Gas is modeled as flow control only: a transaction either qualifies for the
 zero-gasprice exemption (listed witness to a cross-chain contract, or any
@@ -30,7 +36,8 @@ import bisect
 import pickle
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Optional
+from functools import total_ordering
+from typing import Any, ClassVar, Optional
 
 from . import codec
 
@@ -42,15 +49,42 @@ GENESIS_PARENT = b"\x00" * codec.DIGEST_SIZE
 # needs to enumerate it.
 
 
-@dataclass(frozen=True, order=True)
-class Address:
-    """20-byte opaque identifier, rendered as 0x-prefixed lowercase hex."""
+@total_ordering
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class Address(codec.Encoded):
+    """20-byte opaque identifier, rendered as 0x-prefixed lowercase hex.
+
+    Addresses are interned: there is one object per 20-byte value, made in
+    ``__new__`` with its hex text, its canonical text and its hash (a function
+    of the bytes), so each is computed once per value.  Equality is identity
+    and ordering is by ``raw``.  An address pickles as its bytes, so a
+    pre-image holds each address once and unpickling returns the interned
+    object.
+    """
 
     raw: bytes
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.raw, bytes) or len(self.raw) != ADDRESS_SIZE:
-            raise ValueError(f"address must be {ADDRESS_SIZE} bytes")
+    _interned: ClassVar[dict[bytes, "Address"]] = {}
+
+    def __new__(cls, raw: bytes) -> "Address":
+        addr = cls._interned.get(raw) if type(raw) is bytes else None
+        if addr is None:
+            if type(raw) is not bytes or len(raw) != ADDRESS_SIZE:
+                raise ValueError(f"address must be {ADDRESS_SIZE} bytes")
+            addr = object.__new__(cls)
+            hex_text = "0x" + raw.hex()
+            addr.__dict__.update(raw=raw, _str=hex_text, _text=f'"{hex_text}"', _hash=hash(raw))
+            cls._interned[raw] = addr
+        return addr
+
+    def __reduce__(self) -> tuple:
+        return (Address, (self.raw,))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __lt__(self, other: "Address") -> bool:
+        return self.raw < other.raw if type(other) is Address else NotImplemented
 
     @classmethod
     def from_hex(cls, text: str) -> "Address":
@@ -62,13 +96,13 @@ class Address:
         return cls(codec.digest(["addr", label])[:ADDRESS_SIZE])
 
     def canonical(self) -> str:
-        return "0x" + self.raw.hex()
+        return self._str
 
     def __str__(self) -> str:
-        return self.canonical()
+        return self._str
 
     def __repr__(self) -> str:
-        return f"Address({self.canonical()})"
+        return f"Address({self._str})"
 
 
 class ChainKind(str, Enum):
@@ -170,6 +204,15 @@ class TransferEntry(codec.Encoded):
             "to": self.to,
             "value": self.value,
         }
+
+    SHAPE = codec.Shape("origin_chain", "origin_height", "origin_seq", "to", "value")
+
+    def encode(self) -> str:
+        dumps = codec.canonical_dumps
+        return self.SHAPE.text(
+            dumps(self.origin_chain), dumps(self.origin_height), dumps(self.origin_seq),
+            dumps(self.to), dumps(self.value),
+        )
 
     def origin_plain(self) -> tuple:
         return (str(self.origin_chain), self.origin_height, self.origin_seq)
@@ -305,6 +348,14 @@ class Transaction(codec.Encoded):
             cached = self.__dict__["_digest"] = codec.digest_text(self.text())
         return cached
 
+    def id_text(self) -> str:
+        """The canonical text of ``digest()``, which names the transaction in
+        trace records; cached like it."""
+        cached = self.__dict__.get("_id_text")
+        if cached is None:
+            cached = self.__dict__["_id_text"] = codec.canonical_dumps(self.digest())
+        return cached
+
 
 @dataclass(frozen=True)
 class Event:
@@ -368,6 +419,13 @@ class Rejection:
     reason: str
 
 
+def _reason(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+_STATE = codec.Shape("accounts", "contracts")
+
+
 class Chain:
     """One blockchain: blocks, account ledger, and hosted contract states.
 
@@ -381,7 +439,8 @@ class Chain:
     on it: every change goes through ``credit``, ``debit`` or
     ``_touch_contract`` (a contract about to be called), which record the
     pre-image and drop the memos, and every undo goes through ``_restore``,
-    which drops them too.
+    which drops them too.  A contract's view text is dropped the same way,
+    when that contract is touched or restored.
     """
 
     def __init__(
@@ -413,6 +472,9 @@ class Chain:
         self._open_record()
         # state_digest and earliest_deadline, until the next change or restore.
         self._memo: dict[str, Any] = {}
+        # Each contract's canonical state-view text, until it is called or
+        # restored.
+        self._view_texts: dict[Address, str] = {}
         self.seal_genesis()
 
     # -- inspection ---------------------------------------------------------
@@ -507,14 +569,25 @@ class Chain:
                 )
         # Gas is a validity requirement only; no balance is consumed by it.
 
-    def _apply_tx(self, tx: Transaction, ctx: "ApplyContext") -> None:
+    def _admit(self, tx: Transaction) -> None:
+        """Raise if ``tx`` is refused by a rule that only reads state: gas,
+        negative value, the payload kind when no contract is called, and a
+        zero-value contract call's ``Contract.check``.  A value-carrying call
+        is checked by its contract after the debit, as ``handle`` orders it."""
         self._check_gas(tx)
         if tx.value < 0:
             raise InvalidTransaction("negative value")
-        contract = self._touch_contract(tx.to)
+        contract = self.contracts.get(tx.to)
         if contract is None:
             if not isinstance(tx.payload, (UserTransfer, IoTRecord)):
                 raise InvalidTransaction(f"no contract at {tx.to} for {tx.payload.TAG}")
+        elif not tx.value:
+            contract.check(tx)
+
+    def _apply_tx(self, tx: Transaction, ctx: "ApplyContext") -> None:
+        """Apply an admitted transaction, journaling what it changes."""
+        contract = self._touch_contract(tx.to)
+        if contract is None:
             if tx.value:
                 self.debit(tx.sender, tx.value)
                 self.credit(tx.to, tx.value)
@@ -550,14 +623,21 @@ class Chain:
             record = (self._accounts_before, self._contracts_before)
             before = self.ledger_total() if self.has_token_ledger() else None
             for tx in transactions:
+                try:
+                    self._admit(tx)
+                except Exception as exc:  # noqa: BLE001 - any refusal rejects the tx
+                    # Refused before it touched anything: nothing to undo.
+                    rejections.append(Rejection(tx, _reason(exc)))
+                    continue
                 marks = [len(pre_images) for pre_images in record]
                 try:
                     self._apply_tx(tx, ApplyContext(self, height, len(accepted), events, now))
                 except Exception as exc:  # noqa: BLE001 - any contract error rejects the tx
                     # Roll back to the block start and replay the accepted
-                    # prefix; rejections are rare, so this beats journaling per
-                    # tx.  The pre-images this transaction added go: the prefix
-                    # never touched those entries, and finds its own intact.
+                    # prefix; such failures are rare, so this beats journaling
+                    # per tx.  The pre-images this transaction added go: the
+                    # prefix never touched those entries, and finds its own
+                    # intact.
                     self._restore(*record)
                     for pre_images, mark in zip(record, marks):
                         for key in list(pre_images)[mark:]:
@@ -565,7 +645,7 @@ class Chain:
                     events.clear()
                     for i, prev in enumerate(accepted):
                         self._apply_tx(prev, ApplyContext(self, height, i, events, now))
-                    rejections.append(Rejection(tx, f"{type(exc).__name__}: {exc}"))
+                    rejections.append(Rejection(tx, _reason(exc)))
                     continue
                 accepted.append(tx)
             if any(record):
@@ -636,6 +716,7 @@ class Chain:
             if addr not in self._contracts_before:
                 self._contracts_before[addr] = pickle.dumps(
                     contract.__dict__, pickle.HIGHEST_PROTOCOL)
+            self._view_texts.pop(addr, None)
             self._memo.clear()
         return contract
 
@@ -651,20 +732,28 @@ class Chain:
         # reference (the scheduler, tests) always see the live state.
         for addr, image in contracts.items():
             self.contracts[addr].__dict__ = pickle.loads(image)
+            self._view_texts.pop(addr, None)
         self._memo.clear()
 
     def state_digest(self) -> bytes:
         """Content digest of the full ledger + contract state, for comparisons.
 
-        Memoised until the next journaled change or restore.
+        Memoised until the next journaled change or restore.  Its text is
+        joined from the address texts, the balances and each contract's view
+        text, which is kept until that contract is called or restored.
         """
         memo = self._memo.get("digest")
         if memo is None:
-            contracts = {
-                str(addr): self.contracts[addr].state_view() for addr in sorted(self.contracts)
-            }
-            accounts = {str(a): v for a, v in sorted(self.accounts.items())}
-            digest = codec.digest({"accounts": accounts, "contracts": contracts})
+            views = self._view_texts
+            contracts = []
+            for addr in sorted(self.contracts):
+                view = views.get(addr)
+                if view is None:
+                    view = views[addr] = codec.canonical_dumps(self.contracts[addr].state_view())
+                contracts.append((addr.text(), view))
+            accounts = sorted([(a.text(), int.__repr__(v)) for a, v in self.accounts.items()])
+            digest = codec.digest_text(_STATE.text(codec.mapping(accounts),
+                                                   codec.mapping(contracts)))
             memo = self._memo["digest"] = (digest, codec.canonical_dumps(digest))
         return memo[0]
 

@@ -15,9 +15,10 @@ are encoded, in a trace line (through ``plain_leaf``) or in a digest (through
 
 Values that are immutable all the way down (``Encoded``) keep their canonical
 text once it is computed, and a composite value's text is joined from its
-members' cached texts (``Shape``, ``array``), so such a value is encoded
-once in its lifetime however often it is hashed again inside a block, a
-batch or a vote subject.
+members' cached texts (``Shape``, ``array``, ``mapping``), so such a value
+is encoded once in its lifetime however often it is hashed again inside a
+block, a batch or a vote subject.  ``canonical_dumps`` of such a value is its
+cached text.
 """
 
 from __future__ import annotations
@@ -111,6 +112,8 @@ def canonical_dumps(value: Any) -> str:
         return '"0x' + value.hex() + '"'
     if value is None:
         return "null"
+    if isinstance(value, Encoded):
+        return value.text()
     return _CANONICAL.encode(to_plain(value))
 
 
@@ -131,6 +134,12 @@ def digest_text(text: str) -> bytes:
 def array(texts: list[str]) -> str:
     """Canonical text of the list whose items have the canonical ``texts``."""
     return "[" + ",".join(texts) + "]"
+
+
+def mapping(items: list[tuple[str, str]]) -> str:
+    """Canonical text of the object whose (key text, value text) ``items``
+    are given in sorted key order."""
+    return "{" + ",".join([key + ":" + value for key, value in items]) + "}"
 
 
 class Shape:

@@ -24,9 +24,10 @@ Native-gas side chain:
                         the bridge head's locked amount at rest.
 
 Every contract implements the ``Contract`` protocol.  Witness votes all go
-through one kind of lane, ``QuorumStream``: it admits a vote (witness, round,
-duplicate echo, subject check, tally, threshold) and concludes a round (result
-payload, paid origins, quorum-safety count).  A contract with lanes keeps
+through one kind of lane, ``QuorumStream``: it checks a vote (witness, round)
+before the chain journals anything, admits it (duplicate echo, subject check,
+tally, threshold) and concludes a round (result payload, paid origins,
+quorum-safety count).  A contract with lanes keeps
 only its own payout or gate step and its pre-checks.  Votes tally per (round,
 subject digest): one vote per witness per round, votes from other rounds are
 rejected, and a subject only ever executes once.  The lane's set of paid
@@ -219,6 +220,12 @@ class QuorumStream:
         if tx_round != self.round:
             raise StaleRound(f"{self.name}: round {tx_round} != current {self.round}")
 
+    def check(self, tx: Transaction) -> None:
+        """A vote's sender is on the roster and its round is current."""
+        if tx.sender not in self.witnesses:
+            raise UnknownWitness(f"{tx.sender} not in witness list")
+        self.check_round(tx.round)
+
     def record(
         self,
         witness: Address,
@@ -253,7 +260,8 @@ class QuorumStream:
         announced: bytes | None,
         echo_topic: EventTopic,
     ) -> QuorumTally | None:
-        """Take one witness vote; return its tally once that reaches quorum.
+        """Take one witness vote that passed ``check``; return its tally once
+        that reaches quorum.
 
         A relay batch for an already-executed subject is echoed back to
         ``address`` as a duplicate result under ``echo_topic``; a repeated
@@ -262,9 +270,6 @@ class QuorumStream:
         but only the subject the contract ``announced`` can fire.
         """
         vote = tx.payload
-        if tx.sender not in self.witnesses:
-            raise UnknownWitness(f"{tx.sender} not in witness list")
-        self.check_round(tx.round)
         if vote.subject in self.executed:
             if isinstance(vote, Transferring):
                 ctx.emit(address, echo_topic, self._payload(
@@ -357,8 +362,9 @@ def action_key(action: str, args: tuple) -> bytes:
 class Contract:
     """What the chain and the scheduler ask of every hosted contract.
 
-    The chain calls ``handle`` for each transaction, ``held_balance`` for
-    token conservation and ``next_deadline`` for its earliest deadline.  The
+    The chain calls ``check`` on each zero-value transaction before it
+    journals the contract, ``handle`` for each transaction, ``held_balance``
+    for token conservation and ``next_deadline`` for its earliest deadline.  The
     scheduler pokes every contract whose ``next_deadline`` has come.  It
     asks ``busy`` to decide whether the bridge
     is at rest, ``lanes`` for quorum safety (each lane's ``unsafe`` count)
@@ -389,6 +395,20 @@ class Contract:
     def state_view(self) -> dict:
         raise NotImplementedError
 
+    def check(self, tx: Transaction) -> QuorumStream | None:
+        """The lane a vote goes to, once its routing, sender and round pass;
+        None for anything that is not a vote to a lane.
+
+        It only reads state, so the chain runs it before it journals the
+        contract, and a refusal here costs no rollback.
+        """
+        payload = tx.payload
+        if not (isinstance(payload, (Confirm, Transferring)) and self.lanes()):
+            return None
+        lane = self._lane(payload)
+        lane.check(tx)
+        return lane
+
     def handle(self, ctx: ApplyContext, tx: Transaction) -> None:
         """Route a vote to its lane, a poke to the lanes' deadlines, and
         anything else (everything, on a contract without lanes) to
@@ -397,7 +417,7 @@ class Contract:
         lanes = self.lanes()
         if lanes and isinstance(payload, (Confirm, Transferring)):
             _require_no_value(tx)
-            lane = self._lane(payload)
+            lane = self.check(tx)
             tally = lane.admit(ctx, tx, self.address, self._announced(),
                                self.ECHO_TOPIC or lane.topic)
             if tally is not None:

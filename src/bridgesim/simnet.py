@@ -421,10 +421,8 @@ class Simulation(WorldView):
     def submit(self, witness: WitnessNode, chain_id: Address, tx: Transaction) -> None:
         plan = self.scenario.fault_plan
         digest = tx.digest()
-        self.trace.record(self.tick, "submit", str(chain_id), {
-            "witness": witness.config.name, "tx": digest,
-            "payload": tx.payload.TAG, "round": tx.round,
-        })
+        self.trace.record(self.tick, "submit", str(chain_id),
+                          trace_mod.submit_payload(witness.config.name, tx))
         key = (witness.config.name, str(tx.to))
         if plan.drop_rate > 0 and self.tick >= plan.drop_start_tick:
             streak = self._drop_streaks.get(key, 0)
@@ -447,9 +445,8 @@ class Simulation(WorldView):
 
     def log_batch(self, witness: WitnessNode, chain_id: Address,
                   window: tuple[int, int], count: int) -> None:
-        self.trace.record(self.tick, "batch", str(chain_id), {
-            "witness": witness.config.name, "window": list(window), "events": count,
-        })
+        self.trace.record(self.tick, "batch", str(chain_id),
+                          trace_mod.batch_payload(witness.config.name, window, count))
 
     def log_resend(self, witness: WitnessNode, vote, round_no: int) -> None:
         self.resend_records += 1
@@ -526,7 +523,7 @@ class Simulation(WorldView):
             chain_id, tx = ev.data
             self.inflight -= 1
             self.hosts[chain_id].mempool.append(tx)
-            self.trace.record(self.tick, "deliver", str(chain_id), {"tx": tx.digest()})
+            self.trace.record(self.tick, "deliver", str(chain_id), trace_mod.deliver_payload(tx))
         elif ev.kind == WORKLOAD:
             self._apply_action(ev.data)
         elif ev.kind == SETUP_TX:

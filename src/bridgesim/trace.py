@@ -26,13 +26,14 @@ def dumps(record: dict) -> str:
     return _ENCODER.encode(record)
 
 
-# Every line, and the payload of a block or invariant record, is joined from
-# its members' texts: the bytes ``dumps`` gives the same record, without
-# walking it.  A line is the head its (chain, kind) pair makes once, the
-# payload, and the seq and tick, which sort after it; ``_quote`` is the
-# escaper the encoder applies to str values.
+# Every line, and the payload of a block, invariant, submit, deliver or batch
+# record, is joined from its members' texts: the bytes ``dumps`` gives the
+# same record, without walking it.  A line is the head its (chain, kind) pair
+# makes once, the payload, and the seq and tick, which sort after it;
+# ``_quote`` is the escaper the encoder applies to str values.
 _HEAD = '{{"chain":{},"kind":{},"payload":'.format
 _BLOCK = codec.Shape("height", "hash", "txs", "rejected", "events", "state")
+_REJECTED = codec.Shape("tx", "reason")
 _quote = json.encoder.encode_basestring_ascii
 
 
@@ -42,15 +43,37 @@ def block_payload(chain, rejections: list) -> str:
     and the chain's state digest after it."""
     block = chain.head
     txs, events = block.transactions, block.events
-    text = codec.canonical_dumps
     return _BLOCK.text(
         int.__repr__(block.height), chain.head_text(),
-        codec.array([text(tx.digest()) for tx in txs]) if txs else "[]",
-        codec.array([dumps({"tx": r.tx.digest(), "reason": r.reason}) for r in rejections])
+        codec.array([tx.id_text() for tx in txs]) if txs else "[]",
+        codec.array([_REJECTED.text(r.tx.id_text(), _quote(r.reason)) for r in rejections])
         if rejections else "[]",
         codec.array([dumps(ev) for ev in events]) if events else "[]",
         chain.state_text(),
     )
+
+
+_SUBMIT = codec.Shape("witness", "tx", "payload", "round")
+_DELIVER = codec.Shape("tx")
+_BATCH = codec.Shape("witness", "window", "events")
+
+
+def submit_payload(witness: str, tx) -> str:
+    """The text of a witness's ``submit`` record: its name, the transaction's
+    digest, payload tag and round."""
+    return _SUBMIT.text(_quote(witness), tx.id_text(), _quote(tx.payload.TAG),
+                        codec.canonical_dumps(tx.round))
+
+
+def deliver_payload(tx) -> str:
+    """The text of a ``deliver`` record: the transaction's digest."""
+    return _DELIVER.text(tx.id_text())
+
+
+def batch_payload(witness: str, window: tuple[int, int], count: int) -> str:
+    """The text of a ``batch`` record: the witness, the window it read and
+    how many events it held."""
+    return _BATCH.text(_quote(witness), f"[{window[0]:d},{window[1]:d}]", int.__repr__(count))
 
 
 _INVARIANTS = codec.Shape("final", "results")

@@ -16,10 +16,11 @@ batch is resent, adopting whatever round the contract last announced.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import AbstractSet, Iterable
+from typing import AbstractSet
 
 from . import codec
 from .chain import (
@@ -307,7 +308,7 @@ class WitnessNode:
 
     def relay_and_vote(
         self,
-        entries: Iterable[TransferEntry],
+        entries: tuple[TransferEntry, ...],
         target: Address,
         direction: str,
         round_no: int,
@@ -315,12 +316,12 @@ class WitnessNode:
     ) -> list[Transaction]:
         """Build the relay transaction(s) for one batch under this behavior.
 
-        ``subject``, when given, is the one already bound to the sorted
-        ``entries`` (a pending vote's); it is recomputed only when this
-        behavior alters an entry.
+        ``entries`` are in origin order, as a pending vote keeps them.
+        ``subject``, when given, is the one already bound to ``entries`` (a
+        pending vote's); it is recomputed only when this behavior alters an
+        entry.
         """
         cfg = self.config
-        entries = tuple(sorted(entries, key=lambda e: e.origin_plain()))
         if cfg.behavior in (Behavior.CRASHED, Behavior.BYZANTINE_REJECT_ALL):
             return []
         if cfg.behavior == Behavior.EQUIVOCATING and entries:
@@ -463,14 +464,17 @@ class WitnessNode:
     def _queue_entry(
         self, target_chain: Address, target: Address, direction: str, entry: TransferEntry
     ) -> None:
+        """Merge ``entry`` into the pending relay batch for ``target``, in
+        origin order; it replaces a queued entry with the same origin."""
         key = ("relay", str(target), direction)
         vote = self.pending.get(key)
         if vote is None:
             entries: tuple[TransferEntry, ...] = (entry,)
         else:
-            merged = {e.origin_plain(): e for e in vote.entries}
-            merged[entry.origin_plain()] = entry
-            entries = tuple(sorted(merged.values(), key=lambda e: e.origin_plain()))
+            entries, origin = vote.entries, entry.origin_plain()
+            at = bisect.bisect_left(entries, origin, key=TransferEntry.origin_plain)
+            same = at < len(entries) and entries[at].origin_plain() == origin
+            entries = entries[:at] + (entry,) + entries[at + same:]
         self.pending[key] = PendingVote.relay(target_chain, target, direction, entries)
 
     def _settle_result(self, contract: Address, direction: str, payload: dict) -> None:

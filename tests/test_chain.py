@@ -1,6 +1,8 @@
 """Chain substrate: block application, conservation, reorgs, genesis hashing."""
 
+import copy
 import dataclasses
+import json
 import pickle
 import random
 
@@ -39,6 +41,54 @@ def token_chain(balances=None) -> Chain:
 def pay(sender, to, value, gasprice=1) -> Transaction:
     return Transaction(sender=sender, to=to, value=value, gasprice=gasprice,
                        payload=UserTransfer())
+
+
+class TestInternedAddress:
+    def test_every_way_to_an_address_gives_the_one_object(self):
+        a = Address.from_label("interned")
+        assert Address.from_hex(str(a)) is a
+        assert Address.from_label("interned") is a
+        assert Address(bytes(a.raw)) is a
+        assert pickle.loads(pickle.dumps(a, pickle.HIGHEST_PROTOCOL)) is a
+        assert pickle.loads(pickle.dumps({"roster": (a, a)}))["roster"][1] is a
+        assert copy.deepcopy([a])[0] is a and copy.copy(a) is a
+
+    def test_a_pickle_holds_each_address_once(self):
+        a = Address.from_label("interned")
+        one, many = pickle.dumps([a]), pickle.dumps([a, Address(a.raw), a])
+        assert one.count(a.raw) == many.count(a.raw) == 1
+
+    def test_order_is_the_order_of_the_bytes(self):
+        addrs = [Address.from_label(f"order-{i}") for i in range(40)]
+        assert [a.raw for a in sorted(addrs)] == sorted(a.raw for a in addrs)
+        low, high = sorted(addrs[:2])
+        assert low < high and low <= high and high > low and high >= low
+        assert not low < low and low <= low
+
+    def test_equality_is_identity_and_the_hash_is_of_the_bytes(self):
+        a = Address.from_label("interned")
+        assert a == Address(a.raw) and a != Address.from_label("other")
+        assert a != str(a) and a != a.raw
+        assert hash(a) == hash(a.raw)
+        assert {a: 1}[Address.from_hex(str(a))] == 1
+
+    def test_it_stays_a_frozen_dataclass(self):
+        a = Address.from_label("interned")
+        assert dataclasses.is_dataclass(a) and a.__dataclass_params__.frozen
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.raw = b"\x00" * 20
+        assert Address.from_label("interned").raw == codec.digest(["addr", "interned"])[:20]
+
+    def test_texts_are_the_canonical_ones(self):
+        a = Address.from_label("interned")
+        assert str(a) == a.canonical() == "0x" + a.raw.hex()
+        assert a.text() == codec.canonical_dumps(a) == json.dumps(str(a))
+        assert repr(a) == f"Address({a})"
+
+    @pytest.mark.parametrize("raw", [b"\x01" * 19, b"\x01" * 21, "0" * 20, bytearray(20)])
+    def test_only_twenty_bytes_make_an_address(self, raw):
+        with pytest.raises(ValueError):
+            Address(raw)
 
 
 class TestApplyBlock:

@@ -1,5 +1,7 @@
 """Contract state machines: registration, quorums, multisig, the peg vaults."""
 
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -712,6 +714,56 @@ def test_vote_admission_rejects(lane, fault):
     # the lane still takes a well-formed vote from the same witness
     _, rejections = chain.apply_block([vote(witness, stream.round)])
     assert rejections == []
+
+
+def test_admission_refusals_touch_nothing(monkeypatch):
+    """Refusals by rules that only read state are rejected before the chain
+    journals anything: no pre-image is taken and nothing is restored or
+    replayed.  Their reasons, pinned as the restore-and-replay path gave them,
+    stay the same, and so does a value-carrying vote's, which is still
+    refused by its contract after the debit."""
+    chain, vault, relay, _ = make_side()
+    payout = [entry(SIDE_CREATOR, BAL_RESV)]
+    chain.apply_block([relay_tx(WIT_S[i], VAULT_ADDR, REGISTRATION, payout) for i in range(3)])
+    suicide = [Transaction(sender=owner, to=VAULT_ADDR, value=0, gasprice=0,
+                           payload=MultisigAction(action="suicide")) for owner in (OWNER1, OWNER2)]
+    chain.apply_block(suicide)
+    assert vault.suicided and chain.balance(SIDE_CREATOR) == BAL_RESV
+    inbound = [entry(SIDE_CREATOR, 7, height=11)]
+    loads, dumps = [], []
+    real_loads, real_dumps = pickle.loads, pickle.dumps
+    monkeypatch.setattr(pickle, "loads", lambda *a: loads.append(1) or real_loads(*a))
+    monkeypatch.setattr(pickle, "dumps", lambda *a: dumps.append(1) or real_dumps(*a))
+    accepted = relay_tx(WIT_S[0], RELAY_ADDR, INBOUND, inbound)
+    refused = [
+        relay_tx(WIT_S[1], RELAY_ADDR, INBOUND, inbound, round_no=3),
+        relay_tx(OWNER1, RELAY_ADDR, INBOUND, inbound),
+        relay_tx(WIT_S[1], RELAY_ADDR, OUTBOUND, inbound),
+        relay_tx(WIT_S[0], VAULT_ADDR, REGISTRATION, payout, round_no=1),
+        Transaction(sender=SIDE_CREATOR, to=OWNER2, value=5, gasprice=0,
+                    payload=UserTransfer()),
+    ]
+    block, rejections = chain.apply_block([accepted, *refused])
+    assert block.transactions == [accepted]
+    assert [r.tx for r in rejections] == refused
+    assert [r.reason for r in rejections] == [
+        "StaleRound: inbound: round 3 != current 0",
+        f"UnknownWitness: {OWNER1} not in witness list",
+        "MalformedVote: no lane takes this transferring vote",
+        "AlreadySuicided: vault has been deactivated",
+        "InvalidTransaction: zero gasprice without exemption",
+    ]
+    assert relay.stream.tallies[accepted.payload.subject].yes == {WIT_S[0]}
+    # The accepted vote's relay, once; nothing restored.
+    assert len(dumps) == 1 and loads == []
+    assert list(chain._undo[block.height][1]) == [RELAY_ADDR]
+    # A stale vote from an outsider that carries value: debited, then refused
+    # for the value, rolled back.
+    paying = dataclasses.replace(relay_tx(SIDE_CREATOR, RELAY_ADDR, INBOUND, inbound,
+                                          round_no=9), value=5, gasprice=1)
+    _, rejections = chain.apply_block([paying])
+    assert [r.reason for r in rejections] == ["UnexpectedValue: transferring must not carry value"]
+    assert chain.balance(SIDE_CREATOR) == BAL_RESV
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,28 @@ class TestRelayAndVote:
         assert tx.payload.subject == entries_subject(INBOUND, tx.payload.entries) != bound
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["token", "side"]), st.integers(0, 4),
+                          st.integers(0, 2), st.integers(1, 9)), min_size=1, max_size=12))
+def test_queued_entries_stay_in_origin_order(queued):
+    """Each queued entry goes in at its origin's place, replacing an entry
+    with the same origin; the pending vote is rebuilt, unsent, bound to the
+    merged entries."""
+    node = WitnessNode(witness_config(), TOKEN_ID, seed=1)
+    target = node.config.genesis.inter_contract
+    expected = {}
+    for label, height, seq, value in queued:
+        entry = TransferEntry(origin_chain=Address.from_label(label), origin_height=height,
+                              origin_seq=seq, to=Address.from_label("dest"), value=value)
+        node._queue_entry(TOKEN_ID, target, INBOUND, entry)
+        expected[entry.origin_plain()] = entry
+        vote = node.pending["relay", str(target), INBOUND]
+        assert vote.entries == tuple(expected[k] for k in sorted(expected))
+        assert vote.subject == entries_subject(INBOUND, vote.entries)
+        assert vote.last_submit is None
+        vote.last_submit = 3  # sent; the next merge makes it due again
+
+
 class TestApproveAllVerdict:
     def test_approve_all_confirms_an_invalid_registration(self):
         node = WitnessNode(witness_config(Behavior.BYZANTINE_APPROVE_ALL), TOKEN_ID, seed=1)
