@@ -512,6 +512,8 @@ class Chain:
     def heights_with_events(self, first: int, last: int) -> list[int]:
         """The heights in ``first..last`` whose blocks hold events, ascending."""
         heights = self.event_heights
+        if not heights or heights[-1] < first:
+            return []
         return heights[bisect.bisect_left(heights, first):bisect.bisect_right(heights, last)]
 
     # -- mutation -----------------------------------------------------------

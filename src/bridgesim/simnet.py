@@ -5,7 +5,8 @@ ticks; each tick executes fixed phases in a fixed order:
 
   1. scheduled events due this tick, in (tick, sequence) order -- workload
      actions entering mempools, delayed network deliveries, reorg injections,
-     witness behavior changes;
+     witness behavior changes.  A heap entry is (tick, sequence, handler,
+     data), and the handler is a plain function called with the simulation;
   2. block production for every chain whose interval divides the tick; a
      block's trace line reuses the chain's texts of its hash and state digest;
   3. the witness phase: each witness whose wake tick has come steps, in
@@ -17,11 +18,12 @@ ticks; each tick executes fixed phases in a fixed order:
      the vault payout step, and submit the vault-suicide approvals;
   5. settledness bookkeeping: when the bridge comes to rest, the peg
      invariants are evaluated and recorded, and the run ends at the first rest
-     point with nothing left to do.  Settledness is derived again only after a
-     tick that changed something: one that dispatched an event, offered a
-     block a transaction, or had a witness or an owner daemon act (read a
-     batch, anchor a first window, or submit or drop a vote).  A tick that
-     did none of these leaves every input of that answer as it was.
+     point with nothing left to do.  One rest test answers both, reading each
+     watch at most once.  It runs again only after a tick that changed
+     something: one that dispatched an event, offered a block a transaction,
+     or had a witness or an owner daemon act (read a batch, anchor a first
+     window, or submit or drop a vote).  A tick that did none of these leaves
+     every input of that answer as it was.
 
 Faults exist only on the message and block channels: witness submissions can
 be dropped, duplicated or delayed (seeded), chains can be reorganized, and
@@ -32,12 +34,11 @@ state directly.
 from __future__ import annotations
 
 import heapq
-import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable
 
-from . import codec, trace as trace_mod
+from . import trace as trace_mod
 from .chain import (
     Address,
     Chain,
@@ -58,31 +59,17 @@ from .contracts import (
     TradingBook,
 )
 from .genesis import VARIANT_GASLESS, GenesisSpec
-from .scenario import Scenario, SideChainConfig, WorkloadAction
+from .scenario import BehaviorChange, ReorgSpec, Scenario, SideChainConfig, WorkloadAction
 from .witness import (
     Behavior,
     FetchFailure,
     RelayCursor,
+    Watch,
     WitnessConfig,
     WitnessNode,
     WorldView,
-    scan_ready,
+    read_ready,
 )
-
-# Scheduled-event kinds
-DELIVER_TX = "deliver_tx"
-WORKLOAD = "workload"
-SETUP_TX = "setup_tx"
-INJECT_REORG = "inject_reorg"
-INJECT_FAULT = "inject_fault"
-
-
-@dataclass(order=True)
-class SimEvent:
-    fire_tick: int
-    sequence: int
-    kind: str = field(compare=False)
-    data: Any = field(compare=False)
 
 
 @dataclass
@@ -136,50 +123,39 @@ class OwnerDaemon:
     def __init__(self, side: SideChainConfig, registry_addr: Address,
                  token: Chain, side_chain: Chain, omega_token: int) -> None:
         self.side = side
-        self.token_cursor = RelayCursor(omega=omega_token)
-        self.side_cursor = RelayCursor(omega=side.omega)
         self.seen_registry_success = False
         self.seen_payout = False
-        self.submitted = False
-        self._watches: tuple = ()
+        # Empty on a native-gas chain, and emptied once the daemon submits.
+        self.watches: tuple[Watch, ...] = ()
         if side.genesis.variant == VARIANT_GASLESS:
-            self._watches = (
-                (self.token_cursor, token, frozenset({registry_addr})),
-                (self.side_cursor, side_chain, frozenset({side.genesis.register_contract})),
+            self.watches = (
+                Watch(token, RelayCursor(omega=omega_token), frozenset({registry_addr})),
+                Watch(side_chain, RelayCursor(omega=side.omega),
+                      frozenset({side.genesis.register_contract})),
             )
-
-    def watches(self) -> tuple:
-        """(cursor, chain, watched contracts) per chain the daemon still scans."""
-        return () if self.submitted else self._watches
 
     def step(self) -> tuple[bool, list[Transaction]]:
         """Scan what is confirmed: (whether it read a batch, anchored a
-        cursor's first window or submitted, the approvals due)."""
-        watches = self.watches()
-        if not watches:
-            return False, []
-        acted = False
-        for cursor, chain, watched in watches:
-            anchoring = cursor.first_time
-            batches = scan_ready(cursor, chain, watched)
-            acted |= bool(batches) or (anchoring and not cursor.first_time)
-            for events, _ in batches:
-                for ev in events:
-                    if (
-                        ev.topic == EventTopic.EXIST_OR_NOT
-                        and ev.payload.get("success")
-                        and ev.payload.get("chain_id") == self.side.chain_id
-                    ):
-                        self.seen_registry_success = True
-                    if (
-                        ev.topic == EventTopic.REGISTRATION_RESULT
-                        and ev.contract == self.side.genesis.register_contract
-                        and ev.payload.get("success")
-                        and not ev.payload.get("duplicate")
-                    ):
-                        self.seen_payout = True
+        cursor's first window or submitted, the approvals due).  Called only
+        while the daemon has something to watch."""
+        acted, batches = read_ready(self.watches)
+        for _, events, _ in batches:
+            for ev in events:
+                if (
+                    ev.topic == EventTopic.EXIST_OR_NOT
+                    and ev.payload.get("success")
+                    and ev.payload.get("chain_id") == self.side.chain_id
+                ):
+                    self.seen_registry_success = True
+                if (
+                    ev.topic == EventTopic.REGISTRATION_RESULT
+                    and ev.contract == self.side.genesis.register_contract
+                    and ev.payload.get("success")
+                    and not ev.payload.get("duplicate")
+                ):
+                    self.seen_payout = True
         if self.seen_registry_success and self.seen_payout:
-            self.submitted = True
+            self.watches = ()
             return True, [
                 Transaction(
                     sender=owner,
@@ -202,7 +178,9 @@ class Simulation(WorldView):
         self.trace = trace_mod.TraceWriter()
         self.tick = 0
         self._seq = 0
-        self.events: list[SimEvent] = []
+        # (tick, sequence, handler, data), run as ``handler(self, data)`` in push
+        # order within a tick; handlers are plain functions, so no cycle forms.
+        self.events: list[tuple[int, int, Callable[[Simulation, Any], None], Any]] = []
         self.inflight = 0
         self.rng_network = random.Random(f"{scenario.seed}:network")
         self._drop_streaks: dict[tuple, int] = {}
@@ -219,9 +197,9 @@ class Simulation(WorldView):
 
     # ------------------------------------------------------------------ build
 
-    def _push(self, tick: int, kind: str, data: Any) -> None:
+    def _push(self, tick: int, handler: Callable[[Simulation, Any], None], data: Any) -> None:
         self._seq += 1
-        heapq.heappush(self.events, SimEvent(tick, self._seq, kind, data))
+        heapq.heappush(self.events, (tick, self._seq, handler, data))
 
     def _build(self) -> None:
         sc = self.scenario
@@ -291,40 +269,39 @@ class Simulation(WorldView):
                 sleep=sc.sleep,
                 behavior=entry.behavior,
             )
-            self.witnesses.append(WitnessNode(cfg, token_cfg.chain_id, sc.seed))
+            self.witnesses.append(WitnessNode(cfg, token, self.chain(side.chain_id), sc.seed))
         # Every hosted contract; contracts are genesis state and keep their
         # identity across rollbacks and reorgs.
         self._contracts = tuple(
             contract for host in self.hosts.values() for contract in host.chain.contracts.values()
         )
-        # (witness, cursor, chain, watched contracts) for every chain every
-        # witness scans; only whether the witness is crashed changes later.
-        self._watches = tuple(
-            (witness, cursor, self.hosts[chain_id].chain, watched)
-            for witness in self.witnesses
-            for chain_id, cursor, watched, _ in witness.scans
-        )
-
-        # The registry's standing authorization for each bridge head is
-        # installed through real owner transactions at tick 0, so the multisig
-        # path is exercised and visible in every trace.  Side-chain standing
-        # authorizations (bank relay, trading gateway) are genesis state: the
-        # chain must still be at height 0 when its registration is validated.
-        for side in sc.side_chains:
-            for owner in sc.registry.owners:
-                self._push(0, SETUP_TX, (token_cfg.chain_id, Transaction(
-                    sender=owner, to=sc.registry.address, value=0, gasprice=0,
-                    payload=MultisigAction(action="authorize", args=(side.bridge_head.address,)),
-                )))
 
         for action in sc.workload:
-            self._push(action.tick, WORKLOAD, action)
+            self._push(action.tick, Simulation._apply_action, action)
         for reorg in sc.fault_plan.reorg_schedule:
-            self._push(reorg.tick, INJECT_REORG, reorg)
+            self._push(reorg.tick, Simulation.inject_reorg, reorg)
         for change in sc.fault_plan.behavior_schedule:
-            self._push(change.tick, INJECT_FAULT, change)
+            self._push(change.tick, Simulation._change_behavior, change)
 
         self.trace.header(sc, self.threshold_override)
+
+        # The registry's standing authorization for each bridge head is
+        # installed through real owner transactions, queued before anything
+        # else at tick 0, so the multisig path is exercised and visible in
+        # every trace.  Side-chain standing authorizations (bank relay,
+        # trading gateway) are genesis state: the chain must still be at
+        # height 0 when its registration is validated.
+        token_host = self.hosts[token_cfg.chain_id]
+        for side in sc.side_chains:
+            for owner in sc.registry.owners:
+                tx = Transaction(
+                    sender=owner, to=sc.registry.address, value=0, gasprice=0,
+                    payload=MultisigAction(action="authorize", args=(side.bridge_head.address,)),
+                )
+                token_host.mempool.append(tx)
+                self.trace.record(0, "action", token_host.label, {
+                    "action": "setup", "tx": tx.digest(), "payload": tx.payload,
+                })
 
     def _build_side_chain(self, side: SideChainConfig, threshold: int) -> Chain:
         g = side.genesis
@@ -434,11 +411,11 @@ class Simulation(WorldView):
                 return
         self._drop_streaks[key] = 0
         delay = 1 + (self.rng_network.randint(0, plan.max_delay) if plan.max_delay else 0)
-        self._push(self.tick + delay, DELIVER_TX, (chain_id, tx))
+        self._push(self.tick + delay, Simulation._deliver, (chain_id, tx))
         self.inflight += 1
         if plan.dup_rate > 0 and self.rng_network.random() < plan.dup_rate:
             delay2 = 1 + (self.rng_network.randint(0, plan.max_delay) if plan.max_delay else 0)
-            self._push(self.tick + delay2, DELIVER_TX, (chain_id, tx))
+            self._push(self.tick + delay2, Simulation._deliver, (chain_id, tx))
             self.inflight += 1
             self.trace.record(self.tick, "dup", str(chain_id),
                               {"witness": witness.config.name, "tx": digest})
@@ -473,16 +450,17 @@ class Simulation(WorldView):
             # Ran out of ticks; evaluate invariants on whatever state remains.
             results = self.check_invariants()
             self._record_invariants(results, final=True)
-            self.quiescent = False
             self.ended_at = min(self.tick, sc.max_ticks)
-        self.trace.record(self.ended_at, "end", "", self._summary())
-        return RunResult(self)
+        summary = self._summary()
+        self.trace.record(self.ended_at, "end", "", summary)
+        return RunResult(self, summary)
 
     def _run_tick(self) -> None:
         tick = self.tick
         changed = tick == 0  # no earlier answer to keep
-        while self.events and self.events[0].fire_tick <= tick:
-            self._dispatch(heapq.heappop(self.events))
+        while self.events and self.events[0][0] <= tick:
+            _, _, handler, data = heapq.heappop(self.events)
+            self._dispatch(handler, data)
             changed = True
         for host in self.hosts.values():
             # A dormant chain (height 0, nothing queued) produces no blocks, so a
@@ -494,7 +472,7 @@ class Simulation(WorldView):
             if witness.wake <= tick:
                 changed |= witness.step(self, tick)
         for daemon in self.owner_daemons:
-            if not daemon.watches():
+            if not daemon.watches:
                 continue  # native gas, or done: nothing left to read
             acted, txs = daemon.step()
             changed |= acted
@@ -508,47 +486,37 @@ class Simulation(WorldView):
             # The last answer stands: unsettled, or settled, checked and
             # not finished.
             return
-        settled = self._settled()
+        settled, finished = self._settled()
         if settled and not self.was_settled:
             results = self.check_invariants()
             self._record_invariants(results, final=False)
             self.settled_checks += 1
         self.was_settled = settled
-        if settled and self._finished():
+        if finished:
             self.quiescent = True
             self.ended_at = tick
 
-    def _dispatch(self, ev: SimEvent) -> None:
-        if ev.kind == DELIVER_TX:
-            chain_id, tx = ev.data
-            self.inflight -= 1
-            self.hosts[chain_id].mempool.append(tx)
-            self.trace.record(self.tick, "deliver", str(chain_id), trace_mod.deliver_payload(tx))
-        elif ev.kind == WORKLOAD:
-            self._apply_action(ev.data)
-        elif ev.kind == SETUP_TX:
-            chain_id, tx = ev.data
-            self.hosts[chain_id].mempool.append(tx)
-            self.trace.record(self.tick, "action", str(chain_id), {
-                "action": "setup", "tx": tx.digest(), "payload": tx.payload,
-            })
-        elif ev.kind == INJECT_REORG:
-            spec = ev.data
-            self.inject_reorg(spec.chain_id, spec.depth, spec.exclude)
-        elif ev.kind == INJECT_FAULT:
-            change = ev.data
-            for witness in self.witnesses:
-                if witness.config.name == change.witness:
-                    witness.config.behavior = change.behavior
-            self.trace.record(self.tick, "fault", "", {
-                "witness": change.witness, "behavior": change.behavior.value,
-            })
+    def _dispatch(self, handler: Callable[[Simulation, Any], None], data: Any) -> None:
+        handler(self, data)
+
+    def _deliver(self, message: tuple[Address, Transaction]) -> None:
+        chain_id, tx = message
+        self.inflight -= 1
+        self.hosts[chain_id].mempool.append(tx)
+        self.trace.record(self.tick, "deliver", str(chain_id), trace_mod.deliver_payload(tx))
 
     def _apply_action(self, action: WorkloadAction) -> None:
         self.hosts[action.chain].mempool.append(action.tx)
         self.trace.record(self.tick, "action", str(action.chain), {
-            "action": action.action, "tx": action.tx.digest(),
-            "params": codec.to_plain(action.params),
+            "action": action.action, "tx": action.tx.digest(), "params": action.params,
+        })
+
+    def _change_behavior(self, change: BehaviorChange) -> None:
+        for witness in self.witnesses:
+            if witness.config.name == change.witness:
+                witness.config.behavior = change.behavior
+        self.trace.record(self.tick, "fault", "", {
+            "witness": change.witness, "behavior": change.behavior.value,
         })
 
     def _produce(self, host: ChainHost) -> bool:
@@ -573,10 +541,11 @@ class Simulation(WorldView):
 
     # ---------------------------------------------------------------- reorgs
 
-    def inject_reorg(self, chain_id: Address, depth: int, exclude: frozenset[bytes]) -> None:
+    def inject_reorg(self, spec: ReorgSpec) -> None:
         """Replace the top ``depth`` blocks, shifting surviving transactions
         one block later; a transaction whose digest is in ``exclude`` is dropped
         entirely (it also vanishes from every node's view of history)."""
+        chain_id, depth, exclude = spec.chain_id, spec.depth, spec.exclude
         chain = self.hosts[chain_id].chain
         if depth > chain.height:
             # Scenario validation cannot rule this out: a dormant side chain's
@@ -612,42 +581,44 @@ class Simulation(WorldView):
 
     # ------------------------------------------------------------- invariants
 
-    def _settled(self) -> bool:
-        """True when no transfer is in flight anywhere: nothing queued, no
-        open tally, no unconfirmed-or-unscanned event a witness will relay."""
+    def _settled(self) -> tuple[bool, bool]:
+        """(settled, finished).
+
+        Settled: no transfer is in flight anywhere -- nothing queued, no open
+        tally, no unconfirmed-or-unscanned event a live witness will relay.
+        Finished: settled, no event scheduled, and no watched event left
+        unscanned that may still trigger a reaction.  Each watch is read at
+        most once, and the owner daemons' only when all else is finished.
+        """
         if self.inflight:
-            return False
+            return False, False
         if any(host.mempool for host in self.hosts.values()):
-            return False
+            return False, False
         if any(not w.idle() for w in self.witnesses):
-            return False
+            return False, False
         if any(contract.busy() for contract in self._contracts):
-            return False
-        # Any relay-worthy event a live witness has not scanned yet.
-        return not any(
-            ev.topic in (EventTopic.CROSS_CHAIN_ARRIVED, EventTopic.ASSETS_LOCKED)
-            or (ev.topic == EventTopic.EXIST_OR_NOT and ev.payload.get("success"))
-            for ev in _unscanned(self._witness_watches())
-        )
-
-    def _witness_watches(self) -> Iterator[tuple]:
-        """(cursor, chain, watched contracts) per chain of every live witness."""
-        for witness, cursor, chain, watched in self._watches:
-            if witness.config.behavior != Behavior.CRASHED:
-                yield cursor, chain, watched
-
-    def _finished(self) -> bool:
-        if self.events:
-            return False
-        # Nothing unscanned may still trigger a reaction.
-        daemon_watches = (w for daemon in self.owner_daemons for w in daemon.watches())
-        unscanned = _unscanned(itertools.chain(self._witness_watches(), daemon_watches))
-        return next(unscanned, None) is None
+            return False, False
+        finished = not self.events
+        for witness in self.witnesses:
+            if witness.config.behavior == Behavior.CRASHED:
+                continue
+            for watch in witness.watches:
+                for ev in watch.unscanned():
+                    if ev.topic in (EventTopic.CROSS_CHAIN_ARRIVED, EventTopic.ASSETS_LOCKED) or (
+                        ev.topic == EventTopic.EXIST_OR_NOT and ev.payload.get("success")
+                    ):
+                        return False, False
+                    finished = False
+        if finished:
+            finished = all(
+                next(watch.unscanned(), None) is None
+                for daemon in self.owner_daemons for watch in daemon.watches
+            )
+        return True, finished
 
     def check_invariants(self) -> list[InvariantResult]:
         out: list[InvariantResult] = []
         sc = self.scenario
-        token = self.hosts[self.token_id].chain
 
         for chain_id, host in self.hosts.items():
             chain = host.chain
@@ -723,8 +694,8 @@ class Simulation(WorldView):
         relays_payout = (cfg.genesis.variant != VARIANT_GASLESS
                          or cfg.name not in self.scenario.fault_plan.fetch_fail)
         found: set[tuple] = set()
-        for chain_id, cursor, watched, _ in witness.scans:
-            chain = self.hosts[chain_id].chain
+        for chain, cursor, watched in witness.watches:
+            chain_id = chain.chain_id
             progress = self._progress[chain_id]
             read, wanted = progress.relay_worthy.get(witness, (-1, set()))
             end = min(cursor.next_start - 1, chain.height)
@@ -775,8 +746,8 @@ class Simulation(WorldView):
         out = []
         for witness in self.witnesses:
             ok = True
-            for chain_id, cursor, _, _ in witness.scans:
-                progress = self._progress[chain_id]
+            for chain, cursor, _ in witness.watches:
+                progress = self._progress[chain.chain_id]
                 read, prev_end, good = progress.windows.get(witness, (0, None, True))
                 for start, end in cursor.history[read:]:
                     if end < start - 1 or (prev_end is not None and start != prev_end + 1):
@@ -856,23 +827,13 @@ class Simulation(WorldView):
         }
 
 
-def _unscanned(watches: Iterable[tuple]) -> Iterator:
-    """Watched events at or past each cursor's next start, for every
-    (cursor, chain, watched contracts) triple."""
-    for cursor, chain, watched in watches:
-        for height in chain.heights_with_events(cursor.next_start, chain.height):
-            for ev in chain.events_at(height):
-                if ev.contract in watched:
-                    yield ev
-
-
 class RunResult:
     """Outcome of one run: the trace, the report data, and the final world."""
 
-    def __init__(self, sim: Simulation) -> None:
+    def __init__(self, sim: Simulation, summary: dict) -> None:
         self.sim = sim
         self.trace_lines = sim.trace.lines
-        self.summary = sim._summary()
+        self.summary = summary
         self.failures = list(sim.invariant_failures)
         self.quiescent = sim.quiescent
 

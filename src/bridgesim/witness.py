@@ -20,7 +20,7 @@ import bisect
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import AbstractSet
+from typing import AbstractSet, Iterable, Iterator, NamedTuple
 
 from . import codec
 from .chain import (
@@ -155,11 +155,6 @@ def scan_ready(
         # Later windows are contiguous, ``omega`` wide, and ready while the
         # head is ``omega`` past their end.
         end += (head - omega - first_end) // omega * omega
-    heights = chain.event_heights
-    if not heights or heights[-1] < first[0]:
-        # No event at or past the first window: pass over them all unread.
-        cursor.advance((first[0], end))
-        return []
     batches: list[tuple[list[Event], tuple[int, int]]] = []
     for height in chain.heights_with_events(first[0], end):
         events = [ev for ev in chain.events_at(height) if ev.contract in watched]
@@ -176,6 +171,41 @@ def scan_ready(
             batches.append((events, window))
     cursor.advance((first[0], end))
     return batches
+
+
+class Watch(NamedTuple):
+    """One scanner's reading of one chain, built once with the chain
+    resolved; scans, settle-point checks and the rest test share it."""
+
+    chain: Chain
+    cursor: RelayCursor
+    watched: frozenset[Address]
+
+    def unscanned(self) -> Iterator[Event]:
+        """Watched events at or past the cursor's next start."""
+        chain = self.chain
+        for height in chain.heights_with_events(self.cursor.next_start, chain.height):
+            for ev in chain.events_at(height):
+                if ev.contract in self.watched:
+                    yield ev
+
+
+def read_ready(
+    watches: Iterable[Watch],
+) -> tuple[bool, list[tuple[Watch, list[Event], tuple[int, int]]]]:
+    """Scan every watch: (whether it acted, each batch read as (watch,
+    events, window)).  A scan acted when it read a batch or anchored a
+    first window, which passes over the heights below it unread."""
+    acted = False
+    read = []
+    for watch in watches:
+        chain, cursor, watched = watch
+        anchoring = cursor.first_time
+        batches = scan_ready(cursor, chain, watched)
+        acted |= bool(batches) or (anchoring and not cursor.first_time)
+        if batches:
+            read.extend((watch, events, window) for events, window in batches)
+    return acted, read
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +234,13 @@ class WitnessConfig:
     sleep: int         # polling period T, in ticks
     behavior: Behavior = Behavior.HONEST
 
-    def token_watched(self) -> set[Address]:
-        return {self.bridge_head, self.registry}
+    def token_watched(self) -> frozenset[Address]:
+        return frozenset({self.bridge_head, self.registry})
 
-    def side_watched(self) -> set[Address]:
+    def side_watched(self) -> frozenset[Address]:
         g = self.genesis
-        return {a for a in (g.register_contract, g.inter_contract, g.bank_contract)
-                if a is not None}
+        return frozenset(a for a in (g.register_contract, g.inter_contract, g.bank_contract)
+                         if a is not None)
 
 
 @dataclass
@@ -258,25 +288,16 @@ class ObservedRegistration:
 class WitnessNode:
     """One witness; stepped by the scheduler, submits through the network."""
 
-    def __init__(self, config: WitnessConfig, token_chain_id: Address, seed: int) -> None:
+    def __init__(self, config: WitnessConfig, token_chain: Chain, side_chain: Chain,
+                 seed: int) -> None:
         self.config = config
-        self.token_chain_id = token_chain_id
-        self.side_chain_id = side_chain_id = config.genesis.chain_id
-        self.cursors: dict[Address, RelayCursor] = {
-            token_chain_id: RelayCursor(omega=config.omega_token),
-            side_chain_id: RelayCursor(omega=config.omega_side),
-        }
-        # (chain id, cursor, watched contracts, event handler) per scanned
-        # chain.  The addresses never change, so the table is built once; the
-        # handlers are functions, not bound methods, so a node is no cycle.
-        self.scans: tuple[tuple, ...] = (
-            (token_chain_id, self.cursors[token_chain_id],
-             frozenset(config.token_watched()), WitnessNode._handle_token_event),
-            (side_chain_id, self.cursors[side_chain_id],
-             frozenset(config.side_watched()), WitnessNode._handle_side_event),
+        self.token_chain_id = token_chain.chain_id
+        self.side_chain_id = config.genesis.chain_id
+        # The token chain's watch, then the side chain's.
+        self.watches = (
+            Watch(token_chain, RelayCursor(omega=config.omega_token), config.token_watched()),
+            Watch(side_chain, RelayCursor(omega=config.omega_side), config.side_watched()),
         )
-        # ``scans`` with each chain ahead of its id, looked up on the first step.
-        self._resolved: tuple[tuple, ...] | None = None
         self.anchored = False  # every cursor has anchored its first window
         self.pending: dict[tuple, PendingVote] = {}
         self.adopted_rounds: dict[tuple, int] = {}
@@ -313,8 +334,9 @@ class WitnessNode:
         direction: str,
         round_no: int,
         subject: bytes | None = None,
-    ) -> list[Transaction]:
-        """Build the relay transaction(s) for one batch under this behavior.
+    ) -> Transaction | None:
+        """Build the relay transaction for one batch under this behavior, or
+        None when this behavior sends none.
 
         ``entries`` are in origin order, as a pending vote keeps them.
         ``subject``, when given, is the one already bound to ``entries`` (a
@@ -323,7 +345,7 @@ class WitnessNode:
         """
         cfg = self.config
         if cfg.behavior in (Behavior.CRASHED, Behavior.BYZANTINE_REJECT_ALL):
-            return []
+            return None
         if cfg.behavior == Behavior.EQUIVOCATING and entries:
             bump = self._rng.randint(1, 1 << 30)
             first = entries[0]
@@ -340,34 +362,30 @@ class WitnessNode:
         if subject is None:
             subject = entries_subject(direction, entries)
         sender = cfg.token_address if target in (cfg.bridge_head, cfg.registry) else cfg.side_address
-        return [
-            Transaction(
-                sender=sender,
-                to=target,
-                value=0,
-                gasprice=0,
-                round=round_no,
-                payload=Transferring(direction=direction, subject=subject, entries=entries),
-            )
-        ]
+        return Transaction(
+            sender=sender,
+            to=target,
+            value=0,
+            gasprice=0,
+            round=round_no,
+            payload=Transferring(direction=direction, subject=subject, entries=entries),
+        )
 
-    def _confirm_tx(self, vote: PendingVote, round_no: int) -> list[Transaction]:
+    def _confirm_tx(self, vote: PendingVote, round_no: int) -> Transaction | None:
         cfg = self.config
         if cfg.behavior == Behavior.CRASHED:
-            return []
+            return None
         subject = vote.subject
         if cfg.behavior == Behavior.EQUIVOCATING:
             subject = codec.digest([subject, self._rng.randint(1, 1 << 30)])
-        return [
-            Transaction(
-                sender=cfg.token_address,
-                to=cfg.bridge_head,
-                value=0,
-                gasprice=0,
-                round=round_no,
-                payload=Confirm(chain_id=vote.chain_id, subject=subject, verdict=vote.verdict),
-            )
-        ]
+        return Transaction(
+            sender=cfg.token_address,
+            to=cfg.bridge_head,
+            value=0,
+            gasprice=0,
+            round=round_no,
+            payload=Confirm(chain_id=vote.chain_id, subject=subject, verdict=vote.verdict),
+        )
 
     # -- event handling -------------------------------------------------------
 
@@ -519,7 +537,7 @@ class WitnessNode:
         does nothing but keeps waking on that rule, so it acts again on the
         first such tick after it recovers.  No other state makes a step due:
         a vote is due while it is unsent (``last_submit`` is None), only the
-        handlers ``_scan`` runs leave a vote unsent, and ``_submit_due`` sends
+        event handlers leave a vote unsent, and ``_submit_due`` sends
         every such vote in the same step.  A sent vote is resent once
         ``timeout`` ticks have passed since it went, which the next wake at or
         after that tick does.
@@ -527,28 +545,19 @@ class WitnessNode:
         cfg = self.config
         acted = False
         if cfg.behavior != Behavior.CRASHED:
-            acted = self._scan(view)
+            acted, batches = read_ready(self.watches)
+            for watch, events, window in batches:
+                chain_id = watch.chain.chain_id
+                view.log_batch(self, chain_id, window, len(events))
+                handle = (self._handle_token_event if chain_id == self.token_chain_id
+                          else self._handle_side_event)
+                for ev in events:
+                    handle(view, ev)
             if self.pending and any(self._due(vote, tick) for vote in self.pending.values()):
                 self._submit_due(view, tick)
                 acted = True
-        self.anchored = self.anchored or not any(c.first_time for c in self.cursors.values())
+        self.anchored = self.anchored or not any(w.cursor.first_time for w in self.watches)
         self.wake = (tick // cfg.sleep + 1) * cfg.sleep if self.anchored else tick + 1
-        return acted
-
-    def _scan(self, view: "WorldView") -> bool:
-        """Read every ready window; True if a batch was read or a first
-        window anchored."""
-        if self._resolved is None:
-            self._resolved = tuple((view.chain(c), c, *rest) for c, *rest in self.scans)
-        acted = False
-        for chain, chain_id, cursor, watched, handler in self._resolved:
-            anchoring = cursor.first_time
-            batches = scan_ready(cursor, chain, watched)
-            acted |= bool(batches) or (anchoring and not cursor.first_time)
-            for events, window in batches:
-                view.log_batch(self, chain_id, window, len(events))
-                for ev in events:
-                    handler(self, view, ev)
         return acted
 
     def _due(self, vote: PendingVote, tick: int) -> bool:
@@ -563,27 +572,24 @@ class WitnessNode:
             resend = vote.last_submit is not None
             round_no = self.adopted_round(vote.target, vote.direction)
             if vote.kind == "confirm":
-                txs = self._confirm_tx(vote, round_no)
+                tx = self._confirm_tx(vote, round_no)
             else:
-                txs = self.relay_and_vote(vote.entries, vote.target, vote.direction,
-                                          round_no, vote.subject)
-            if resend and txs:
-                view.log_resend(self, vote, round_no)
-            for tx in txs:
-                self.relayed_origins.update(e.origin_plain() for e in vote.entries)
-                view.submit(self, vote.target_chain, tx)
-            vote.last_submit = tick
-            if not txs:
+                tx = self.relay_and_vote(vote.entries, vote.target, vote.direction,
+                                         round_no, vote.subject)
+            if tx is None:
                 # This behavior never submits this vote; drop it so the node
                 # does not hold up quiescence.
                 del self.pending[key]
+                continue
+            if resend:
+                view.log_resend(self, vote, round_no)
+            self.relayed_origins.update(e.origin_plain() for e in vote.entries)
+            view.submit(self, vote.target_chain, tx)
+            vote.last_submit = tick
 
 
 class WorldView:
     """What a witness can see and do; implemented by the scheduler."""
-
-    def chain(self, chain_id: Address) -> Chain:
-        raise NotImplementedError
 
     def registry_ids(self) -> set[Address]:
         raise NotImplementedError

@@ -79,9 +79,8 @@ def every_tick(monkeypatch):
 
     def checked(sim):
         run_tick(sim)
-        settled = sim._settled()
+        settled, finished = sim._settled()
         assert sim.was_settled == settled, f"tick {sim.tick}: settledness"
-        finished = settled and sim._finished()
         assert (sim.ended_at == sim.tick) == finished, f"tick {sim.tick}: finished"
         for chain_id, host in sim.hosts.items():
             assert host.chain.earliest_deadline() == fresh_deadline(host.chain), \
@@ -126,7 +125,7 @@ def record_steps(monkeypatch):
     calls = []
 
     def recorded(witness, view, tick):
-        first = any(c.first_time for c in witness.cursors.values())
+        first = any(watch.cursor.first_time for watch in witness.watches)
         live = witness.config.behavior != Behavior.CRASHED
         calls.append((witness.config.name, tick, first, live))
         return step(witness, view, tick)
@@ -315,18 +314,20 @@ def test_an_owner_submission_on_a_quiet_tick_unsettles_the_bridge():
     waiting for the payout when the daemon submits; rewinding the daemon's
     cursors while the bridge rests builds the quiet case by hand."""
     sim = simnet.Simulation(parse_scenario(presets.happy_path()))
+    daemon = sim.owner_daemons[0]
+    watches = daemon.watches  # the daemon drops them when it submits
     # Run past the end of the run, to just after a sleep tick.
     while sim.ended_at is None or sim.tick % sim.scenario.sleep != 1:
         sim._run_tick()
         sim.tick += 1
-    daemon = sim.owner_daemons[0]
-    assert daemon.submitted and sim.was_settled
-    daemon.submitted = daemon.seen_registry_success = daemon.seen_payout = False
-    for cursor, _, _ in daemon._watches:
-        cursor.next_start = 0
+    assert not daemon.watches and sim.was_settled
+    daemon.seen_registry_success = daemon.seen_payout = False
+    daemon.watches = watches
+    for watch in watches:
+        watch.cursor.next_start = 0
     mempool = sim.hosts[daemon.side.chain_id].mempool
     sim._run_tick()
-    assert daemon.submitted and mempool
+    assert not daemon.watches and mempool
     assert not sim.was_settled
 
 
@@ -347,7 +348,7 @@ def test_idle_owner_daemons_are_not_stepped(monkeypatch):
     assert result.ok and result.quiescent
     gasless, native = sim.owner_daemons
     assert native.side.genesis.variant != gasless.side.genesis.variant == VARIANT_GASLESS
-    assert gasless.submitted and not native.submitted
+    assert not gasless.watches and not native.watches
     submits = [r["tick"] for r in map(json.loads, result.trace_lines)
                if r["kind"] == "submit" and "owner" in r["payload"]]
     assert submits and set(submits) == {submits[0]}

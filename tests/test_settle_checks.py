@@ -37,7 +37,8 @@ def rescan_relay_worthy(sim, witness):
     relays_payout = (cfg.genesis.variant != "gasless"
                      or cfg.name not in sim.scenario.fault_plan.fetch_fail)
     wanted = set()
-    for chain_id, cursor in witness.cursors.items():
+    for watch in witness.watches:
+        chain_id, cursor = watch.chain.chain_id, watch.cursor
         chain = sim.hosts[chain_id].chain
         for height in range(0, min(cursor.next_start - 1, chain.height) + 1):
             for ev in chain.blocks[height].events:
@@ -81,7 +82,7 @@ def rescan(sim):
         ))
     for witness in sim.witnesses:
         ok = True
-        for cursor in witness.cursors.values():
+        for _, cursor, _ in witness.watches:
             prev_end = None
             for start, end in cursor.history:
                 if end < start - 1 or (prev_end is not None and start != prev_end + 1):
@@ -208,7 +209,7 @@ def test_resumed_window_check_still_fails(checks, monkeypatch, shift):
     point reports it."""
     data = presets.registered_with_transfers(deposits=[120, 80], withdrawals=[30], spacing=45)
     sim = simnet.Simulation(parse_scenario(data))
-    cursor = sim.witnesses[0].cursors[sim.token_id]
+    cursor = sim.witnesses[0].watches[0].cursor  # the token chain's
     resumed = simnet.Simulation.check_invariants
 
     def check_then_skip(self):

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from bridgesim import presets, simnet
-from bridgesim.chain import Address, InvalidReorg
+from bridgesim import cli, presets, simnet
+from bridgesim.chain import Address, Chain, InvalidReorg
 from bridgesim.contracts import QuorumTally, RegistrationVault
 from bridgesim.scenario import parse_scenario
 
@@ -315,3 +315,36 @@ class TestVariantDetails:
         result = run(presets.happy_path())
         assert result.quiescent
         assert all(witness.idle() for witness in result.sim.witnesses)
+
+
+def test_a_rejection_after_a_debit_rolls_back_within_the_block(tmp_path, monkeypatch):
+    """A deposit at tick 1, before the side chain is registered, is debited
+    and then refused by the bridge head inside the token block of tick 5.
+    The block restores its start state and replays the accepted prefix; the
+    run stays correct, every chain matches a replay from genesis, and the
+    trace replays identically."""
+    data = presets.registered_with_transfers(deposits=[100], withdrawals=[40])
+    data["workload"].append(
+        presets.transfer_action("deposit", "side-1", 1, "alice", "creator-side", 50))
+    restore, restores = Chain._restore, []
+
+    def counted(chain, *args):
+        restores.append((str(chain.chain_id), chain.height))
+        return restore(chain, *args)
+
+    monkeypatch.setattr(Chain, "_restore", counted)
+    result = run(data)
+    monkeypatch.undo()
+    token_id = presets.addr("token-chain")
+    blocks = [json.loads(line) for line in result.trace_lines]
+    blocks = [r for r in blocks if r["kind"] == "block" and r["tick"] == 5
+              and r["chain"] == token_id]
+    assert [(len(b["payload"]["txs"]), [x["reason"] for x in b["payload"]["rejected"]])
+            for b in blocks] == [(3, ["NotRegistered: side chain is not registered yet"])]
+    assert restores == [(token_id, 0)]  # sealing the token chain's first block
+    assert result.ok and result.quiescent
+    for host in result.sim.hosts.values():
+        assert host.chain.state_digest() == host.chain.replay_from_genesis().state_digest()
+    trace = tmp_path / "rollback.trace"
+    result.write_trace(str(trace))
+    assert cli.main(["replay", str(trace)]) == 0

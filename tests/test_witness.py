@@ -293,6 +293,13 @@ def test_scan_reads_what_the_reference_loop_reads(omega, watched, moves, eventle
         assert all(b[0] == a[1] + 1 for a, b in zip(windows, windows[1:]))
 
 
+def witness_node(behavior=Behavior.HONEST, height=0):
+    """A witness over a token chain and its side chain, each ``height`` blocks high."""
+    config = witness_config(behavior)
+    return WitnessNode(config, chain_of_height(height),
+                       chain_of_height(height, config.genesis.chain_id), seed=1)
+
+
 def witness_config(behavior=Behavior.HONEST):
     return WitnessConfig(
         name="w0",
@@ -320,10 +327,9 @@ def sample_entries():
 
 class TestRelayAndVote:
     def test_honest_witness_builds_one_bound_transaction(self):
-        node = WitnessNode(witness_config(), TOKEN_ID, seed=1)
-        txs = node.relay_and_vote(sample_entries(), node.config.genesis.inter_contract, INBOUND, 0)
-        assert len(txs) == 1
-        tx = txs[0]
+        node = witness_node()
+        tx = node.relay_and_vote(sample_entries(), node.config.genesis.inter_contract, INBOUND, 0)
+        assert isinstance(tx, Transaction)
         assert tx.round == 0
         assert tx.gasprice == 0
         assert tx.payload.subject == entries_subject(INBOUND, tx.payload.entries)
@@ -331,22 +337,22 @@ class TestRelayAndVote:
         assert tx.sender == node.config.side_address
 
     def test_token_chain_targets_use_token_address(self):
-        node = WitnessNode(witness_config(), TOKEN_ID, seed=1)
-        [tx] = node.relay_and_vote(sample_entries(), node.config.bridge_head, OUTBOUND, 0)
+        node = witness_node()
+        tx = node.relay_and_vote(sample_entries(), node.config.bridge_head, OUTBOUND, 0)
         assert tx.sender == node.config.token_address
 
     def test_crashed_witness_submits_nothing(self):
-        node = WitnessNode(witness_config(Behavior.CRASHED), TOKEN_ID, seed=1)
-        assert node.relay_and_vote(sample_entries(), node.config.genesis.inter_contract, INBOUND, 0) == []
+        node = witness_node(Behavior.CRASHED)
+        assert node.relay_and_vote(sample_entries(), node.config.genesis.inter_contract, INBOUND, 0) is None
 
     def test_reject_all_witness_never_relays(self):
-        node = WitnessNode(witness_config(Behavior.BYZANTINE_REJECT_ALL), TOKEN_ID, seed=1)
-        assert node.relay_and_vote(sample_entries(), node.config.genesis.inter_contract, INBOUND, 0) == []
+        node = witness_node(Behavior.BYZANTINE_REJECT_ALL)
+        assert node.relay_and_vote(sample_entries(), node.config.genesis.inter_contract, INBOUND, 0) is None
 
     def test_equivocator_corrupts_content_consistently(self):
-        node = WitnessNode(witness_config(Behavior.EQUIVOCATING), TOKEN_ID, seed=1)
-        [tx1] = node.relay_and_vote(sample_entries(), node.config.genesis.inter_contract, INBOUND, 0)
-        [tx2] = node.relay_and_vote(sample_entries(), node.config.genesis.inter_contract, INBOUND, 0)
+        node = witness_node(Behavior.EQUIVOCATING)
+        tx1 = node.relay_and_vote(sample_entries(), node.config.genesis.inter_contract, INBOUND, 0)
+        tx2 = node.relay_and_vote(sample_entries(), node.config.genesis.inter_contract, INBOUND, 0)
         honest_subject = entries_subject(INBOUND, sample_entries())
         # each submission lies, the lie is internally consistent, and two
         # submissions do not pool with each other or with honest votes
@@ -364,11 +370,11 @@ class TestRelayAndVote:
             return entries_subject(direction, entries)
 
         monkeypatch.setattr(witness_mod, "entries_subject", counted)
-        honest = WitnessNode(witness_config(), TOKEN_ID, seed=1)
-        [tx] = honest.relay_and_vote(sample_entries(), honest.config.genesis.inter_contract, INBOUND, 0, bound)
+        honest = witness_node()
+        tx = honest.relay_and_vote(sample_entries(), honest.config.genesis.inter_contract, INBOUND, 0, bound)
         assert tx.payload.subject == bound and hashed == []
-        liar = WitnessNode(witness_config(Behavior.EQUIVOCATING), TOKEN_ID, seed=1)
-        [tx] = liar.relay_and_vote(sample_entries(), liar.config.genesis.inter_contract, INBOUND, 0, bound)
+        liar = witness_node(Behavior.EQUIVOCATING)
+        tx = liar.relay_and_vote(sample_entries(), liar.config.genesis.inter_contract, INBOUND, 0, bound)
         assert hashed == [tx.payload.entries]
         assert tx.payload.subject == entries_subject(INBOUND, tx.payload.entries) != bound
 
@@ -380,7 +386,7 @@ def test_queued_entries_stay_in_origin_order(queued):
     """Each queued entry goes in at its origin's place, replacing an entry
     with the same origin; the pending vote is rebuilt, unsent, bound to the
     merged entries."""
-    node = WitnessNode(witness_config(), TOKEN_ID, seed=1)
+    node = witness_node()
     target = node.config.genesis.inter_contract
     expected = {}
     for label, height, seq, value in queued:
@@ -397,7 +403,7 @@ def test_queued_entries_stay_in_origin_order(queued):
 
 class TestApproveAllVerdict:
     def test_approve_all_confirms_an_invalid_registration(self):
-        node = WitnessNode(witness_config(Behavior.BYZANTINE_APPROVE_ALL), TOKEN_ID, seed=1)
+        node = witness_node(Behavior.BYZANTINE_APPROVE_ALL)
 
         class View:
             def registry_ids(self):
@@ -411,7 +417,7 @@ class TestApproveAllVerdict:
         assert node._decide_registration(View(), payload, None) is True
 
     def test_reject_all_refuses_a_valid_registration(self):
-        node = WitnessNode(witness_config(Behavior.BYZANTINE_REJECT_ALL), TOKEN_ID, seed=1)
+        node = witness_node(Behavior.BYZANTINE_REJECT_ALL)
 
         class View:
             def registry_ids(self):
@@ -427,15 +433,12 @@ class TestApproveAllVerdict:
 
 
 class RecordingView(witness_mod.WorldView):
-    """Chains with nothing to scan; records submissions and resend logs."""
+    """Records submissions and resend logs."""
 
     def __init__(self):
         self.sent = []      # (tick, chain id, transaction)
         self.resends = []   # (tick, round)
         self.tick = 0
-
-    def chain(self, chain_id):
-        return Chain(chain_id, ChainKind.TOKEN, {"Chain_ID": chain_id}, 0)
 
     def submit(self, witness, chain_id, tx):
         self.sent.append((self.tick, chain_id, tx))
@@ -468,7 +471,7 @@ class TestRegistrationRequest:
             def side_height(self, chain_id):
                 return 0
 
-        node = WitnessNode(witness_config(), TOKEN_ID, seed=1)
+        node = witness_node()
         node._handle_token_event(View(), self.request(genesis))
         assert View.fetches == 1
         assert node.observed_registration.payout == genesis.bal_resv
@@ -487,7 +490,7 @@ class TestRegistrationRequest:
             def log_abstain(self, witness, reason):
                 self.abstains.append(reason)
 
-        node = WitnessNode(witness_config(), TOKEN_ID, seed=1)
+        node = witness_node()
         view = View()
         node._handle_token_event(view, self.request(gasless_genesis()))
         assert view.abstains == ["genesis fetch failed"]
@@ -500,17 +503,10 @@ class TestStepActed:
         so events there stop counting as unscanned: the step acted, though
         the window holds no event and nothing is sent.  The next step, with
         nothing new confirmed, did not."""
-        node = WitnessNode(witness_config(), TOKEN_ID, seed=1)
-        chains = {TOKEN_ID: chain_of_height(25),
-                  node.side_chain_id: chain_of_height(25, node.side_chain_id)}
-
-        class View(RecordingView):
-            def chain(self, chain_id):
-                return chains[chain_id]
-
-        view = View()
+        node = witness_node(height=25)
+        view = RecordingView()
         assert node.step(view, 1)
-        assert not any(c.first_time for c in node.cursors.values())
+        assert not any(watch.cursor.first_time for watch in node.watches)
         assert view.sent == [] and node.pending == {}
         assert not node.step(view, node.wake)
 
@@ -529,7 +525,7 @@ class TestDueRule:
         return acted
 
     def test_a_vote_is_resent_at_timeout_and_sent_at_once_in_an_adopted_round(self):
-        node = WitnessNode(witness_config(), TOKEN_ID, seed=1)
+        node = witness_node()
         genesis = gasless_genesis()
         view = RecordingView()
         deposit = Event(node.config.bridge_head, EventTopic.CROSS_CHAIN_ARRIVED,
