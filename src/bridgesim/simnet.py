@@ -103,17 +103,16 @@ class InvariantResult:
 class ScanProgress:
     """How far the settle-point checks have read one chain, and what they found.
 
-    A block below a recorded height changes only when ``inject_reorg``
+    A block at or below ``read`` changes only when ``inject_reorg``
     reorganizes the chain, which resets the chain's progress; the next check
     then reads it again from genesis.
     """
 
-    gas_read: int = -1   # last height the zero-gasprice check read
-    gas_bad: int = 0     # violations in heights 0..gas_read
-    # witness -> (last height read, origins of its relay-worthy events there)
-    relay_worthy: dict[WitnessNode, tuple[int, set[tuple]]] = field(default_factory=dict)
-    # witness -> (windows read, end of the last, all contiguous so far)
-    windows: dict[WitnessNode, tuple[int, int | None, bool]] = field(default_factory=dict)
+    read: int = -1    # last height read
+    gas_bad: int = 0  # zero-gasprice violations in heights 0..read
+    # side chain id -> (height, origin, is_payout) of each event here that its
+    # witnesses should relay, in height order
+    worthy: dict[Address, list[tuple[int, tuple, bool]]] = field(default_factory=dict)
 
 
 class OwnerDaemon:
@@ -391,10 +390,6 @@ class Simulation(WorldView):
         host = self.hosts.get(chain_id)
         return None if host is None else host.chain.height
 
-    def actual_chain_id(self, chain_id: Address) -> Address | None:
-        host = self.hosts.get(chain_id)
-        return None if host is None else host.chain.chain_id
-
     def submit(self, witness: WitnessNode, chain_id: Address, tx: Transaction) -> None:
         plan = self.scenario.fault_plan
         digest = tx.digest()
@@ -623,11 +618,11 @@ class Simulation(WorldView):
         for chain_id, host in self.hosts.items():
             chain = host.chain
             if chain.has_token_ledger():
-                total = chain.ledger_total()
+                supply, bad = chain.total_supply, chain.unbalanced
                 out.append(InvariantResult(
-                    "conservation", str(chain_id),
-                    total == chain.total_supply,
-                    f"ledger {total}, supply {chain.total_supply}",
+                    "conservation", str(chain_id), bad is None,
+                    f"ledger {supply}, supply {supply}" if bad is None else
+                    f"ledger {bad[1]} after height {bad[0]}, supply {supply}",
                 ))
 
         for side in sc.side_chains:
@@ -677,50 +672,60 @@ class Simulation(WorldView):
                 f"{len(bank.access_violations)} rejected foreign calls",
             ))
 
+        self._read_new_blocks()
         out.extend(self._check_relay_canon())
         out.extend(self._check_window_contiguity())
         out.append(self._check_zero_gasprice())
         return out
 
-    def _relay_worthy(self, witness: WitnessNode) -> set[tuple]:
-        """Origins of every event this witness should ever have relayed.
+    def _read_new_blocks(self) -> None:
+        """Read every chain on from the last height a settle point read, up to
+        its head: count the zero-gasprice transactions of unexempt senders,
+        and note each relay-worthy event under the side chain whose witnesses
+        should relay it."""
+        for chain_id, host in self.hosts.items():
+            chain, progress = host.chain, self._progress[chain_id]
+            first = progress.read + 1
+            allowed = chain.witness_exempt.union(chain.contract_order)
+            for height in range(first, chain.height + 1):
+                for tx in chain.blocks[height].transactions:
+                    if tx.gasprice == 0 and tx.sender not in allowed:
+                        progress.gas_bad += 1
+            on_token = chain_id == self.token_id
+            for height in chain.heights_with_events(first, chain.height):
+                for ev in chain.events_at(height):
+                    if not on_token:
+                        # On a side chain only contracts its witnesses watch
+                        # emit these: the bank or the gateway locking, and
+                        # the gateway escrowing a withdrawal.
+                        if ev.topic not in (EventTopic.ASSETS_LOCKED,
+                                            EventTopic.CROSS_CHAIN_ARRIVED):
+                            continue
+                        side, payout = chain_id, False
+                    elif ev.topic == EventTopic.CROSS_CHAIN_ARRIVED and \
+                            ev.payload.get("kind") == "transfer":
+                        side, payout = ev.payload["chain_id"], False  # a deposit's side chain
+                    elif ev.topic == EventTopic.EXIST_OR_NOT and ev.payload.get("success"):
+                        side, payout = ev.payload["chain_id"], True  # the id registered
+                    else:
+                        continue
+                    progress.worthy.setdefault(side, []).append(
+                        (height, ev.origin_plain(chain_id), payout))
+            progress.read = chain.height
 
-        Each chain is read on from the last height the previous settle point
-        read, up to the end of the witness's scanned windows.
-        """
+    def _relay_worthy(self, witness: WitnessNode) -> set[tuple]:
+        """Origins of every event this witness should have relayed so far:
+        its side chain's relay-worthy events in the windows it has scanned."""
         cfg = witness.config
         # A gasless witness that cannot fetch the genesis abstains from the
         # registration vote, so it has no vault payout to relay.
         relays_payout = (cfg.genesis.variant != VARIANT_GASLESS
                          or cfg.name not in self.scenario.fault_plan.fetch_fail)
         found: set[tuple] = set()
-        for chain, cursor, watched in witness.watches:
-            chain_id = chain.chain_id
-            progress = self._progress[chain_id]
-            read, wanted = progress.relay_worthy.get(witness, (-1, set()))
-            end = min(cursor.next_start - 1, chain.height)
-            for height in chain.heights_with_events(read + 1, end):
-                for ev in chain.events_at(height):
-                    if ev.contract not in watched:
-                        continue
-                    if chain_id == self.token_id:
-                        worthy = (
-                            ev.topic == EventTopic.CROSS_CHAIN_ARRIVED
-                            and ev.payload.get("kind") == "transfer"
-                        ) or (
-                            relays_payout and ev.topic == EventTopic.EXIST_OR_NOT
-                            and ev.payload.get("success")
-                            and ev.payload.get("chain_id") == cfg.genesis.chain_id
-                        )
-                    else:
-                        worthy = ev.topic == EventTopic.ASSETS_LOCKED or (
-                            ev.topic == EventTopic.CROSS_CHAIN_ARRIVED
-                            and ev.contract == cfg.genesis.register_contract
-                        )
-                    if worthy:
-                        wanted.add(ev.origin_plain(chain_id))
-            progress.relay_worthy[witness] = (max(read, end), wanted)
-            found |= wanted
+        for chain, cursor, _ in witness.watches:
+            worthy = self._progress[chain.chain_id].worthy.get(cfg.genesis.chain_id, ())
+            found.update(origin for height, origin, payout in worthy
+                         if height < cursor.next_start and (relays_payout or not payout))
         return found
 
     def _check_relay_canon(self) -> list[InvariantResult]:
@@ -741,40 +746,16 @@ class Simulation(WorldView):
         return out
 
     def _check_window_contiguity(self) -> list[InvariantResult]:
-        """Each cursor's windows follow on from each other; the windows a
-        previous settle point checked are not read again."""
-        out = []
-        for witness in self.witnesses:
-            ok = True
-            for chain, cursor, _ in witness.watches:
-                progress = self._progress[chain.chain_id]
-                read, prev_end, good = progress.windows.get(witness, (0, None, True))
-                for start, end in cursor.history[read:]:
-                    if end < start - 1 or (prev_end is not None and start != prev_end + 1):
-                        good = False
-                    prev_end = end
-                progress.windows[witness] = (len(cursor.history), prev_end, good)
-                ok = ok and good
-            out.append(InvariantResult(
-                "window_contiguity", witness.config.name, ok, "",
-            ))
-        return out
+        """Each cursor's windows follow on from each other."""
+        return [
+            InvariantResult("window_contiguity", witness.config.name,
+                            not any(watch.cursor.gaps for watch in witness.watches), "")
+            for witness in self.witnesses
+        ]
 
     def _check_zero_gasprice(self) -> InvariantResult:
-        """Counts zero-gasprice transactions from unexempt senders, reading
-        only the blocks added since the previous settle point."""
-        bad = 0
-        for chain_id, host in self.hosts.items():
-            chain = host.chain
-            progress = self._progress[chain_id]
-            if progress.gas_read < chain.height:
-                allowed = chain.witness_exempt.union(chain.contract_order)
-                for height in range(progress.gas_read + 1, chain.height + 1):
-                    for tx in chain.blocks[height].transactions:
-                        if tx.gasprice == 0 and tx.sender not in allowed:
-                            progress.gas_bad += 1
-                progress.gas_read = chain.height
-            bad += progress.gas_bad
+        """Zero-gasprice transactions from unexempt senders, on every chain."""
+        bad = sum(progress.gas_bad for progress in self._progress.values())
         return InvariantResult("zero_gasprice_rule", "", bad == 0, f"{bad} violations")
 
     def _record_invariants(self, results: list[InvariantResult], final: bool) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import AbstractSet, Iterable, Iterator, NamedTuple
 
@@ -76,19 +76,18 @@ def registration_conditions(
 
 def validate_registration_nativegas(
     claimed_chain_id: Address,
-    actual_chain_id: Address | None,
+    side_height: int | None,
     registered_ids: set[Address],
     token_chain_id: Address,
 ) -> bool:
     """Native-gas variant: only the chain-id checks apply.
 
     Height and balances are irrelevant because such a chain may already be
-    live and carries no pre-funded vaults; ``actual_chain_id`` is the id the
-    running chain reports for itself (None when no such chain is reachable).
+    live and carries no pre-funded vaults.  ``side_height`` is the height of
+    the chain hosted under the claimed id, None when there is none.
     """
     return (
-        actual_chain_id is not None
-        and claimed_chain_id == actual_chain_id
+        side_height is not None
         and claimed_chain_id != token_chain_id
         and claimed_chain_id not in registered_ids
     )
@@ -108,14 +107,15 @@ class RelayCursor:
     ``omega``); every later window is the next contiguous ``omega`` blocks and
     opens once the head is at least ``omega`` past its end.  ``omega == 0``
     models instant finality: everything up to the head is scanned immediately.
-    ``history`` holds one (start, end) span per scan that moved the cursor;
-    the spans tile the heights read, in order.
+    ``gaps`` counts the (start, end) spans ``advance`` was given that do not
+    follow on from the one before, or that end before they start.
     """
 
     omega: int
     next_start: int = 0
     first_time: bool = True
-    history: list[tuple[int, int]] = field(default_factory=list)
+    last_end: int | None = None  # end of the last span advanced over
+    gaps: int = 0
 
     def window_if_ready(self, head: int) -> tuple[int, int] | None:
         """The next window, or None while it is still in the revertible zone."""
@@ -130,8 +130,11 @@ class RelayCursor:
         return (start, end) if head >= end + self.omega else None
 
     def advance(self, span: tuple[int, int]) -> None:
-        self.history.append(span)
-        self.next_start = span[1] + 1
+        start, end = span
+        if end < start - 1 or (self.last_end is not None and start != self.last_end + 1):
+            self.gaps += 1
+        self.last_end = end
+        self.next_start = end + 1
         self.first_time = False
 
 
@@ -401,18 +404,16 @@ class WitnessNode:
             return True
         if cfg.behavior == Behavior.BYZANTINE_REJECT_ALL:
             return False
-        if spec is not None:
-            side_height = view.side_height(claimed_chain_id)
-            if side_height is None:
-                return None
-            return all(registration_conditions(
-                spec, side_height, payload["genesis_hash"], payload["balance"],
-                claimed_chain_id, registered, self.token_chain_id,
-            ))
-        actual = view.actual_chain_id(claimed_chain_id)
-        return validate_registration_nativegas(
-            claimed_chain_id, actual, registered, self.token_chain_id
-        )
+        side_height = view.side_height(claimed_chain_id)
+        if spec is None:
+            return validate_registration_nativegas(
+                claimed_chain_id, side_height, registered, self.token_chain_id)
+        if side_height is None:
+            return None
+        return all(registration_conditions(
+            spec, side_height, payload["genesis_hash"], payload["balance"],
+            claimed_chain_id, registered, self.token_chain_id,
+        ))
 
     def _handle_token_event(self, view: "WorldView", ev: Event) -> None:
         cfg = self.config
@@ -598,9 +599,6 @@ class WorldView:
         raise NotImplementedError
 
     def side_height(self, chain_id: Address) -> int | None:
-        raise NotImplementedError
-
-    def actual_chain_id(self, chain_id: Address) -> Address | None:
         raise NotImplementedError
 
     def submit(self, witness: WitnessNode, chain_id: Address, tx: Transaction) -> None:

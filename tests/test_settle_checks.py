@@ -1,9 +1,11 @@
 """Settle-point checks that resume where the previous settle point stopped.
 
-``Simulation.check_invariants`` reads each chain on from the height (and each
-cursor on from the window) that the previous check read.  These tests hold
-the resumed results to a from-scratch rescan written here, at every settle
-point, and count the blocks a check reads.
+``Simulation.check_invariants`` reads each chain once, on from the height the
+previous check read, and each cursor counts for itself the windows that do
+not follow on from the one before.  These tests hold the results to a
+from-scratch rescan written here, at every settle point, which reads every
+chain from genesis and every span a cursor was advanced over; and they count
+the blocks a check reads.
 """
 
 import json
@@ -18,7 +20,7 @@ from bridgesim.chain import (
 )
 from bridgesim.scenario import is_genesis_file, parse_scenario
 from bridgesim.simnet import InvariantResult
-from bridgesim.witness import Behavior
+from bridgesim.witness import Behavior, RelayCursor
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 FIXTURES = sorted(
@@ -64,9 +66,10 @@ def rescan_relay_worthy(sim, witness):
     return wanted
 
 
-def rescan(sim):
+def rescan(sim, spans):
     """relay_matches_canon, window_contiguity and zero_gasprice_rule, in the
-    order ``check_invariants`` reports them, read from height 0."""
+    order ``check_invariants`` reports them, read from height 0 and from
+    ``spans(cursor)``, every span the cursor was advanced over."""
     out = []
     changed = {c.witness for c in sim.scenario.fault_plan.behavior_schedule}
     for witness in sim.witnesses:
@@ -84,7 +87,7 @@ def rescan(sim):
         ok = True
         for _, cursor, _ in witness.watches:
             prev_end = None
-            for start, end in cursor.history:
+            for start, end in spans(cursor):
                 if end < start - 1 or (prev_end is not None and start != prev_end + 1):
                     ok = False
                 prev_end = end
@@ -105,15 +108,26 @@ def checks(monkeypatch):
     """Every ``check_invariants`` call of the runs in a test, each compared
     with the rescan; yields the resumed results, one list per call."""
     seen = []
+    log = {}  # id(cursor) -> (cursor, every span its ``advance`` was given)
+    advance = RelayCursor.advance
+
+    def logged_advance(cursor, span):
+        log.setdefault(id(cursor), (cursor, []))[1].append(span)
+        advance(cursor, span)
+
+    def spans(cursor):
+        return log.get(id(cursor), (cursor, []))[1]
+
     original = simnet.Simulation.check_invariants
 
     def check(sim):
         results = original(sim)
         resumed = [r for r in results if r.name in RESUMED]
-        assert resumed == rescan(sim), f"tick {sim.tick}"
+        assert resumed == rescan(sim, spans), f"tick {sim.tick}"
         seen.append((sim.tick, resumed))
         return results
 
+    monkeypatch.setattr(RelayCursor, "advance", logged_advance)
     monkeypatch.setattr(simnet.Simulation, "check_invariants", check)
     return seen
 
@@ -278,8 +292,9 @@ class CountingBlocks(list):
 
 @pytest.mark.parametrize("n", [4, 32])
 def test_settle_point_reads_follow_new_blocks_not_history(n, monkeypatch):
-    """A check reads each block produced since the previous check a bounded
-    number of times, whatever the history, and a repeated check reads none."""
+    """A check reads each block produced since the previous check at most
+    twice (its transactions, and its events if it holds any), whatever the
+    history, and a repeated check reads none."""
     spacing = 40  # long enough for the bridge to rest after every transfer
     data = presets.registered_with_transfers(
         deposits=[100] * n, withdrawals=[10] * n, spacing=spacing,
@@ -317,11 +332,7 @@ def test_settle_point_reads_follow_new_blocks_not_history(n, monkeypatch):
     result = sim.run()
     assert result.quiescent and result.failures == []
     assert len(rows) >= 2 * n
-    witnesses = len(sim.witnesses)
-    # A cursor may end a window up to omega nearer the head than at the
-    # previous check, so each witness may read that many older blocks.
-    lag = presets.OMEGA_TOKEN + presets.OMEGA_SIDE
     for tick, produced, (blocks, events), again in rows:
         assert again == (0, 0), f"tick {tick}: a repeated check read {again}"
-        assert events <= witnesses * (produced + lag), f"tick {tick}"
-        assert blocks <= witnesses * (produced + lag) + produced, f"tick {tick}"
+        assert events <= produced, f"tick {tick}"
+        assert blocks <= 2 * produced, f"tick {tick}"

@@ -237,6 +237,34 @@ class TestMisconfiguredQuorum:
         assert after.details == "1 executions below a safe quorum"
 
 
+class TestConservation:
+    def test_a_payout_credited_twice_fails_conservation(self, tmp_path, monkeypatch):
+        """Negative control: the vault credits its payout twice, so from that
+        block on the side chain's ledger sums to the supply plus the payout.
+        The run records the block and exits 2."""
+        execute = RegistrationVault._execute
+
+        def pay_twice(self, ctx, lane, tally):
+            outcome = execute(self, ctx, lane, tally)
+            if outcome.get("success"):
+                ctx.credit(outcome["to"], outcome["amount"])
+            return outcome
+
+        monkeypatch.setattr(RegistrationVault, "_execute", pay_twice)
+        data = presets.happy_path()
+        result = run(data)
+        side = Address.from_hex(presets.addr("side-1"))
+        chain = result.sim.hosts[side].chain
+        height, total = chain.unbalanced
+        payout = data["side_chains"][0]["genesis"]["Bal_Resv"]
+        assert total == chain.total_supply + payout
+        assert {(f.chain, f.details) for f in result.failures if f.name == "conservation"} == {
+            (str(side), f"ledger {total} after height {height}, supply {chain.total_supply}")}
+        path = tmp_path / "happy.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["run", str(path)]) == 2
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical_traces(self):
         a = run(presets.mixed_variants(seed=9))

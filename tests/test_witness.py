@@ -123,22 +123,18 @@ class TestRegistrationValidation:
 class TestNativeGasValidation:
     def test_existing_tall_chain_is_fine(self):
         cid = Address.from_label("native")
-        assert validate_registration_nativegas(cid, cid, set(), TOKEN_ID) is True
+        assert validate_registration_nativegas(cid, 7, set(), TOKEN_ID) is True
 
     def test_duplicate_chain_id_rejects(self):
         cid = Address.from_label("native")
-        assert validate_registration_nativegas(cid, cid, {cid}, TOKEN_ID) is False
+        assert validate_registration_nativegas(cid, 7, {cid}, TOKEN_ID) is False
 
     def test_token_chain_id_rejects(self):
-        assert validate_registration_nativegas(TOKEN_ID, TOKEN_ID, set(), TOKEN_ID) is False
+        assert validate_registration_nativegas(TOKEN_ID, 7, set(), TOKEN_ID) is False
 
     def test_unreachable_chain_rejects(self):
         cid = Address.from_label("native")
         assert validate_registration_nativegas(cid, None, set(), TOKEN_ID) is False
-
-    def test_id_mismatch_rejects(self):
-        cid = Address.from_label("native")
-        assert validate_registration_nativegas(cid, OTHER_ID, set(), TOKEN_ID) is False
 
 
 def chain_of_height(height, chain_id=TOKEN_ID):
@@ -150,51 +146,72 @@ def chain_of_height(height, chain_id=TOKEN_ID):
     return chain
 
 
+def logged_cursor(omega):
+    """A cursor, and the list of every span its ``advance`` is given."""
+    cursor, spans = RelayCursor(omega=omega), []
+
+    def advance(span):
+        spans.append(span)
+        RelayCursor.advance(cursor, span)
+
+    cursor.advance = advance
+    return cursor, spans
+
+
 class TestScanReady:
     def test_first_window_is_anchored_two_windows_behind_head(self):
         chain = chain_of_height(25)
-        cursor = RelayCursor(omega=6)
+        cursor, spans = logged_cursor(omega=6)
         scan_ready(cursor, chain, set())
-        assert cursor.history == [(14, 19)]
+        assert spans == [(14, 19)]
 
     def test_first_window_waits_for_depth(self):
         chain = chain_of_height(10)
-        cursor = RelayCursor(omega=6)
+        cursor, spans = logged_cursor(omega=6)
         assert scan_ready(cursor, chain, set()) == []
-        assert cursor.first_time and cursor.history == []
+        assert cursor.first_time and spans == []
 
     def test_next_window_gated_on_head_advancing_a_full_window(self):
         chain = chain_of_height(25)
-        cursor = RelayCursor(omega=6)
+        cursor, spans = logged_cursor(omega=6)
         scan_ready(cursor, chain, set())  # consumes [14, 19]
         while chain.height < 30:
             chain.apply_block([])
         scan_ready(cursor, chain, set())
-        assert cursor.history == [(14, 19)]  # 30 < 25 + 6
+        assert spans == [(14, 19)]  # 30 < 25 + 6
         chain.apply_block([])  # head 31
         scan_ready(cursor, chain, set())
-        assert cursor.history[-1] == (20, 25)
+        assert spans[-1] == (20, 25)
 
     def test_windows_are_contiguous_and_disjoint(self):
         chain = chain_of_height(0)
-        cursor = RelayCursor(omega=3)
+        cursor, spans = logged_cursor(omega=3)
         for _ in range(60):
             chain.apply_block([])
             scan_ready(cursor, chain, set())
-        for (s1, e1), (s2, e2) in zip(cursor.history, cursor.history[1:]):
+        for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
             assert s2 == e1 + 1
-        assert cursor.history[0][0] >= 0
+        assert spans[0][0] >= 0
+        assert cursor.gaps == 0
 
     def test_omega_zero_scans_to_head_immediately(self):
         chain = chain_of_height(5)
-        cursor = RelayCursor(omega=0)
+        cursor, spans = logged_cursor(omega=0)
         scan_ready(cursor, chain, set())
-        assert cursor.history == [(0, 5)]
+        assert spans == [(0, 5)]
         assert scan_ready(cursor, chain, set()) == []
-        assert cursor.history == [(0, 5)]
+        assert spans == [(0, 5)]
         chain.apply_block([])
         scan_ready(cursor, chain, set())
-        assert cursor.history[-1] == (6, 6)
+        assert spans[-1] == (6, 6)
+
+    def test_advance_counts_spans_that_do_not_follow_on(self):
+        cursor = RelayCursor(omega=3)
+        # Skipped heights 10, a doubled 13, a span ending before it starts;
+        # an empty span (end = start - 1) follows on.
+        for span in [(4, 6), (7, 9), (11, 13), (13, 15), (16, 14), (15, 14)]:
+            cursor.advance(span)
+        assert (cursor.gaps, cursor.last_end, cursor.next_start) == (3, 14, 15)
 
     def test_events_filtered_to_watched_contracts(self):
         from bridgesim.contracts import ChainIdRegistry
@@ -267,7 +284,7 @@ def test_scan_reads_what_the_reference_loop_reads(omega, watched, moves, eventle
         chain.register_contract(addr, Emitter(addr))
     chain.seal_genesis()
     watched = {EMITTERS[i] for i in watched}
-    cursor, reference = RelayCursor(omega=omega), RelayCursor(omega=omega)
+    (cursor, spans), reference = logged_cursor(omega), RelayCursor(omega=omega)
 
     def block(picks):
         return [Transaction(SENDER, SENDER if eventless else EMITTERS[i], 0, 1, IoTRecord(""))
@@ -284,12 +301,12 @@ def test_scan_reads_what_the_reference_loop_reads(omega, watched, moves, eventle
             for picks in move:
                 chain.apply_block(block(picks))
         expected = list(iter(lambda: form_batch(reference, chain, watched), None))
-        spans = len(cursor.history)
+        read = len(spans)
         assert scan_ready(cursor, chain, watched) == [(ev, w) for ev, w in expected if ev]
         assert (cursor.next_start, cursor.first_time) == \
             (reference.next_start, reference.first_time)
         windows = [w for _, w in expected]
-        assert cursor.history[spans:] == ([(windows[0][0], windows[-1][1])] if windows else [])
+        assert spans[read:] == ([(windows[0][0], windows[-1][1])] if windows else [])
         assert all(b[0] == a[1] + 1 for a, b in zip(windows, windows[1:]))
 
 
