@@ -4,8 +4,9 @@ Each chain is an append-only list of blocks over an account ledger plus a set
 of contract state machines.  Block application is the only way state changes:
 transactions are applied in order, contracts emit events, and every block
 stores the events it produced; the chain indexes the heights of the blocks
-that hold any.  A reorganization replaces the top ``depth``
-blocks.
+that hold any.  While it applies a block the chain holds that block's height,
+tick and events and the index of the transaction in hand; contracts call the
+chain directly.  A reorganization replaces the top ``depth`` blocks.
 
 Admission comes before the journal.  Each transaction first meets the rules
 that only read state: gas, negative value, the payload kind when no contract
@@ -475,7 +476,11 @@ class Chain:
         # height -> undo record (account pre-images, contract pre-images) of
         # every block that changed state; None marks an absent account.
         self._undo: dict[int, tuple[dict[Address, int | None], dict[Address, bytes]]] = {}
-        self._open_record()
+        # The block being applied: its undo record, height, tick and events so
+        # far, and the index of the transaction in hand.
+        self._record: tuple[dict[Address, int | None], dict[Address, bytes]] = ({}, {})
+        self.block_height = self.now = self.tx_index = 0
+        self._events: list[Event] = []
         # state_digest and earliest_deadline, until the next change or restore.
         self._memo: dict[str, Any] = {}
         # Each contract's canonical state-view text, until it is called or
@@ -592,8 +597,21 @@ class Chain:
         elif not tx.value:
             contract.check(tx)
 
-    def _apply_tx(self, tx: Transaction, ctx: "ApplyContext") -> None:
+    def emit(self, contract: Address, topic: EventTopic, payload: dict) -> None:
+        """Add an event of the transaction in hand to the block being applied."""
+        self._events.append(Event(contract, topic, payload, self.block_height,
+                                  self.tx_index, seq=len(self._events)))
+
+    def contract(self, addr: Address) -> Any:
+        """The contract at ``addr``, journaled before a contract calls it."""
+        state = self._touch_contract(addr)
+        if state is None:
+            raise InvalidTransaction(f"no contract at {addr}")
+        return state
+
+    def _apply_tx(self, tx: Transaction, tx_index: int) -> None:
         """Apply an admitted transaction, journaling what it changes."""
+        self.tx_index = tx_index
         contract = self._touch_contract(tx.to)
         if contract is None:
             if tx.value:
@@ -605,7 +623,7 @@ class Chain:
         # (or reject the transaction) or the conservation check will fire.
         if tx.value:
             self.debit(tx.sender, tx.value)
-        contract.handle(ctx, tx)
+        contract.handle(self, tx)
 
     def apply_block(
         self,
@@ -620,15 +638,15 @@ class Chain:
         their deadlines.
         """
         head = self.blocks[-1]
-        height = head.height + 1
+        height = self.block_height = head.height + 1
+        self.now = now
         accepted: list[Transaction] = []
-        events: list[Event] = []
+        self._events = events = []
         rejections: list[Rejection] = []
         # A block without transactions changes nothing: it opens no undo
         # record and is not held to conservation.
         if transactions:
-            self._open_record()
-            record = (self._accounts_before, self._contracts_before)
+            self._record = record = ({}, {})
             for tx in transactions:
                 try:
                     self._admit(tx)
@@ -638,7 +656,7 @@ class Chain:
                     continue
                 marks = [len(pre_images) for pre_images in record]
                 try:
-                    self._apply_tx(tx, ApplyContext(self, height, len(accepted), events, now))
+                    self._apply_tx(tx, len(accepted))
                 except Exception as exc:  # noqa: BLE001 - any contract error rejects the tx
                     # Roll back to the block start and replay the accepted
                     # prefix; such failures are rare, so this beats journaling
@@ -651,7 +669,7 @@ class Chain:
                             del pre_images[key]
                     events.clear()
                     for i, prev in enumerate(accepted):
-                        self._apply_tx(prev, ApplyContext(self, height, i, events, now))
+                        self._apply_tx(prev, i)
                     rejections.append(Rejection(tx, _reason(exc)))
                     continue
                 accepted.append(tx)
@@ -703,23 +721,18 @@ class Chain:
 
     # -- undo journal ---------------------------------------------------------
 
-    def _open_record(self) -> None:
-        """Start an empty undo record for the block being applied."""
-        self._accounts_before: dict[Address, int | None] = {}
-        self._contracts_before: dict[Address, bytes] = {}
-
     def _touch_account(self, addr: Address) -> None:
         """Journal the account at ``addr`` before it changes."""
-        if addr not in self._accounts_before:
-            self._accounts_before[addr] = self.accounts.get(addr)
+        if addr not in self._record[0]:
+            self._record[0][addr] = self.accounts.get(addr)
         self._memo.clear()
 
     def _touch_contract(self, addr: Address) -> Any:
         """The contract at ``addr`` (None if there is none), journaled before a call."""
         contract = self.contracts.get(addr)
         if contract is not None:
-            if addr not in self._contracts_before:
-                self._contracts_before[addr] = pickle.dumps(
+            if addr not in self._record[1]:
+                self._record[1][addr] = pickle.dumps(
                     contract.__dict__, pickle.HIGHEST_PROTOCOL)
             self._view_texts.pop(addr, None)
             self._memo.clear()
@@ -782,37 +795,3 @@ class Chain:
                 default=None,
             )
         return self._memo["deadline"]
-
-
-class ApplyContext:
-    """Environment a contract sees while handling one transaction."""
-
-    def __init__(
-        self, chain: Chain, height: int, tx_index: int, events: list[Event], now: int
-    ) -> None:
-        self.chain = chain
-        self.height = height
-        self.tx_index = tx_index
-        self.now = now
-        self._events = events
-
-    def emit(self, contract: Address, topic: EventTopic, payload: dict) -> Event:
-        ev = Event(
-            contract,
-            topic,
-            payload,
-            self.height,
-            self.tx_index,
-            seq=len(self._events),
-        )
-        self._events.append(ev)
-        return ev
-
-    def credit(self, addr: Address, amount: int) -> None:
-        self.chain.credit(addr, amount)
-
-    def contract(self, addr: Address) -> Any:
-        state = self.chain._touch_contract(addr)
-        if state is None:
-            raise InvalidTransaction(f"no contract at {addr}")
-        return state

@@ -86,12 +86,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     data = _load(args.file)
     if data is None:
         return EXIT_INVALID
-    if args.seed is not None:
-        data = dict(data, seed=args.seed)
-    if args.max_ticks is not None:
-        data = dict(data, max_ticks=args.max_ticks)
-    if args.mode is not None:
-        data = dict(data, mode=args.mode)
+    if isinstance(data, dict):  # anything else fails to parse as an object
+        overrides = {"seed": args.seed, "max_ticks": args.max_ticks, "mode": args.mode}
+        data = dict(data, **{k: v for k, v in overrides.items() if v is not None})
     try:
         scenario = parse_scenario(data)
     except ScenarioInvalid as exc:
@@ -140,8 +137,16 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return EXIT_DIVERGENCE
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits on a usage error with the invalid-input code, not argparse's 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bridgesim",
         description="Deterministic notary-quorum cross-chain bridge simulator",
     )

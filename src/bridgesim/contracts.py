@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from . import codec
 from .chain import (
     Address,
-    ApplyContext,
+    Chain,
     Confirm,
     EventTopic,
     MultisigAction,
@@ -254,7 +254,7 @@ class QuorumStream:
 
     def admit(
         self,
-        ctx: ApplyContext,
+        chain: Chain,
         tx: Transaction,
         address: Address,
         announced: bytes | None,
@@ -272,19 +272,19 @@ class QuorumStream:
         vote = tx.payload
         if vote.subject in self.executed:
             if isinstance(vote, Transferring):
-                ctx.emit(address, echo_topic, self._payload(
+                chain.emit(address, echo_topic, self._payload(
                     echo_topic, self.round - 1, vote.subject, True, [], True, None))
             return None
         if isinstance(vote, Confirm):
             if announced is None:
                 raise MalformedVote("no registration awaiting confirmation")
-            tally = self.record(tx.sender, vote.subject, vote.verdict, ctx.now)
+            tally = self.record(tx.sender, vote.subject, vote.verdict, chain.now)
             if vote.subject != announced:
                 return None  # votes for a subject the contract never announced cannot fire
         else:
             if entries_subject(self.name, vote.entries) != vote.subject:
                 raise MalformedVote("subject digest does not match the carried entries")
-            tally = self.record(tx.sender, vote.subject, True, ctx.now, vote.entries)
+            tally = self.record(tx.sender, vote.subject, True, chain.now, vote.entries)
         return tally if self.reached(tally) else None
 
     def conclude(
@@ -364,14 +364,15 @@ class Contract:
 
     The chain calls ``check`` on each zero-value transaction before it
     journals the contract, ``handle`` for each transaction, ``held_balance``
-    for token conservation and ``next_deadline`` for its earliest deadline.  The
-    scheduler pokes every contract whose ``next_deadline`` has come.  It
-    asks ``busy`` to decide whether the bridge
-    is at rest, ``lanes`` for quorum safety (each lane's ``unsafe`` count)
-    and ``state_view`` for the per-block state digest (typed values under
-    ``str`` keys; ``codec.digest`` encodes them).  The defaults fit a
-    contract without vote lanes that holds no tokens; a contract with lanes
-    lists them in ``lanes``, in poke order.
+    for token conservation and ``next_deadline`` for its earliest deadline.
+    The scheduler pokes every contract whose ``next_deadline`` has come.  It
+    asks ``busy`` to decide whether the bridge is at rest, ``lanes`` for
+    quorum safety (each lane's ``unsafe`` count) and ``state_view`` for the
+    per-block state digest (typed values under ``str`` keys; ``codec.digest``
+    encodes them).  The defaults fit a contract without vote lanes that holds
+    no tokens; a contract with lanes lists them in ``lanes``, in poke order.
+    A contract calls its chain directly: ``emit``, ``credit``, ``contract``
+    (a contract it calls) and ``now``.
     """
 
     address: Address
@@ -409,7 +410,7 @@ class Contract:
         lane.check(tx)
         return lane
 
-    def handle(self, ctx: ApplyContext, tx: Transaction) -> None:
+    def handle(self, chain: Chain, tx: Transaction) -> None:
         """Route a vote to its lane, a poke to the lanes' deadlines, and
         anything else (everything, on a contract without lanes) to
         ``transact``."""
@@ -418,20 +419,20 @@ class Contract:
         if lanes and isinstance(payload, (Confirm, Transferring)):
             _require_no_value(tx)
             lane = self.check(tx)
-            tally = lane.admit(ctx, tx, self.address, self._announced(),
+            tally = lane.admit(chain, tx, self.address, self._announced(),
                                self.ECHO_TOPIC or lane.topic)
             if tally is not None:
-                ctx.emit(self.address, lane.topic,
-                         lane.conclude(tally.subject, tally, **self._execute(ctx, lane, tally)))
+                outcome = self._execute(chain, lane, tally)
+                chain.emit(self.address, lane.topic, lane.conclude(tally.subject, tally, **outcome))
         elif lanes and isinstance(payload, MultisigAction) and payload.action == POKE_ACTION:
             _require_no_value(tx)
             for lane in lanes:
-                if lane.expired(ctx.now):
-                    self._expire(ctx, lane)
+                if lane.expired(chain.now):
+                    self._expire(chain, lane)
         else:
-            self.transact(ctx, tx)
+            self.transact(chain, tx)
 
-    def transact(self, ctx: ApplyContext, tx: Transaction) -> None:
+    def transact(self, chain: Chain, tx: Transaction) -> None:
         """Every transaction ``handle`` does not route to a lane."""
         raise NotImplementedError
 
@@ -447,12 +448,12 @@ class Contract:
         """The subject a confirm vote may fire for (None: nothing to confirm)."""
         return None
 
-    def _execute(self, ctx: ApplyContext, lane: QuorumStream, tally: QuorumTally) -> dict:
+    def _execute(self, chain: Chain, lane: QuorumStream, tally: QuorumTally) -> dict:
         """Payout or gate step of a quorum; returns the outcome for ``conclude``."""
         raise NotImplementedError
 
-    def _expire(self, ctx: ApplyContext, lane: QuorumStream) -> None:
-        ctx.emit(self.address, lane.topic, lane.conclude(error="timeout"))
+    def _expire(self, chain: Chain, lane: QuorumStream) -> None:
+        chain.emit(self.address, lane.topic, lane.conclude(error="timeout"))
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +482,7 @@ class ChainIdRegistry(Contract):
     def snapshot_ids(self) -> set[Address]:
         return set(self.chain_ids)
 
-    def transact(self, ctx: ApplyContext, tx: Transaction) -> None:
+    def transact(self, chain: Chain, tx: Transaction) -> None:
         _require_no_value(tx)
         payload = tx.payload
         if not isinstance(payload, MultisigAction):
@@ -491,7 +492,7 @@ class ChainIdRegistry(Contract):
         if self.multisig.approve(tx.sender, action_key(payload.action, payload.args)):
             self.authorized.add(payload.args[0])
 
-    def update_from(self, ctx: ApplyContext, caller: Address, chain_id: Address) -> bool:
+    def update_from(self, chain: Chain, caller: Address, chain_id: Address) -> bool:
         """Append via the standing authorization granted to a bridge head.
 
         Returns True when the id was new (the success signal carried by the
@@ -502,7 +503,7 @@ class ChainIdRegistry(Contract):
         fresh = chain_id not in self.chain_ids
         if fresh:
             self.chain_ids.append(chain_id)
-        ctx.emit(
+        chain.emit(
             self.address,
             EventTopic.EXIST_OR_NOT,
             {"chain_id": chain_id, "success": fresh},
@@ -553,11 +554,11 @@ class BridgeHead(Contract):
         pot = self.pending.fee_pot if self.pending else 0
         return self.locked + self.fee_reserve + pot
 
-    def transact(self, ctx: ApplyContext, tx: Transaction) -> None:
+    def transact(self, chain: Chain, tx: Transaction) -> None:
         if isinstance(tx.payload, RegistrationRequest):
-            self.request_registration(ctx, tx)
+            self.request_registration(chain, tx)
         elif isinstance(tx.payload, UserTransfer):
-            self.deposit(ctx, tx)
+            self.deposit(chain, tx)
         else:
             raise NotAuthorized(f"bridge head does not accept {tx.payload.TAG}")
 
@@ -574,7 +575,7 @@ class BridgeHead(Contract):
 
     # -- registration ------------------------------------------------------
 
-    def request_registration(self, ctx: ApplyContext, tx: Transaction) -> None:
+    def request_registration(self, chain: Chain, tx: Transaction) -> None:
         req: RegistrationRequest = tx.payload
         if self.registered:
             raise AlreadyRegistered(f"side chain {self.side_chain_id} already registered")
@@ -590,7 +591,7 @@ class BridgeHead(Contract):
                 f"attached minus fee {amount} is below the entrance-fee minimum "
                 f"{self.entrance_fee_minimum}"
             )
-        origin = (str(ctx.chain.chain_id), ctx.height, ctx.tx_index)
+        origin = (str(chain.chain_id), chain.block_height, chain.tx_index)
         subject = registration_subject(
             req.chain_id, req.genesis_hash, req.balance, req.side_creator, origin
         )
@@ -603,8 +604,8 @@ class BridgeHead(Contract):
             subject=subject,
         )
         # The revert clock starts at the request itself.
-        self.reg_stream.deadline = ctx.now + self.reg_stream.timeout
-        ctx.emit(
+        self.reg_stream.deadline = chain.now + self.reg_stream.timeout
+        chain.emit(
             self.address,
             EventTopic.CROSS_CHAIN_ARRIVED,
             {
@@ -619,49 +620,49 @@ class BridgeHead(Contract):
             },
         )
 
-    def _settle_fees(self, ctx: ApplyContext, pot: int, voters: set[Address]) -> None:
+    def _settle_fees(self, chain: Chain, pot: int, voters: set[Address]) -> None:
         """Split a fee pot evenly among the voting witnesses, rest to the vault."""
         recipients = sorted(voters)
         if recipients:
             share = pot // len(recipients)
             for addr in recipients:
-                ctx.credit(addr, share)
+                chain.credit(addr, share)
             pot -= share * len(recipients)
         self.fee_reserve += pot
 
-    def _execute(self, ctx: ApplyContext, lane: QuorumStream, tally: QuorumTally) -> dict:
+    def _execute(self, chain: Chain, lane: QuorumStream, tally: QuorumTally) -> dict:
         if lane is self.reg_stream:
-            return self._finish_registration(ctx, tally)
+            return self._finish_registration(chain, tally)
         fresh = lane.unpaid(tally)
         total = sum(e.value for e in fresh)
         if total > self.locked:
             return {"error": f"unlock {total} exceeds locked {self.locked}"}
         for e in fresh:
             self.locked -= e.value
-            ctx.credit(e.to, e.value)
+            chain.credit(e.to, e.value)
         return {"success": True}
 
-    def _finish_registration(self, ctx: ApplyContext, tally: QuorumTally) -> dict:
+    def _finish_registration(self, chain: Chain, tally: QuorumTally) -> dict:
         pending = self.pending
         assert pending is not None
-        registry: ChainIdRegistry = ctx.contract(self.registry_address)
+        registry: ChainIdRegistry = chain.contract(self.registry_address)
         outcome = {"chain_id": pending.chain_id}
-        if registry.update_from(ctx, self.address, pending.chain_id):
+        if registry.update_from(chain, self.address, pending.chain_id):
             self.registered = True
             outcome["success"] = True
         else:
             # Quorum passed but the id was taken: release the locked amount
             # back to the creator, keep only the fee.
             self.locked -= pending.amount
-            ctx.credit(pending.creator, pending.amount)
+            chain.credit(pending.creator, pending.amount)
             outcome["reason"] = "chain id already registered"
-        self._settle_fees(ctx, pending.fee_pot, tally.voters())
+        self._settle_fees(chain, pending.fee_pot, tally.voters())
         self.pending = None
         return outcome
 
-    def _expire(self, ctx: ApplyContext, lane: QuorumStream) -> None:
+    def _expire(self, chain: Chain, lane: QuorumStream) -> None:
         if lane is not self.reg_stream:
-            super()._expire(ctx, lane)
+            super()._expire(chain, lane)
             return
         # Deadline passed without quorum: refund the creator minus the fee.
         pending = self.pending
@@ -671,15 +672,15 @@ class BridgeHead(Contract):
         refund = max(pending.amount - self.compensation_fee, 0)
         revert_fee = pending.amount - refund
         self.locked -= pending.amount
-        ctx.credit(pending.creator, refund)
-        self._settle_fees(ctx, pending.fee_pot + revert_fee, voters)
+        chain.credit(pending.creator, refund)
+        self._settle_fees(chain, pending.fee_pot + revert_fee, voters)
         self.pending = None
-        ctx.emit(self.address, lane.topic, lane.conclude(
+        chain.emit(self.address, lane.topic, lane.conclude(
             pending.subject, chain_id=pending.chain_id, reason="timeout", refund=refund))
 
     # -- transfers ----------------------------------------------------------
 
-    def deposit(self, ctx: ApplyContext, tx: Transaction) -> None:
+    def deposit(self, chain: Chain, tx: Transaction) -> None:
         """Lock tokens for the side chain (token -> side direction)."""
         transfer: UserTransfer = tx.payload
         if not self.registered:
@@ -688,7 +689,7 @@ class BridgeHead(Contract):
             raise MalformedVote("bridge deposit needs a destination address")
         self.locked += tx.value
         # Witnesses identify the transfer by this event's own (height, seq).
-        ctx.emit(
+        chain.emit(
             self.address,
             EventTopic.CROSS_CHAIN_ARRIVED,
             {
@@ -740,7 +741,7 @@ class RegistrationVault(Contract):
     def held_balance(self) -> int:
         return self.balance
 
-    def transact(self, ctx: ApplyContext, tx: Transaction) -> None:
+    def transact(self, chain: Chain, tx: Transaction) -> None:
         _require_no_value(tx)
         payload = tx.payload
         if not (isinstance(payload, MultisigAction) and payload.action == "suicide"):
@@ -757,12 +758,12 @@ class RegistrationVault(Contract):
             raise AlreadySuicided("vault has been deactivated")
         return super()._lane(payload)
 
-    def _execute(self, ctx: ApplyContext, lane: QuorumStream, tally: QuorumTally) -> dict:
+    def _execute(self, chain: Chain, lane: QuorumStream, tally: QuorumTally) -> dict:
         if len(tally.entries) != 1 or tally.entries[0].value != self.balance:
             return {"error": "payout must equal the vault balance exactly"}
         payout = tally.entries[0]
         self.balance = 0
-        ctx.credit(payout.to, payout.value)
+        chain.credit(payout.to, payout.value)
         return {"success": True, "to": payout.to, "amount": payout.value}
 
     def state_view(self) -> dict:
@@ -795,7 +796,7 @@ class ReserveBank(Contract):
     def held_balance(self) -> int:
         return self.balance
 
-    def transact(self, ctx: ApplyContext, tx: Transaction) -> None:
+    def transact(self, chain: Chain, tx: Transaction) -> None:
         _require_no_value(tx)
         payload = tx.payload
         if isinstance(payload, MultisigAction) and payload.action == "add_relay":
@@ -809,19 +810,19 @@ class ReserveBank(Contract):
             self.access_violations.append(str(caller))
             raise NotAuthorized(f"{caller} is not the authorized relay")
 
-    def lock_from_relay(self, ctx: ApplyContext, caller: Address,
+    def lock_from_relay(self, chain: Chain, caller: Address,
                         dest: Address, value: int) -> None:
         self._check_caller(caller)
         self.balance += value
-        ctx.emit(self.address, EventTopic.ASSETS_LOCKED, {"to": dest, "value": value})
+        chain.emit(self.address, EventTopic.ASSETS_LOCKED, {"to": dest, "value": value})
 
-    def unlock_from_relay(self, ctx: ApplyContext, caller: Address,
+    def unlock_from_relay(self, chain: Chain, caller: Address,
                           to: Address, value: int) -> None:
         self._check_caller(caller)
         if value > self.balance:
             raise SafetyGateViolation(f"unlock {value} exceeds bank balance {self.balance}")
         self.balance -= value
-        ctx.credit(to, value)
+        chain.credit(to, value)
 
     def state_view(self) -> dict:
         return {
@@ -858,29 +859,29 @@ class InterRelay(Contract):
     # in the same transaction.
 
     # Outbound: user locks tokens for the token chain.
-    def transact(self, ctx: ApplyContext, tx: Transaction) -> None:
+    def transact(self, chain: Chain, tx: Transaction) -> None:
         transfer = tx.payload
         if not isinstance(transfer, UserTransfer):
             raise NotAuthorized(f"relay does not accept {transfer.TAG}")
         if transfer.dest is None:
             raise MalformedVote("outbound transfer needs a token-chain destination")
-        bank: ReserveBank = ctx.contract(self.bank_address)
+        bank: ReserveBank = chain.contract(self.bank_address)
         bound = self.total_supply - bank.balance
         if tx.value > bound:
             raise ExceedsCirculating(
                 f"outbound {tx.value} exceeds circulating bound {bound}"
             )
-        bank.lock_from_relay(ctx, self.address, transfer.dest, tx.value)
+        bank.lock_from_relay(chain, self.address, transfer.dest, tx.value)
 
     # Inbound: witness quorum releases bank funds to side accounts.
-    def _execute(self, ctx: ApplyContext, lane: QuorumStream, tally: QuorumTally) -> dict:
-        bank: ReserveBank = ctx.contract(self.bank_address)
+    def _execute(self, chain: Chain, lane: QuorumStream, tally: QuorumTally) -> dict:
+        bank: ReserveBank = chain.contract(self.bank_address)
         fresh = lane.unpaid(tally)
         error = self._gate_error(bank, fresh)
         if error is not None:
             return {"error": error}
         for e in fresh:
-            bank.unlock_from_relay(ctx, self.address, e.to, e.value)
+            bank.unlock_from_relay(chain, self.address, e.to, e.value)
         return {"success": True}
 
     def _gate_error(self, bank: ReserveBank, fresh: list[TransferEntry]) -> str | None:
@@ -943,7 +944,7 @@ class TradingBook(Contract):
         self.balances[sender] = have - value
         self.balances[to] = self.balances.get(to, 0) + value
 
-    def transact(self, ctx: ApplyContext, tx: Transaction) -> None:
+    def transact(self, chain: Chain, tx: Transaction) -> None:
         _require_no_value(tx)
         payload = tx.payload
         if isinstance(payload, TradingAction) and not payload.cross_chain:
@@ -1012,29 +1013,29 @@ class ConsensusGateway(Contract):
     def side_token_total(self, trading: TradingBook) -> int:
         return trading.ledger_sum() + self.escrow_total
 
-    def transact(self, ctx: ApplyContext, tx: Transaction) -> None:
+    def transact(self, chain: Chain, tx: Transaction) -> None:
         """User starts a side->token transfer; the amount moves into escrow."""
         _require_no_value(tx)
         action = tx.payload
         if not (isinstance(action, TradingAction) and action.cross_chain):
             raise NotAuthorized(f"gateway does not accept {action.TAG}")
-        trading: TradingBook = ctx.contract(self.trading_address)
+        trading: TradingBook = chain.contract(self.trading_address)
         trading.debit_from_gateway(self.address, tx.sender, action.value)
         self.escrow_total += action.value
-        ctx.emit(self.address, EventTopic.CROSS_CHAIN_ARRIVED,
-                 {"kind": "transfer", "direction": OUTBOUND,
-                  "to": action.to, "value": action.value})
+        chain.emit(self.address, EventTopic.CROSS_CHAIN_ARRIVED,
+                   {"kind": "transfer", "direction": OUTBOUND,
+                    "to": action.to, "value": action.value})
 
-    def _execute(self, ctx: ApplyContext, lane: QuorumStream, tally: QuorumTally) -> dict:
-        trading: TradingBook = ctx.contract(self.trading_address)
+    def _execute(self, chain: Chain, lane: QuorumStream, tally: QuorumTally) -> dict:
+        trading: TradingBook = chain.contract(self.trading_address)
         fresh = lane.unpaid(tally)
         if lane.name == OUTBOUND:
             if sum(e.value for e in fresh) > self.escrow_total:
                 return {"error": "escrow underflow"}
             for e in fresh:
                 self.escrow_total -= e.value
-                ctx.emit(self.address, EventTopic.ASSETS_LOCKED,
-                         {"to": e.to, "value": e.value, "origin": e.origin_plain()})
+                chain.emit(self.address, EventTopic.ASSETS_LOCKED,
+                           {"to": e.to, "value": e.value, "origin": e.origin_plain()})
         else:
             for e in fresh:
                 trading.credit_from_gateway(self.address, e.to, e.value)

@@ -229,7 +229,8 @@ class Simulation(WorldView):
         self.owner_daemons: list[OwnerDaemon] = []
         for side in sc.side_chains:
             witnesses = sc.witnesses_for(side.chain_id)
-            threshold = self.threshold_override or side.bridge_head.threshold
+            threshold = (side.bridge_head.threshold if self.threshold_override is None
+                         else self.threshold_override)
             head = BridgeHead(
                 address=side.bridge_head.address,
                 side_chain_id=side.chain_id,

@@ -134,8 +134,10 @@ def header_of(lines: list[str]) -> dict:
         head = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise TraceError(f"trace header is not JSON: {exc}") from exc
-    if head.get("kind") != "header":
+    if not isinstance(head, dict) or head.get("kind") != "header":
         raise TraceError("first trace line is not a header record")
+    if not isinstance(head.get("payload"), dict):
+        raise TraceError("trace header payload is not an object")
     return head["payload"]
 
 

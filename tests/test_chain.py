@@ -13,6 +13,7 @@ from bridgesim.chain import (
     Address,
     Chain,
     ChainKind,
+    EventTopic,
     InvalidReorg,
     Transaction,
     UserTransfer,
@@ -249,7 +250,46 @@ class Counter(Contract):
         self.calls += 1
 
 
+class Beacon(Contract):
+    """Emits two events per call, numbered by its call count."""
+
+    def __init__(self, address: Address) -> None:
+        self.address = address
+        self.calls = 0
+
+    def state_view(self) -> dict:
+        return {"calls": self.calls}
+
+    def transact(self, chain, tx) -> None:
+        self.calls += 1
+        for part in (0, 1):
+            chain.emit(self.address, EventTopic.ASSETS_LOCKED, {"call": self.calls, "part": part})
+
+
 class TestRejectionRollback:
+    def test_event_positions_survive_a_mid_block_rejection(self):
+        """An accepted call that emits, a call that fails inside its contract
+        after touching state, and another accepted call: the rollback's replay
+        of the prefix gives the accepted calls' events the transaction indexes
+        and block-local seqs that a replay from genesis gives them."""
+        payer, beacon = Address.from_label("pay-then-fail"), Address.from_label("beacon")
+        chain = Chain(Address.from_label("token"), ChainKind.TOKEN, {}, 1005, {A: 600, B: 400})
+        chain.register_contract(payer, PayThenFail(payer))
+        chain.register_contract(beacon, Beacon(beacon))
+        chain.seal_genesis()
+
+        def call(to, dest=None):
+            return Transaction(sender=A, to=to, value=0, gasprice=1,
+                               payload=UserTransfer(dest=dest))
+
+        chain.apply_block([pay(A, B, 1)])
+        block, rejections = chain.apply_block([call(beacon), call(payer, C), call(beacon)])
+        assert [r.tx for r in rejections] == [call(payer, C)]
+        assert [(e.height, e.tx_index, e.seq) for e in block.events] == \
+            [(2, 0, 0), (2, 0, 1), (2, 1, 2), (2, 1, 3)]
+        assert [e.payload["call"] for e in block.events] == [1, 1, 2, 2]
+        assert chain.replay_from_genesis().blocks[2].events == block.events
+
     def test_rejections_keep_the_pre_images_of_the_accepted_prefix(self, monkeypatch):
         """Two rejected calls after an accepted prefix: each drops from the
         block's undo record only the pre-images it added, the absent account

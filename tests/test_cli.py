@@ -4,6 +4,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from bridgesim import cli, presets
 from bridgesim.trace import first_divergence
 
@@ -124,6 +126,26 @@ class TestRun:
         assert cli.main(["run", path]) == 0
         assert cli.main(["run", path, "--override-threshold", "2"]) == 2
 
+    def test_threshold_override_zero_is_applied(self, tmp_path, capsys):
+        """A zero override is an override: every quorum fires with no votes,
+        so the run fails quorum safety, and its trace replays."""
+        path = write(tmp_path, "ok.json", presets.happy_path())
+        trace = tmp_path / "zero.trace"
+        assert cli.main(["run", path, "--override-threshold", "0",
+                         "--trace-out", str(trace)]) == 2
+        assert "quorum_safety" in capsys.readouterr().out
+        assert json.loads(trace.read_text().splitlines()[0])[
+            "payload"]["threshold_override"] == 0
+        assert cli.main(["replay", str(trace)]) == 0
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"abc"', "[]"])
+    def test_input_that_is_not_an_object_is_invalid(self, tmp_path, capsys, text):
+        path = tmp_path / "not-object.json"
+        path.write_text(text)
+        assert cli.main(["run", str(path), "--seed", "3", "--mode", "strict"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: <root>: expected an object"]
+
     def test_seed_flag_overrides_file(self, tmp_path, capsys):
         path = write(tmp_path, "ok.json", presets.lossy_network(seed=1))
         t1 = tmp_path / "a.trace"
@@ -173,6 +195,38 @@ class TestReplay:
         path = tmp_path / "empty.trace"
         path.write_text("")
         assert cli.main(["replay", str(path)]) == 1
+
+    @pytest.mark.parametrize("header, message", [
+        ("[1, 2]", "first trace line is not a header record"),
+        ('{"kind": "header", "payload": [1, 2]}', "trace header payload is not an object"),
+    ])
+    def test_header_that_is_not_an_object_is_invalid_input(self, tmp_path, capsys,
+                                                           header, message):
+        path = tmp_path / "bad.trace"
+        path.write_text(header + "\n")
+        assert cli.main(["replay", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["run", str(SCENARIOS / "happy_path.json"), "--seed", "abc"],
+        ["run", str(SCENARIOS / "happy_path.json"), "--mode", "lax"],
+        ["run"],
+        ["frobnicate"],
+    ])
+    def test_usage_error_exits_one(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        assert exit_.value.code == 1
+        err = capsys.readouterr().err
+        assert "error: " in err and "Traceback" not in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["run", "--help"])
+        assert exit_.value.code == 0
+        assert "--override-threshold" in capsys.readouterr().out
 
 
 class TestFirstDivergence:
