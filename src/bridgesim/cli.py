@@ -12,6 +12,7 @@ import sys
 
 from . import codec, simnet, trace as trace_mod
 from .chain import InvalidReorg
+from .reader import Collector, uint
 from .scenario import (
     ScenarioInvalid,
     is_genesis_file,
@@ -56,6 +57,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _threshold_override(raw: object, at: str) -> int | None:
+    """A threshold override (None: none), read as a scenario reads a count;
+    raises ScenarioInvalid naming ``at`` when ``raw`` is not one."""
+    if raw is None:
+        return None
+    col = Collector()
+    value = uint()(col, raw, at)
+    if value is None:
+        raise ScenarioInvalid(col.diags)
+    return value
+
+
 def _print_report(result: simnet.RunResult) -> None:
     summary = result.summary
     print("== bridge simulation report ==")
@@ -91,6 +104,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         data = dict(data, **{k: v for k, v in overrides.items() if v is not None})
     try:
         scenario = parse_scenario(data)
+        override = _threshold_override(args.override_threshold, "--override-threshold")
     except ScenarioInvalid as exc:
         for diag in exc.diagnostics:
             print(f"{diag.level}: {diag}", file=sys.stderr)
@@ -98,7 +112,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     for diag in scenario.warnings:
         print(f"warning: {diag}")
     try:
-        result = simnet.run_scenario(scenario, threshold_override=args.override_threshold)
+        result = simnet.run_scenario(scenario, threshold_override=override)
     except InvalidReorg as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -118,12 +132,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     try:
         scenario = parse_scenario(header["scenario"])
+        override = _threshold_override(header.get("threshold_override"), "threshold_override")
     except (KeyError, ScenarioInvalid) as exc:
         print(f"error: trace header does not replay: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    result = simnet.run_scenario(
-        scenario, threshold_override=header.get("threshold_override")
-    )
+    result = simnet.run_scenario(scenario, threshold_override=override)
     divergence = trace_mod.first_divergence(recorded, result.trace_lines)
     if divergence is None:
         print(f"replay of {args.trace}: identical ({len(recorded)} records)")

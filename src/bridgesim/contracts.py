@@ -14,8 +14,8 @@ Gasless side chain:
   * ``InterRelay``   -- entry point for both transfer directions; delegates all
                         token movement to the reserve bank.
   * ``ReserveBank``  -- pre-funded vault backing later inbound transfers.  The
-                        only address that may move its funds is the relay, via
-                        a standing owner-multisig authorization.
+                        only address that may move its funds is the relay
+                        that the genesis names.
 
 Native-gas side chain:
   * ``ConsensusGateway`` -- merged registration/transfer consensus contract.
@@ -363,8 +363,10 @@ class Contract:
     """What the chain and the scheduler ask of every hosted contract.
 
     The chain calls ``check`` on each zero-value transaction before it
-    journals the contract, ``handle`` for each transaction, ``held_balance``
-    for token conservation and ``next_deadline`` for its earliest deadline.
+    journals the contract, ``handle`` for each transaction it admitted (so
+    ``handle`` does not check a vote's sender and round again),
+    ``held_balance`` for token conservation and ``next_deadline`` for its
+    earliest deadline.
     The scheduler pokes every contract whose ``next_deadline`` has come.  It
     asks ``busy`` to decide whether the bridge is at rest, ``lanes`` for
     quorum safety (each lane's ``unsafe`` count) and ``state_view`` for the
@@ -413,12 +415,13 @@ class Contract:
     def handle(self, chain: Chain, tx: Transaction) -> None:
         """Route a vote to its lane, a poke to the lanes' deadlines, and
         anything else (everything, on a contract without lanes) to
-        ``transact``."""
+        ``transact``.  A vote that reaches its lane carries no value, so it
+        passed ``check`` at admission."""
         payload = tx.payload
         lanes = self.lanes()
         if lanes and isinstance(payload, (Confirm, Transferring)):
             _require_no_value(tx)
-            lane = self.check(tx)
+            lane = self._lane(payload)
             tally = lane.admit(chain, tx, self.address, self._announced(),
                                self.ECHO_TOPIC or lane.topic)
             if tally is not None:
@@ -774,22 +777,13 @@ class RegistrationVault(Contract):
 class ReserveBank(Contract):
     """Pre-funded side-chain vault; only the relay may move its balance.
 
-    The relay's standing authorization is normally written into the genesis
-    state (the access control is part of the chain's pre-definition); the
-    owner multisig can also install or replace it at runtime.
+    The relay's authorization is a genesis constant: the access control is
+    part of the chain's pre-definition, and no transaction changes it.
     """
 
-    def __init__(
-        self,
-        address: Address,
-        balance: int,
-        owners: tuple[Address, ...],
-        required: int,
-        authorized_relay: Address | None = None,
-    ) -> None:
+    def __init__(self, address: Address, balance: int, authorized_relay: Address) -> None:
         self.address = address
         self.balance = balance
-        self.multisig = Multisig(owners=owners, required=required)
         self.authorized_relay = authorized_relay
         self.access_violations: list[str] = []
 
@@ -798,15 +792,10 @@ class ReserveBank(Contract):
 
     def transact(self, chain: Chain, tx: Transaction) -> None:
         _require_no_value(tx)
-        payload = tx.payload
-        if isinstance(payload, MultisigAction) and payload.action == "add_relay":
-            if self.multisig.approve(tx.sender, action_key(payload.action, payload.args)):
-                self.authorized_relay = payload.args[0]
-            return
         raise NotAuthorized("only the relay may interact with the bank")
 
     def _check_caller(self, caller: Address) -> None:
-        if self.authorized_relay is None or caller != self.authorized_relay:
+        if caller != self.authorized_relay:
             self.access_violations.append(str(caller))
             raise NotAuthorized(f"{caller} is not the authorized relay")
 
@@ -918,20 +907,13 @@ class TradingBook(Contract):
 
     All business transfers go through this book; its column sum must equal the
     bridge head's locked amount for the chain whenever the bridge is at rest.
+    Only the gateway that the genesis names may credit or debit it through
+    the bridge; no transaction changes that gateway.
     """
 
-    def __init__(
-        self,
-        address: Address,
-        chain_id: Address,
-        owners: tuple[Address, ...],
-        required: int,
-        authorized_gateway: Address | None = None,
-    ) -> None:
+    def __init__(self, address: Address, authorized_gateway: Address) -> None:
         self.address = address
-        self.chain_id = chain_id
         self.balances: dict[Address, int] = {}
-        self.multisig = Multisig(owners=owners, required=required)
         self.authorized_gateway = authorized_gateway
 
     def ledger_sum(self) -> int:
@@ -950,14 +932,10 @@ class TradingBook(Contract):
         if isinstance(payload, TradingAction) and not payload.cross_chain:
             self.transfer(tx.sender, payload.to, payload.value)
             return
-        if isinstance(payload, MultisigAction) and payload.action == "authorize_gateway":
-            if self.multisig.approve(tx.sender, action_key(payload.action, payload.args)):
-                self.authorized_gateway = payload.args[0]
-            return
         raise NotAuthorized(f"trading book does not accept {payload.TAG}")
 
     def _check_caller(self, caller: Address) -> None:
-        if self.authorized_gateway is None or caller != self.authorized_gateway:
+        if caller != self.authorized_gateway:
             raise NotAuthorized(f"{caller} is not the authorized gateway")
 
     def credit_from_gateway(self, caller: Address, to: Address, value: int) -> None:

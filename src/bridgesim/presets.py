@@ -69,11 +69,10 @@ def _side_chain(
             "Bal_Bank": total_supply - bal_resv,
             "Wit_Addr_List": wit_addrs,
         }
-        owners = {
+        owners = {"owners": {
             "vault": [addr(f"{chain_label}-owner-1"), addr(f"{chain_label}-owner-2")],
-            "bank": [addr(f"{chain_label}-owner-1"), addr(f"{chain_label}-owner-2")],
             "required": 2,
-        }
+        }}
     else:
         genesis = {
             "Chain_ID": addr(chain_label),
@@ -81,10 +80,7 @@ def _side_chain(
             "SC_Trading": addr(f"{chain_label}-trading"),
             "Wit_Addr_List": wit_addrs,
         }
-        owners = {
-            "trading": [addr(f"{chain_label}-owner-1"), addr(f"{chain_label}-owner-2")],
-            "required": 2,
-        }
+        owners = {}  # a native-gas chain has no vault, so no owners
     return {
         "variant": variant,
         "block_interval": SIDE_INTERVAL,
@@ -96,7 +92,7 @@ def _side_chain(
             "compensation_fee": FEE,
             "entrance_fee_minimum": ENTRANCE_MIN,
         },
-        "owners": owners,
+        **owners,
         "initial_height": initial_height,
     }
 

@@ -89,7 +89,7 @@ class SideChainConfig:
     omega: int
     genesis: GenesisSpec
     bridge_head: BridgeHeadConfig
-    owners: dict[str, tuple[Address, ...]]  # owner list per contract, keyed as in the file
+    owners: tuple[Address, ...] = ()  # the registration vault's; none on a native-gas chain
     owners_required: int = 2
     initial_height: int = 0
 
@@ -237,9 +237,10 @@ class _Reader(Collector):
                 f"{at}.bridge_head.threshold",
                 f"threshold {threshold} must exceed half of the {n_wit} witnesses",
             )
-        owners = dict(f["owners"])
-        required = owners.pop("required")
-        _required_fits(self, f"{at}.owners.required", required, owners)
+        owners, required = (), 2
+        if "owners" in f:  # a gasless chain's: its vault's
+            owners, required = f["owners"]["vault"], f["owners"]["required"]
+            _required_fits(self, f"{at}.owners.required", required, "vault", owners)
         side = SideChainConfig(f["block_interval"], f["omega"], spec, f["bridge_head"],
                                owners, required, f["initial_height"])
         self.sides.append((at, side))
@@ -373,18 +374,17 @@ class _Reader(Collector):
                          "does not match the side addresses of this chain's witnesses")
 
 
-def _required_fits(col: Collector, at: str, required: int,
-                   owners: dict[str, tuple[Address, ...]]) -> None:
-    """A multisig needs ``required`` approvals from each owner list."""
-    for name, listed in owners.items():
-        if required > len(listed):
-            col.err(at, f"{required} exceeds {name} owner count {len(listed)}")
+def _required_fits(col: Collector, at: str, required: int, name: str,
+                   owners: tuple[Address, ...]) -> None:
+    """A multisig needs ``required`` approvals from its owner list."""
+    if required > len(owners):
+        col.err(at, f"{required} exceeds {name} owner count {len(owners)}")
 
 
 def _registry(col: Collector, raw: Any, at: str) -> RegistryConfig | None:
     registry = nested(_REGISTRY, RegistryConfig)(col, raw, at)
     if registry is not None:
-        _required_fits(col, f"{at}.required", registry.required, {"registry": registry.owners})
+        _required_fits(col, f"{at}.required", registry.required, "registry", registry.owners)
     return registry
 
 
@@ -400,11 +400,12 @@ _REGISTRY = {"address": addr, "owners": owner_list, "required": (uint(1), 2)}
 _BRIDGE_HEAD = {
     "address": addr, "threshold": uint(1), "compensation_fee": uint(), "entrance_fee_minimum": uint(),
 }
+# Only a gasless side chain has owners: those of its registration vault.
 _OWNERS = {
-    VARIANT_GASLESS: {"vault": owner_list, "bank": owner_list, "required": (uint(1), 2)},
-    VARIANT_NATIVE_GAS: {"trading": owner_list, "required": (uint(1), 2)},
+    VARIANT_GASLESS: {"owners": nested({"vault": owner_list, "required": (uint(1), 2)}, dict)},
+    VARIANT_NATIVE_GAS: {},
 }
-# A side chain's table is its genesis's variant's: the owner lists differ.
+# A side chain's table is its genesis's variant's.
 _SIDE_CHAIN = {
     variant: {
         "variant": one_of((VARIANT_GASLESS, VARIANT_NATIVE_GAS)),
@@ -412,7 +413,7 @@ _SIDE_CHAIN = {
         "omega": uint(0),
         "genesis": read_genesis,
         "bridge_head": nested(_BRIDGE_HEAD, BridgeHeadConfig),
-        "owners": nested(owners, dict),
+        **owners,
         "initial_height": (uint(0), 0),
     }
     for variant, owners in _OWNERS.items()

@@ -163,7 +163,7 @@ class OwnerDaemon:
                     gasprice=0,
                     payload=MultisigAction(action="suicide"),
                 )
-                for owner in self.side.owners["vault"]
+                for owner in self.side.owners
             ]
         return acted, []
 
@@ -318,14 +318,12 @@ class Simulation(WorldView):
                 witnesses=g.witnesses,
                 threshold=threshold,
                 timeout=self.scenario.timeout,
-                owners=side.owners["vault"],
+                owners=side.owners,
                 required=side.owners_required,
             )
             bank = ReserveBank(
                 address=g.bank_contract,
                 balance=g.bal_bank,
-                owners=side.owners["bank"],
-                required=side.owners_required,
                 authorized_relay=g.inter_contract,
             )
             relay = InterRelay(
@@ -350,9 +348,6 @@ class Simulation(WorldView):
             )
             trading = TradingBook(
                 address=g.trading_contract,
-                chain_id=g.chain_id,
-                owners=side.owners["trading"],
-                required=side.owners_required,
                 authorized_gateway=g.register_contract,
             )
             gateway = ConsensusGateway(
@@ -364,7 +359,7 @@ class Simulation(WorldView):
             )
             chain.register_contract(g.trading_contract, trading)
             chain.register_contract(g.register_contract, gateway)
-        chain.witness_exempt = set(g.witnesses).union(*side.owners.values())
+        chain.witness_exempt = set(g.witnesses).union(side.owners)
         chain.seal_genesis()
         for _ in range(side.initial_height):
             chain.apply_block([])

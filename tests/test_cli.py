@@ -138,6 +138,14 @@ class TestRun:
             "payload"]["threshold_override"] == 0
         assert cli.main(["replay", str(trace)]) == 0
 
+    def test_negative_threshold_override_is_invalid_input(self, tmp_path, capsys):
+        path = write(tmp_path, "ok.json", presets.happy_path())
+        trace = tmp_path / "negative.trace"
+        assert cli.main(["run", path, "--override-threshold", "-1",
+                         "--trace-out", str(trace)]) == 1
+        assert capsys.readouterr().err == "error: --override-threshold: must be >= 0\n"
+        assert not trace.exists()
+
     @pytest.mark.parametrize("text", ["[1, 2]", '"abc"', "[]"])
     def test_input_that_is_not_an_object_is_invalid(self, tmp_path, capsys, text):
         path = tmp_path / "not-object.json"
@@ -206,6 +214,25 @@ class TestReplay:
         path.write_text(header + "\n")
         assert cli.main(["replay", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("override, message", [
+        ("x", "expected integer, got 'x'"),
+        (-1, "must be >= 0"),
+        (True, "expected integer, got True"),
+        (1.5, "expected integer, got 1.5"),
+    ], ids=["string", "negative", "bool", "float"])
+    def test_bad_threshold_override_in_the_header_is_invalid_input(
+            self, tmp_path, capsys, override, message):
+        trace = self.record(tmp_path, presets.happy_path())
+        lines = trace.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["payload"]["threshold_override"] = override
+        lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        trace.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main(["replay", str(trace)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: trace header does not replay: threshold_override: {message}\n")
 
 
 class TestUsageErrors:

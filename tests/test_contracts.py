@@ -85,8 +85,7 @@ def make_side(threshold=3, mode="conservation", bal_bank=BAL_BANK):
                   BAL_RESV + bal_bank)
     vault = RegistrationVault(VAULT_ADDR, BAL_RESV, tuple(WIT_S), threshold,
                               TIMEOUT, (OWNER1, OWNER2), 2)
-    bank = ReserveBank(BANK_ADDR, bal_bank, (OWNER1, OWNER2), 2,
-                       authorized_relay=RELAY_ADDR)
+    bank = ReserveBank(BANK_ADDR, bal_bank, authorized_relay=RELAY_ADDR)
     relay = InterRelay(RELAY_ADDR, BANK_ADDR, tuple(WIT_S), threshold, TIMEOUT,
                        total_supply=BAL_RESV + bal_bank, entrance_reserve=BAL_RESV,
                        mode=mode)
@@ -100,13 +99,12 @@ def make_side(threshold=3, mode="conservation", bal_bank=BAL_BANK):
 
 def make_native(threshold=3):
     chain = Chain(SIDE_ID, ChainKind.NATIVE_GAS_SIDE, {"Chain_ID": SIDE_ID}, 0)
-    trading = TradingBook(TRADING_ADDR, SIDE_ID, (OWNER1, OWNER2), 2,
-                          authorized_gateway=GATEWAY_ADDR)
+    trading = TradingBook(TRADING_ADDR, authorized_gateway=GATEWAY_ADDR)
     gateway = ConsensusGateway(GATEWAY_ADDR, TRADING_ADDR, tuple(WIT_S),
                                threshold, TIMEOUT)
     chain.register_contract(TRADING_ADDR, trading)
     chain.register_contract(GATEWAY_ADDR, gateway)
-    chain.witness_exempt = set(WIT_S) | {OWNER1, OWNER2}
+    chain.witness_exempt = set(WIT_S)
     chain.seal_genesis()
     return chain, gateway, trading
 
@@ -133,11 +131,11 @@ def entry(to, value, height=5, seq=0, chain=TOKEN_ID):
                          origin_seq=seq, to=to, value=value)
 
 
-def relay_tx(sender, target, direction, entries, round_no=0, subject=None):
+def relay_tx(sender, target, direction, entries, round_no=0, subject=None, gasprice=0):
     entries = tuple(entries)
     subject = subject if subject is not None else entries_subject(direction, entries)
     return Transaction(
-        sender=sender, to=target, value=0, gasprice=0, round=round_no,
+        sender=sender, to=target, value=0, gasprice=gasprice, round=round_no,
         payload=Transferring(direction=direction, subject=subject, entries=entries),
     )
 
@@ -670,12 +668,16 @@ def head_outbound_lane():
     return chain, head.out_stream, vote, WIT_T[0], CREATOR
 
 
-def side_lane(make, addr, direction, stream_of):
+def side_lane(make, addr, direction, stream_of, outsider_gas=0):
+    """``outsider_gas`` is the gasprice the outsider, a vault owner, pays:
+    none where it is exempt, and 1 on a native-gas chain, where only the
+    witnesses are exempt and gas costs nothing."""
     def build():
         chain, *contracts = make()
         entries = (entry(SIDE_CREATOR, BAL_RESV),)
         vote = lambda sender, round_no, subject=None: relay_tx(
-            sender, addr, direction, entries, round_no, subject)
+            sender, addr, direction, entries, round_no, subject,
+            gasprice=0 if sender in WIT_S else outsider_gas)
         return chain, stream_of(*contracts), vote, WIT_S[0], OWNER1
     return build
 
@@ -686,7 +688,7 @@ LANES = {
     "vault": side_lane(make_side, VAULT_ADDR, REGISTRATION, lambda vault, *_: vault.stream),
     "relay": side_lane(make_side, RELAY_ADDR, INBOUND, lambda _, relay, bank: relay.stream),
     "gateway": side_lane(make_native, GATEWAY_ADDR, INBOUND,
-                         lambda gateway, _: gateway.streams[INBOUND]),
+                         lambda gateway, _: gateway.streams[INBOUND], outsider_gas=1),
 }
 
 ADMISSION_FAULTS = {
@@ -965,7 +967,7 @@ class TestReserveBankAccessControl:
 
     def test_unauthorized_relay_caller_rejected(self):
         chain, vault, relay, bank = make_side()
-        bank.authorized_relay = None  # authorization withheld
+        bank.authorized_relay = STRANGER  # not this relay
         entries = [entry(Address.from_label("side-user"), 10)]
         _, rejections = chain.apply_block([relay_tx(WIT_S[i], RELAY_ADDR, INBOUND,
                                                     entries) for i in range(3)])
@@ -974,23 +976,22 @@ class TestReserveBankAccessControl:
         assert any("NotAuthorized" in r.reason for r in rejections)
         assert chain.balance(Address.from_label("side-user")) == 0
 
-    def test_owner_multisig_installs_relay(self):
-        chain, _, relay, bank = make_side()
-        bank.authorized_relay = None
-        add = lambda owner: Transaction(
-            sender=owner, to=BANK_ADDR, value=0, gasprice=0,
-            payload=MultisigAction(action="add_relay", args=(RELAY_ADDR,)))
-        chain.apply_block([add(OWNER1)])
-        assert bank.authorized_relay is None
-        chain.apply_block([add(OWNER2)])
-        assert bank.authorized_relay == RELAY_ADDR
-        # the installed relay can move reserves again
-        entries = [entry(Address.from_label("side-user"), 10)]
-        _, rejections = chain.apply_block([relay_tx(WIT_S[i], RELAY_ADDR, INBOUND,
-                                                    entries) for i in range(3)])
-        assert rejections == []
-        assert bank.balance == BAL_BANK - 10
-        assert chain.balance(Address.from_label("side-user")) == 10
+    @pytest.mark.parametrize("make,target,action,gasprice", [
+        (lambda: make_side()[0], BANK_ADDR, "add_relay", 0),
+        (lambda: make_native()[0], TRADING_ADDR, "authorize_gateway", 1),
+    ], ids=["bank", "trading_book"])
+    def test_owner_actions_cannot_change_the_authorization(self, make, target, action,
+                                                           gasprice):
+        # The relay and the gateway are genesis constants: an owner's
+        # multisig action is refused like any other direct transaction, and
+        # the state is the genesis state.
+        chain = make()
+        before = chain.state_digest()
+        _, rejections = chain.apply_block([_owner(owner, target, action, STRANGER,
+                                                  gasprice=gasprice)
+                                           for owner in (OWNER1, OWNER2)])
+        assert [r.reason.split(":")[0] for r in rejections] == ["NotAuthorized"] * 2
+        assert chain.state_digest() == before
 
 
 class TestConsensusGateway:
@@ -1181,8 +1182,8 @@ def _pay(sender, to, value):
     return Transaction(sender=sender, to=to, value=value, gasprice=1, payload=UserTransfer())
 
 
-def _owner(owner, to, action, *args):
-    return Transaction(sender=owner, to=to, value=0, gasprice=0,
+def _owner(owner, to, action, *args, gasprice=0):
+    return Transaction(sender=owner, to=to, value=0, gasprice=gasprice,
                        payload=MultisigAction(action=action, args=args))
 
 
@@ -1200,6 +1201,7 @@ def _side_menu(chain, a, b, stale):
                     payload=UserTransfer(dest=None if stale else USERS[b % 3])),
         _pay(USERS[a % 3], NEWCOMERS[b], 3 + 100 * stale),
         _owner((OWNER1, OWNER2)[a % 2], VAULT_ADDR, "suicide"),
+        # The bank takes no owner action: refused after the bank is journaled.
         _owner((OWNER1, OWNER2)[a % 2], BANK_ADDR, "add_relay",
                STRANGER if stale else RELAY_ADDR),
         poke_tx((VAULT_ADDR, RELAY_ADDR)[b % 2]),
@@ -1241,8 +1243,10 @@ def _native_menu(chain, a, b, stale):
                  _round(gateway.streams[lane], stale)),
         Transaction(sender=USERS[a % 3], to=TRADING_ADDR, value=0, gasprice=1,
                     payload=TradingAction(to=NEWCOMERS[b], value=3 + 100 * stale)),
+        # Nor does the book: refused after it is journaled (an owner pays
+        # gas here, for it is no witness).
         _owner((OWNER1, OWNER2)[a % 2], TRADING_ADDR, "authorize_gateway",
-               STRANGER if stale else GATEWAY_ADDR),
+               STRANGER if stale else GATEWAY_ADDR, gasprice=1),
         Transaction(sender=STRANGER, to=GATEWAY_ADDR, value=1, gasprice=0,
                     payload=TradingAction(to=USERS[0], value=1, cross_chain=True)),
         poke_tx(GATEWAY_ADDR),

@@ -41,46 +41,46 @@ EXIT_CODES = {
 
 # (fixture, --override-threshold, seed) -> sha256 of the written trace file.
 TRACE_SHA256 = {
-    ("byzantine_reject_majority", None, 1): "fe5d0c0631370176518d111db77e2b64aba21c80c34e8e56cd1269ff12efa4b7",
-    ("byzantine_reject_majority", None, 2): "0f3310343c3d450d2b8128ce24ba20e4fe6d465169a512eb90dfb81cbe95fdbe",
-    ("byzantine_reject_majority", None, 3): "b3abd0be10e7b6379ca7f8ec3d82eb584a139ae04f945dcdd9e3c179c4508060",
-    ("byzantine_reject_majority", None, 4): "6ca0688a95ba891f59326d93987116a76ac9c989275b159dfa8ceea9f5c7c744",
-    ("deep_reorg_negative_control", None, 1): "af3df224931d45548ea112d1480d517cc8fb4887a48b1fed5e4b8088a000f44f",
-    ("deep_reorg_negative_control", None, 2): "7f8da0ff6c3ced041c26311489758b8fe5edffc5d3d70276d64108c0dd567637",
-    ("deep_reorg_negative_control", None, 3): "965c2d80f23d894ef7561f9bd8dca527ef0c4abc9ba9a1e836cca35eb3a85576",
-    ("deep_reorg_negative_control", None, 4): "422d2bd7fa0be8cbe5c4c2bdbd4217194071b27c37d9e4051d29534e5d16d2a6",
-    ("happy_path", None, 1): "966550e032d3255460f9539922621044c8083148d59cd441aa7b15fa62213e93",
-    ("happy_path", None, 2): "52986b3070f3d30c5e704dbffc5cfccb1c1d3ad8b4e4b56ca757237095fea265",
-    ("happy_path", None, 3): "12219dbdee27efd8379abb53cecf698056ac5d04be22752f7095cc880477a9de",
-    ("happy_path", None, 4): "df4729d0e485109ac91649df50c4cb98003fe76b33a50144174257ff3782aa1d",
-    ("happy_path_native_gas", None, 1): "233939349052d2aa3607fb2f35ecad1280c23ea187625c2bbaf939b211605de7",
-    ("happy_path_native_gas", None, 2): "cbd237b17a8e01d3c78e67b839eada8ad58cec046d276a13b3a489dc0e845a1d",
-    ("happy_path_native_gas", None, 3): "949491ef719c313243d84c2990f82f37c9e08a5a6ba3c6dc23613c62b8528d5a",
-    ("happy_path_native_gas", None, 4): "16c47048a748b1db7884a03eb2acd7754f780cbcaa2c18bf6aa4e12d067c258b",
-    ("lossy_network", None, 1): "538abf3ea5a5ac785f200dd99b67e6811d53facaf260cf2244fa724f7937aabd",
-    ("lossy_network", None, 2): "e774847023c12745985f4e81489b27094e452ec10dff200d8195cae45cf45d7c",
-    ("lossy_network", None, 3): "2cfa6e4a146ee97b4c928b39a74a26537fa492b6a28c595c651f66325689a0de",
-    ("lossy_network", None, 4): "93de698ba5555daab45a33c0c697d796273a88d57495154f9064f002be81c177",
-    ("misconfigured_quorum", None, 1): "91176055b23b69ff99c9b8458ef68b12ed2062f846e672f48a415ad6d1c64f5c",
-    ("misconfigured_quorum", None, 2): "864d0e6c2b019a2eba5ffde92e49ba623eacd8c8dd9ada21e744e4aea47053b5",
-    ("misconfigured_quorum", None, 3): "5b2da644d290a3581e51d0e40ba849338274d83a1c55d07f25910398c0b23c7d",
-    ("misconfigured_quorum", None, 4): "3c770510d766b3a49e9d2dbf3ba26401897d893a246aa046b7df7cc0d040743e",
-    ("misconfigured_quorum", 2, 1): "f576449f64bb01df644550b247381422560b0126cf9d8e6518319d00442f8d58",
-    ("misconfigured_quorum", 2, 2): "43806e6ae9743079ec29bf4e3f2630bd3bb8911d9beb687d3900b5691b08d3d8",
-    ("misconfigured_quorum", 2, 3): "73a6a068d91b086caef2fa3c6b66b79eecc5b3e4cdada245c12379fa403ea10f",
-    ("misconfigured_quorum", 2, 4): "cf05a653a1fbaf4b9c6053a2f68773ac093a3cc9dee6263fdef3c89852a35cb7",
-    ("mixed_variants", None, 1): "f2d58193848dab75ec2b05c4295a126e0498f2704e6997cea32094da9ea9f3eb",
-    ("mixed_variants", None, 2): "6af9e1dd0fb9d9ed6194a1563f8cc94a29428a5383a3217aa9bf04181ab79ce9",
-    ("mixed_variants", None, 3): "978fa78ecdeb37f1f0ff9f5b451ff5b130683bb752cfb1c43e780974739d7cc7",
-    ("mixed_variants", None, 4): "d64c0d98e788abdae87a95ddfd88d7cff207421565c921c8e31828932eb1f510",
-    ("reorg_within_window", None, 1): "ee0e5ef335edf6544e47f63fff7da4ad2b7fc20f7c3cfff15faa6ad76c1e31ce",
-    ("reorg_within_window", None, 2): "6f82393bd5da103c4a59ee3c44f8dd71f65ba7f5b476df73c09b90b618b2b26b",
-    ("reorg_within_window", None, 3): "caea36336f98fcbfd5c6318f412247df1b9f05514826b52f6e2ffc2bcf46fbbc",
-    ("reorg_within_window", None, 4): "756d3c68fb14b18f3e621edad6e7b5ba17acda00846caa32a2504ee85ace364c",
-    ("transfers_gasless", None, 1): "60d6ea7990be524071c3adc1818e015979b99ec93095145327811e011a7d602c",
-    ("transfers_gasless", None, 2): "c37088d3e34929c06eed4149f1b969ca2fd16cf2a51512ee19d43e8dba25211f",
-    ("transfers_gasless", None, 3): "5a569dea51b483c0ddaf568d3e4fb288d4e26d51c1d64b9949df73da8919c10b",
-    ("transfers_gasless", None, 4): "18b2e44b1b1950456f4602ccbe7bc675c232569e7f2333ea6bbe89a1bd5fc35b",
+    ("byzantine_reject_majority", None, 1): "6169200a0ffecc97a730d2e6fe90f6ec19dadf419a8868adf8eb148b804d6027",
+    ("byzantine_reject_majority", None, 2): "714348ec2f81a0931aacdfebeb0703eef186df849adb2d4fe0fec267df2b2f8e",
+    ("byzantine_reject_majority", None, 3): "5818c14e163440720c56e7c78763512d8a4c54a82230a94cedc218071e22e714",
+    ("byzantine_reject_majority", None, 4): "b20e85152a5f77534414555a06d26851e5e3b1236801fa6fb2c74f36095c4f0e",
+    ("deep_reorg_negative_control", None, 1): "f0617d1f847590994298f3f199ed03d3f4e3edc98fd9acab04727b84ea1281e9",
+    ("deep_reorg_negative_control", None, 2): "b85443cd5d56f72ba5cee81709670a33997bcda8fa9c7fa27207508b9df8f70f",
+    ("deep_reorg_negative_control", None, 3): "61b9f7ed632b979a2b5f3ecee6a4364aa44e7fd2f3692fc88901d48c59c4e77f",
+    ("deep_reorg_negative_control", None, 4): "c0db947cf39d51431b3c3daf3798e53e13eeaa65e60cb9af8c9a2128f1c34c8c",
+    ("happy_path", None, 1): "6556aaa0d597599b0c4748cefaa8a91353eec43f05c7dcfb2030b969223513d4",
+    ("happy_path", None, 2): "668ac1a3967d55a39a0dcd1b57b24fec0359639b37a56d4a2d4a5a43ab10eada",
+    ("happy_path", None, 3): "75bc0569c782959d248d8ee15ff866d58a0c1ca0cf0670c7ed5a8afb0d1520f0",
+    ("happy_path", None, 4): "f0df8e54d6fd2a6425573c0a4ddfe4aa23874812746f7889240b61baa55521c0",
+    ("happy_path_native_gas", None, 1): "42a71ed0cde2679c45b228d6943f96f5f885387f5c618dc546cda23f32731c02",
+    ("happy_path_native_gas", None, 2): "88048fc91a6794fa3367f3a00b4c9505d4f5aae8327a55a97f59e861298eba34",
+    ("happy_path_native_gas", None, 3): "d0334cbc5fbf2a689adcac59b46364e0218398dd0b4d8c530a703b358969f4a6",
+    ("happy_path_native_gas", None, 4): "354fff344aef11704d25029bce97369d738f31f6ba248f634a6ed0d0cd13184e",
+    ("lossy_network", None, 1): "81740d0de745e1db34826f364aedf6135d432b5e867e85e3bac97be608b83a50",
+    ("lossy_network", None, 2): "40f72e29e778013e4d49ae877e0efa890e3e7eb43122864569cd4454504513cc",
+    ("lossy_network", None, 3): "d644e28ad6dfd0aeba5fbe1bf4bd832fd3cdc0c49daf71d3ba43b8b6da1a6bd3",
+    ("lossy_network", None, 4): "2a3421622fe7f1cc30341bc712cc082ee0f5c4e74a583488975559061caf127e",
+    ("misconfigured_quorum", None, 1): "a5dca3f47a5883c09933233a1897cdb429c48cd91269169dc512d22113b40614",
+    ("misconfigured_quorum", None, 2): "4fdf66017552a8f485cbf680b82d2bd4220a0c4ff7c5f6146d848eae939d96ef",
+    ("misconfigured_quorum", None, 3): "0e137c6732a76831e02b96c494e648f4d792b3d34ff28adb628f1c7a7d01c62a",
+    ("misconfigured_quorum", None, 4): "9b63378d19297198a4253dc683bca70e9d0c32e1b63cb4787197f29487c9e549",
+    ("misconfigured_quorum", 2, 1): "bc501f5cd97592f424e64eccb226e3830d51617e3d9c5654a91db810937175a2",
+    ("misconfigured_quorum", 2, 2): "75327c1ec6bf9fa3c6afde43275cf1b0f875543edf75651ac0e19dc568447bcb",
+    ("misconfigured_quorum", 2, 3): "937d11e0ef4d0666390e637928b03183dcac987dddb45fe9670988cb4f88329d",
+    ("misconfigured_quorum", 2, 4): "e37cac576a32f3187bc3db730be3d35fd02f85c1234c22e4db1ebb29dd169d42",
+    ("mixed_variants", None, 1): "ac89867d4415aaa4a898e196c86f4d73b1e649b3e43ee896f2edbd2cbb420245",
+    ("mixed_variants", None, 2): "73a8e2a71104248459b60814aa78e19e33373fe545c1c88b1d86bee9f48ffa5d",
+    ("mixed_variants", None, 3): "e012903f94198a9bf48700aed273e5078a2704e0b82a24fc54b638715c941ecc",
+    ("mixed_variants", None, 4): "1f07a798aa1f005230500ea72d3cf10be9600569c718a8f075c7c33780848187",
+    ("reorg_within_window", None, 1): "9b1b33b13fe86bd002eea9ef4842ca7b8714975fb5e4dd6410733ac47c00c483",
+    ("reorg_within_window", None, 2): "ce1ae2da429de4bdeb8135e81ff2da6a8b65f2b51473a5f5fb67746ed8cad175",
+    ("reorg_within_window", None, 3): "6922be0f1e432a280968feea2018b4a6587b898a5fc10832093df73fee0d6dac",
+    ("reorg_within_window", None, 4): "193721d963c8d583c77125ee2f72519722a9ed58179dbef000cad4df5784a63b",
+    ("transfers_gasless", None, 1): "842b60fba2963f22e948ae299866813a6fa117f8aa453a1536cd0119a6db82a3",
+    ("transfers_gasless", None, 2): "b56e83fa1c5c7c8236e57bcd74b63ef85b9cb3c8fa68a2586c252eb7407acb20",
+    ("transfers_gasless", None, 3): "3fcc0a289ec5ecb05259b61b1e2ecc9bef0c6f7fdcc0c7ce434f74ae9f3428f7",
+    ("transfers_gasless", None, 4): "c4ddb5a1e4aea41579b2d71be6d8178c966ce1deb69413101a34421690fb8f08",
 }
 
 RUNS = sorted(TRACE_SHA256, key=str)
