@@ -24,8 +24,11 @@ rest; a reorg restores the undo records of the dropped blocks, newest first,
 then applies the replacement.  Only blocks that changed state have a record.
 
 Gas is modeled as flow control only: a transaction either qualifies for the
-zero-gasprice exemption (listed witness to a cross-chain contract, or any
-cross-chain contract as sender) or must be able to afford ``value + gasprice``.
+zero-gasprice exemption or must be able to afford ``value + gasprice``.  A
+gas-free transaction is exempt when its sender is a contract on the chain, or
+when it calls a contract on the chain and its sender is in the chain's
+genesis-fixed ``witness_exempt`` set: the witnesses and registry owners on
+the token chain, the witnesses and the vault owners on a side chain.
 No tokens are ever destroyed or minted by block application, so the sum of
 account balances and contract-held balances is invariant on chains that carry
 a token ledger.  There are no block rewards.
@@ -120,8 +123,18 @@ class EventTopic(str, Enum):
     CONSENSUS_RESULT = "ConsensusResult"
 
 
-class InvalidTransaction(Exception):
+class Refusal(Exception):
+    """A rule of the model refuses a transaction: it is excluded from its
+    block and recorded with its reason.  Any other exception while a block is
+    applied is a fault of the model and stops the run (``ModelError``)."""
+
+
+class InvalidTransaction(Refusal):
     """Transaction cannot be applied; it is excluded from the block."""
+
+
+class ModelError(Exception):
+    """An exception other than a ``Refusal`` while a block was applied."""
 
 
 class InvalidReorg(Exception):
@@ -133,13 +146,11 @@ class InvalidReorg(Exception):
 # ---------------------------------------------------------------------------
 #
 # A transaction carries exactly one tagged payload; the tag decides which
-# contract operation may consume it.  Payloads serialize into the canonical
-# dict form used for the trace.  Payloads, transfer entries and transactions
-# are immutable all the way down, so each can cache its canonical text
-# (``codec.Encoded``): block hashes and vote subjects join the cached texts of
-# transactions and entries instead of encoding every member again.  A
-# transaction joins its payload's text uncached (``encode``), because each
-# payload belongs to one transaction, whose own cached text already holds it.
+# contract operation may consume it, and is written under "type" in the
+# payload's canonical form.  Payloads, transfer entries, transactions and
+# events derive their canonical form and cached text from their fields
+# (``codec.Encoded``): block hashes, vote subjects and block records join the
+# cached texts of their members instead of encoding every member again.
 
 
 @dataclass(frozen=True)
@@ -153,15 +164,6 @@ class RegistrationRequest(codec.Encoded):
 
     TAG = "registration_request"
 
-    def canonical(self) -> dict:
-        return {
-            "type": self.TAG,
-            "chain_id": self.chain_id,
-            "genesis_hash": self.genesis_hash,
-            "balance": self.balance,
-            "side_creator": self.side_creator,
-        }
-
 
 @dataclass(frozen=True)
 class Confirm(codec.Encoded):
@@ -172,14 +174,6 @@ class Confirm(codec.Encoded):
     verdict: bool
 
     TAG = "confirm"
-
-    def canonical(self) -> dict:
-        return {
-            "type": self.TAG,
-            "chain_id": self.chain_id,
-            "subject": self.subject,
-            "verdict": self.verdict,
-        }
 
 
 @dataclass(frozen=True)
@@ -197,24 +191,6 @@ class TransferEntry(codec.Encoded):
     to: Address
     value: int
 
-    def canonical(self) -> dict:
-        return {
-            "origin_chain": self.origin_chain,
-            "origin_height": self.origin_height,
-            "origin_seq": self.origin_seq,
-            "to": self.to,
-            "value": self.value,
-        }
-
-    SHAPE = codec.Shape("origin_chain", "origin_height", "origin_seq", "to", "value")
-
-    def encode(self) -> str:
-        dumps = codec.canonical_dumps
-        return self.SHAPE.text(
-            dumps(self.origin_chain), dumps(self.origin_height), dumps(self.origin_seq),
-            dumps(self.to), dumps(self.value),
-        )
-
     def origin_plain(self) -> tuple:
         return (str(self.origin_chain), self.origin_height, self.origin_seq)
 
@@ -229,23 +205,6 @@ class Transferring(codec.Encoded):
 
     TAG = "transferring"
 
-    def canonical(self) -> dict:
-        return {
-            "type": self.TAG,
-            "direction": self.direction,
-            "subject": self.subject,
-            "entries": [e.canonical() for e in self.entries],
-        }
-
-    SHAPE = codec.Shape("type", "direction", "subject", "entries")
-
-    def encode(self) -> str:
-        dumps = codec.canonical_dumps
-        return self.SHAPE.text(
-            dumps(self.TAG), dumps(self.direction), dumps(self.subject),
-            codec.array([e.text() for e in self.entries]),
-        )
-
 
 @dataclass(frozen=True)
 class UserTransfer(codec.Encoded):
@@ -255,9 +214,6 @@ class UserTransfer(codec.Encoded):
 
     TAG = "user_transfer"
 
-    def canonical(self) -> dict:
-        return {"type": self.TAG, "dest": self.dest}
-
 
 @dataclass(frozen=True)
 class IoTRecord(codec.Encoded):
@@ -266,9 +222,6 @@ class IoTRecord(codec.Encoded):
     data: str
 
     TAG = "iot_record"
-
-    def canonical(self) -> dict:
-        return {"type": self.TAG, "data": self.data}
 
 
 @dataclass(frozen=True)
@@ -280,9 +233,6 @@ class MultisigAction(codec.Encoded):
 
     TAG = "multisig_action"
 
-    def canonical(self) -> dict:
-        return {"type": self.TAG, "action": self.action, "args": list(self.args)}
-
 
 @dataclass(frozen=True)
 class TradingAction(codec.Encoded):
@@ -293,14 +243,6 @@ class TradingAction(codec.Encoded):
     cross_chain: bool = False
 
     TAG = "trading_action"
-
-    def canonical(self) -> dict:
-        return {
-            "type": self.TAG,
-            "to": self.to,
-            "value": self.value,
-            "cross_chain": self.cross_chain,
-        }
 
 
 Payload = (
@@ -323,24 +265,7 @@ class Transaction(codec.Encoded):
     payload: Payload
     round: Optional[int] = None
 
-    def canonical(self) -> dict:
-        return {
-            "from": self.sender,
-            "to": self.to,
-            "value": self.value,
-            "gasprice": self.gasprice,
-            "round": self.round,
-            "payload": self.payload.canonical(),
-        }
-
-    SHAPE = codec.Shape("from", "to", "value", "gasprice", "round", "payload")
-
-    def encode(self) -> str:
-        dumps = codec.canonical_dumps
-        return self.SHAPE.text(
-            dumps(self.sender), dumps(self.to), dumps(self.value), dumps(self.gasprice),
-            dumps(self.round), self.payload.encode(),
-        )
+    KEYS = {"sender": "from"}
 
     def digest(self) -> bytes:
         # Cached beside the fields, so equality and hashing do not see it.
@@ -359,7 +284,7 @@ class Transaction(codec.Encoded):
 
 
 @dataclass(frozen=True)
-class Event:
+class Event(codec.Encoded):
     """Emitted by a contract while applying exactly one transaction.
 
     ``seq`` is the event's position within its block, so (height, seq) is a
@@ -367,7 +292,9 @@ class Event:
     ``payload`` holds the typed values the contract built (``Address``,
     ``bytes``, ``int``, tuples); readers use them as they are, and only the
     trace encoder turns them into text.  A contract hands over values it no
-    longer changes: a payload must never alias the contract's own state.
+    longer changes: a payload must never alias the contract's own state.  So
+    an event never changes once emitted, and caches its text like the
+    immutable values.
     """
 
     contract: Address
@@ -377,18 +304,11 @@ class Event:
     tx_index: int
     seq: int
 
-    def canonical(self) -> dict:
-        return {
-            "contract": self.contract,
-            "topic": self.topic.value,
-            "payload": self.payload,
-            "height": self.height,
-            "tx_index": self.tx_index,
-            "seq": self.seq,
-        }
-
     def origin_plain(self, chain_id: Address) -> tuple:
         return (str(chain_id), self.height, self.seq)
+
+
+_BLOCK_HASHED = codec.Shape("height", "parent_hash", "transactions")
 
 
 @dataclass(slots=True)
@@ -400,13 +320,11 @@ class Block:
     hash: bytes = b""
     produced_at: int = 0  # scheduler tick; node-local metadata, not hashed
 
-    SHAPE = codec.Shape("height", "parent_hash", "transactions")
-
     def compute_hash(self, parent_text: str | None = None) -> bytes:
         """Digest of height, parent hash (or its given text) and the txs' texts."""
         if parent_text is None:
             parent_text = codec.canonical_dumps(self.parent_hash)
-        return codec.digest_text(self.SHAPE.text(
+        return codec.digest_text(_BLOCK_HASHED.text(
             int.__repr__(self.height), parent_text,
             codec.array([tx.text() for tx in self.transactions]) if self.transactions else "[]",
         ))
@@ -647,32 +565,36 @@ class Chain:
         # record and is not held to conservation.
         if transactions:
             self._record = record = ({}, {})
-            for tx in transactions:
-                try:
-                    self._admit(tx)
-                except Exception as exc:  # noqa: BLE001 - any refusal rejects the tx
-                    # Refused before it touched anything: nothing to undo.
-                    rejections.append(Rejection(tx, _reason(exc)))
-                    continue
-                marks = [len(pre_images) for pre_images in record]
-                try:
-                    self._apply_tx(tx, len(accepted))
-                except Exception as exc:  # noqa: BLE001 - any contract error rejects the tx
-                    # Roll back to the block start and replay the accepted
-                    # prefix; such failures are rare, so this beats journaling
-                    # per tx.  The pre-images this transaction added go: the
-                    # prefix never touched those entries, and finds its own
-                    # intact.
-                    self._restore(*record)
-                    for pre_images, mark in zip(record, marks):
-                        for key in list(pre_images)[mark:]:
-                            del pre_images[key]
-                    events.clear()
-                    for i, prev in enumerate(accepted):
-                        self._apply_tx(prev, i)
-                    rejections.append(Rejection(tx, _reason(exc)))
-                    continue
-                accepted.append(tx)
+            try:
+                for tx in transactions:
+                    try:
+                        self._admit(tx)
+                    except Refusal as exc:
+                        # Refused before it touched anything: nothing to undo.
+                        rejections.append(Rejection(tx, _reason(exc)))
+                        continue
+                    marks = [len(pre_images) for pre_images in record]
+                    try:
+                        self._apply_tx(tx, len(accepted))
+                    except Refusal as exc:
+                        # Roll back to the block start and replay the accepted
+                        # prefix; such failures are rare, so this beats
+                        # journaling per tx.  The pre-images this transaction
+                        # added go: the prefix never touched those entries,
+                        # and finds its own intact.
+                        self._restore(*record)
+                        for pre_images, mark in zip(record, marks):
+                            for key in list(pre_images)[mark:]:
+                                del pre_images[key]
+                        events.clear()
+                        for i, prev in enumerate(accepted):
+                            self._apply_tx(prev, i)
+                        rejections.append(Rejection(tx, _reason(exc)))
+                        continue
+                    accepted.append(tx)
+            except Exception as exc:
+                raise ModelError(f"tick {now}, chain {self.chain_id}, tx "
+                                 f"0x{tx.digest().hex()}: {_reason(exc)}") from exc
             if any(record):
                 self._undo[height] = record
             if self.unbalanced is None and self.has_token_ledger():

@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Exit codes are a contract: 0 all checks pass, 1 invalid input, 2 invariant
-failure during the run, 3 replay divergence.
+failure during the run, 3 replay divergence, 4 a fault of the model itself
+(``chain.ModelError``: an exception that is not a refusal while a block was
+applied) during ``run`` or ``replay``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import json
 import sys
 
 from . import codec, simnet, trace as trace_mod
-from .chain import InvalidReorg
+from .chain import InvalidReorg, ModelError
 from .reader import Collector, uint
 from .scenario import (
     ScenarioInvalid,
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INVARIANT = 2
 EXIT_DIVERGENCE = 3
+EXIT_MODEL = 4
 
 
 def _load(path: str) -> dict | None:
@@ -116,6 +119,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     except InvalidReorg as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except ModelError as exc:
+        print(f"error: model fault: {exc}", file=sys.stderr)
+        return EXIT_MODEL
     if args.trace_out:
         result.write_trace(args.trace_out)
         print(f"trace written to {args.trace_out}")
@@ -136,7 +142,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
     except (KeyError, ScenarioInvalid) as exc:
         print(f"error: trace header does not replay: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    result = simnet.run_scenario(scenario, threshold_override=override)
+    try:
+        result = simnet.run_scenario(scenario, threshold_override=override)
+    except ModelError as exc:
+        print(f"error: model fault: {exc}", file=sys.stderr)
+        return EXIT_MODEL
     divergence = trace_mod.first_divergence(recorded, result.trace_lines)
     if divergence is None:
         print(f"replay of {args.trace}: identical ({len(recorded)} records)")

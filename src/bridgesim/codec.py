@@ -9,23 +9,28 @@ bytes are equal.
 
 This module is the only place a value becomes text.  Inside the model values
 stay typed (``Address``, ``bytes``, ``int``, tuples): transactions, event
-payloads and contract state views alike.  They are made plain only where they
-are encoded, in a trace line (through ``plain_leaf``) or in a digest (through
-``to_plain``).
+payloads and contract state views alike.  They become text only where they
+are encoded: ``canonical_dumps`` writes the text of a digest or a trace
+record, and ``plain_leaf`` lets ``json`` encode the trace header, dict trace
+payloads and the run summary.
 
-Values that are immutable all the way down (``Encoded``) keep their canonical
-text once it is computed, and a composite value's text is joined from its
-members' cached texts (``Shape``, ``array``, ``mapping``), so such a value
-is encoded once in its lifetime however often it is hashed again inside a
-block, a batch or a vote subject.  ``canonical_dumps`` of such a value is its
-cached text.
+A value class declares its fields once (``Encoded``): its canonical form and
+its canonical text are both derived from the dataclass fields.  A value keeps
+its text once it is computed, and a composite value's text is joined from its
+members' texts (``Shape``, ``array``, ``mapping``), so such a value is
+encoded once in its lifetime however often it is hashed again inside a block,
+a batch, a vote subject or a trace record.  ``canonical_dumps`` of such a
+value is its cached text, and of a list, tuple or dict the join of its
+members' texts.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
-from typing import Any
+from typing import Any, ClassVar
 
 # Digest algorithm used for every content hash; recorded in trace headers so
 # runs remain comparable if it is ever changed.
@@ -37,26 +42,15 @@ class SerializationError(ValueError):
     """Value cannot be put into canonical form (e.g. floats, arbitrary objects)."""
 
 
-_ATOMS = frozenset({str, int, bool, type(None)})
-
-
 def to_plain(value: Any) -> Any:
     """Reduce a value to plain JSON types, hex-encoding byte strings.
 
     Accepts dict / list / tuple / str / bool / int / None / bytes and objects
     exposing ``canonical()``.  Floats are rejected: canonical content must be
-    exact.  Scalars, dicts, lists and tuples of exactly those types take the
-    first branches; everything else (bytes, str enums, ``canonical()``
-    objects) goes through the ``isinstance`` checks below them.
+    exact.  ``canonical_dumps`` encodes the common kinds itself, so this
+    serves the rest and the readers of plain forms.
     """
-    kind = type(value)
-    if kind in _ATOMS:
-        return value
-    if kind is dict:
-        return _plain_dict(value)
-    if kind is list or kind is tuple:
-        return [to_plain(item) for item in value]
-    if isinstance(value, (str, int)):
+    if value is None or isinstance(value, (str, int)):
         return value
     if isinstance(value, float):
         raise SerializationError("floats are not canonical; use integer units")
@@ -86,7 +80,7 @@ def plain_leaf(value: Any) -> Any:
 
     Byte strings become ``0x`` hex and objects their ``canonical()`` form, which
     the encoder then walks in turn.  Unlike ``to_plain`` this admits floats and
-    leaves non-``str`` keys to ``json``; digests go through ``to_plain``.
+    leaves non-``str`` keys to ``json``; digests go through ``canonical_dumps``.
     """
     if isinstance(value, bytes):
         return "0x" + value.hex()
@@ -101,8 +95,9 @@ _quote = json.encoder.encode_basestring_ascii
 
 
 def canonical_dumps(value: Any) -> str:
-    # The scalar members of composite values come here one by one; encode
-    # them as ``_CANONICAL`` does, without its call overhead.
+    # The members of composite values come here one by one; encode scalars,
+    # lists, tuples, dicts and ``Encoded`` values as ``_CANONICAL`` does,
+    # without its call overhead or a walk of what is already encoded.
     kind = type(value)
     if kind is str:
         return _quote(value)
@@ -112,8 +107,20 @@ def canonical_dumps(value: Any) -> str:
         return '"0x' + value.hex() + '"'
     if value is None:
         return "null"
+    if kind is bool:
+        return "true" if value else "false"
     if isinstance(value, Encoded):
         return value.text()
+    if kind is tuple or kind is list:
+        return array([canonical_dumps(item) for item in value])
+    if kind is dict:
+        try:
+            return "{" + ",".join([_quote(key) + ":" + canonical_dumps(value[key])
+                                   for key in sorted(value)]) + "}"
+        except TypeError:  # a key that is not a str
+            raise SerializationError(f"non-string key in {value!r}") from None
+    if isinstance(value, str):  # a str enum
+        return _quote(value)
     return _CANONICAL.encode(to_plain(value))
 
 
@@ -160,24 +167,46 @@ class Shape:
 
 
 class Encoded:
-    """Mixin for frozen values that are immutable all the way down.
+    """Mixin for frozen dataclass values whose canonical form is their fields.
 
-    ``text()`` is the value's canonical text, computed on first use and cached
-    beside the fields, so dataclass equality and hashing do not see it.  A
-    value that holds a mutable member (a dict, a list) must not use it: the
-    cache would outlive a change to that member.
+    ``canonical()`` maps each field's key to its value: the key is the
+    field's name, or the name the class's ``KEYS`` gives it, and a class with
+    a ``TAG`` adds it under ``"type"``.  ``text()`` is the canonical text of
+    that form, one ``Shape`` join of the members' ``canonical_dumps`` texts,
+    computed on first use and cached beside the fields, so dataclass equality
+    and hashing do not see it.  The cache is sound only while the members do
+    not change: a value's members must be immutable all the way down, or
+    mutable members that the value's maker hands over and never changes
+    again (an emitted event's payload).
     """
 
+    TAG: ClassVar[str | None] = None
+    KEYS: ClassVar[dict[str, str]] = {}
+
+    def canonical(self) -> dict:
+        names, keys, _ = _layout(type(self))
+        plain = {} if self.TAG is None else {"type": self.TAG}
+        plain.update(zip(keys, [self.__dict__[name] for name in names]))
+        return plain
+
     def text(self) -> str:
-        cached = self.__dict__.get("_text")
+        members = self.__dict__
+        cached = members.get("_text")
         if cached is None:
-            cached = self.__dict__["_text"] = self.encode()
+            names, _, join = _layout(type(self))
+            cached = members["_text"] = join(*[canonical_dumps(members[name]) for name in names])
         return cached
 
-    def encode(self) -> str:
-        """The canonical text; composites override this to join their
-        members' cached texts."""
-        return canonical_dumps(self.canonical())
+
+@functools.cache
+def _layout(cls: type) -> tuple[tuple[str, ...], tuple[str, ...], Any]:
+    """An ``Encoded`` class's field names, their keys, and the join of its
+    members' texts (with the tag's text already in place)."""
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    keys = tuple(cls.KEYS.get(name, name) for name in names)
+    if cls.TAG is None:
+        return names, keys, Shape(*keys).text
+    return names, keys, functools.partial(Shape("type", *keys).text, _quote(cls.TAG))
 
 
 def parse_hex(text: str, *, length: int | None = None) -> bytes:

@@ -46,6 +46,7 @@ from .chain import (
     Confirm,
     EventTopic,
     MultisigAction,
+    Refusal,
     RegistrationRequest,
     TradingAction,
     Transaction,
@@ -64,7 +65,7 @@ MODE_CONSERVATION = "conservation"
 MODE_STRICT = "strict"
 
 
-class ContractError(Exception):
+class ContractError(Refusal):
     """Base for contract-level rejections; the transaction is excluded."""
 
 

@@ -90,7 +90,7 @@ class SideChainConfig:
     genesis: GenesisSpec
     bridge_head: BridgeHeadConfig
     owners: tuple[Address, ...] = ()  # the registration vault's; none on a native-gas chain
-    owners_required: int = 2
+    owners_required: int = 0
     initial_height: int = 0
 
     @property
@@ -237,12 +237,12 @@ class _Reader(Collector):
                 f"{at}.bridge_head.threshold",
                 f"threshold {threshold} must exceed half of the {n_wit} witnesses",
             )
-        owners, required = (), 2
-        if "owners" in f:  # a gasless chain's: its vault's
-            owners, required = f["owners"]["vault"], f["owners"]["required"]
-            _required_fits(self, f"{at}.owners.required", required, "vault", owners)
+        vault = f.get("owners", {})  # a gasless chain's
+        if vault:
+            _required_fits(self, f"{at}.owners.required", vault["owners_required"], "vault",
+                           vault["owners"])
         side = SideChainConfig(f["block_interval"], f["omega"], spec, f["bridge_head"],
-                               owners, required, f["initial_height"])
+                               initial_height=f["initial_height"], **vault)
         self.sides.append((at, side))
         return side
 
@@ -400,9 +400,12 @@ _REGISTRY = {"address": addr, "owners": owner_list, "required": (uint(1), 2)}
 _BRIDGE_HEAD = {
     "address": addr, "threshold": uint(1), "compensation_fee": uint(), "entrance_fee_minimum": uint(),
 }
-# Only a gasless side chain has owners: those of its registration vault.
+# Only a gasless side chain has owners: those of its registration vault, read
+# into the side chain's ``owners`` and ``owners_required``.
 _OWNERS = {
-    VARIANT_GASLESS: {"owners": nested({"vault": owner_list, "required": (uint(1), 2)}, dict)},
+    VARIANT_GASLESS: {"owners": nested(
+        {"vault": owner_list, "required": (uint(1), 2)},
+        lambda vault, required: {"owners": vault, "owners_required": required})},
     VARIANT_NATIVE_GAS: {},
 }
 # A side chain's table is its genesis's variant's.

@@ -15,7 +15,7 @@ from . import codec
 
 TRACE_FORMAT = 1
 
-# One encoder for trace payloads and the values in a block record;
+# One encoder for the header and the trace payloads given as dicts;
 # ``codec.plain_leaf`` makes bytes and ``canonical()`` objects plain as the
 # encoder reaches them.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=codec.plain_leaf)
@@ -48,7 +48,7 @@ def block_payload(chain, rejections: list) -> str:
         codec.array([tx.id_text() for tx in txs]) if txs else "[]",
         codec.array([_REJECTED.text(r.tx.id_text(), _quote(r.reason)) for r in rejections])
         if rejections else "[]",
-        codec.array([dumps(ev) for ev in events]) if events else "[]",
+        codec.array([ev.text() for ev in events]) if events else "[]",
         chain.state_text(),
     )
 

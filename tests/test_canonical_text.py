@@ -1,0 +1,106 @@
+"""The canonical text of every value kind, pinned apart from its derivation.
+
+Each expected text is written out by hand, so a change to how ``codec.Encoded``
+derives keys (a lost ``"from"`` alias, a missing ``"type"`` tag) fails here
+even where every text would still agree with its own ``canonical()``.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bridgesim import trace
+from bridgesim.chain import (
+    Address, Confirm, Event, EventTopic, IoTRecord, MultisigAction, RegistrationRequest,
+    TradingAction, Transaction, TransferEntry, Transferring, UserTransfer,
+)
+
+A = Address(bytes(range(20)))
+B = Address(bytes(range(20, 40)))
+D = bytes(range(32))
+A_TEXT = '"0x000102030405060708090a0b0c0d0e0f10111213"'
+B_TEXT = '"0x1415161718191a1b1c1d1e1f2021222324252627"'
+D_TEXT = '"0x000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"'
+ENTRY = TransferEntry(A, 7, 2, B, 50)
+ENTRY_TEXT = (f'{{"origin_chain":{A_TEXT},"origin_height":7,"origin_seq":2,'
+              f'"to":{B_TEXT},"value":50}}')
+
+
+def test_registration_request_text():
+    assert RegistrationRequest(A, D, 1000, B).text() == (
+        f'{{"balance":1000,"chain_id":{A_TEXT},"genesis_hash":{D_TEXT},'
+        f'"side_creator":{B_TEXT},"type":"registration_request"}}')
+
+
+def test_confirm_text():
+    assert Confirm(A, D, True).text() == (
+        f'{{"chain_id":{A_TEXT},"subject":{D_TEXT},"type":"confirm","verdict":true}}')
+
+
+def test_transferring_text():
+    assert Transferring("inbound", D, (ENTRY,)).text() == (
+        f'{{"direction":"inbound","entries":[{ENTRY_TEXT}],"subject":{D_TEXT},'
+        f'"type":"transferring"}}')
+
+
+def test_user_transfer_text():
+    assert UserTransfer(B).text() == f'{{"dest":{B_TEXT},"type":"user_transfer"}}'
+    assert UserTransfer().text() == '{"dest":null,"type":"user_transfer"}'
+
+
+def test_iot_record_text():
+    assert IoTRecord('té "1"').text() == '{"data":"t\\u00e9 \\"1\\"","type":"iot_record"}'
+
+
+def test_multisig_action_text():
+    assert MultisigAction("add_relay", (B, 3, None, False)).text() == (
+        f'{{"action":"add_relay","args":[{B_TEXT},3,null,false],"type":"multisig_action"}}')
+
+
+def test_trading_action_text():
+    assert TradingAction(B, 9, cross_chain=True).text() == (
+        f'{{"cross_chain":true,"to":{B_TEXT},"type":"trading_action","value":9}}')
+
+
+def test_transfer_entry_text():
+    assert ENTRY.text() == ENTRY_TEXT
+
+
+def test_transaction_text():
+    assert Transaction(A, B, 5, 1, UserTransfer(None), round=3).text() == (
+        f'{{"from":{A_TEXT},"gasprice":1,"payload":{{"dest":null,"type":"user_transfer"}},'
+        f'"round":3,"to":{B_TEXT},"value":5}}')
+
+
+def test_event_text():
+    event = Event(A, EventTopic.ASSETS_LOCKED,
+                  {"from": A, "amount": 5, "subject": D, "ok": False, "entries": (ENTRY,)},
+                  4, 1, 2)
+    assert event.text() == (
+        f'{{"contract":{A_TEXT},"height":4,"payload":{{"amount":5,"entries":[{ENTRY_TEXT}],'
+        f'"from":{A_TEXT},"ok":false,"subject":{D_TEXT}}},"seq":2,"topic":"AssetsLocked",'
+        f'"tx_index":1}}')
+
+
+# -- an event's text is the text block records were encoded with ---------------
+
+TEXTS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+LEAVES = st.one_of(
+    st.integers(), TEXTS, st.booleans(), st.none(), st.binary(max_size=8),
+    st.binary(min_size=20, max_size=20).map(Address),
+    st.builds(TransferEntry, st.just(A), st.integers(), st.integers(), st.just(B),
+              st.integers()),
+)
+VALUES = st.recursive(LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(TEXTS, inner, max_size=3),
+), max_leaves=8)
+EVENTS = st.builds(Event, st.binary(min_size=20, max_size=20).map(Address),
+                   st.sampled_from(EventTopic), st.dictionaries(TEXTS, VALUES, max_size=5),
+                   st.integers(min_value=0), st.integers(min_value=0),
+                   st.integers(min_value=0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(EVENTS)
+def test_event_text_is_the_trace_encoders_text(event):
+    assert event.text() == trace.dumps(event)

@@ -15,6 +15,7 @@ from bridgesim.chain import (
     ChainKind,
     EventTopic,
     InvalidReorg,
+    ModelError,
     Transaction,
     UserTransfer,
 )
@@ -264,6 +265,37 @@ class Beacon(Contract):
         self.calls += 1
         for part in (0, 1):
             chain.emit(self.address, EventTopic.ASSETS_LOCKED, {"call": self.calls, "part": part})
+
+
+class Broken(Contract):
+    """A contract with a bug: every call raises ``KeyError``."""
+
+    def __init__(self, address: Address) -> None:
+        self.address = address
+
+    def transact(self, chain, tx) -> None:
+        raise KeyError("missing")
+
+
+class TestModelError:
+    def test_a_bug_is_not_a_refusal(self):
+        """A ``ContractError`` rejects its transaction; any other exception
+        stops the block with a ``ModelError`` naming the tick, the chain and
+        the transaction's digest."""
+        payer, broken = Address.from_label("pay-then-fail"), Address.from_label("broken")
+        chain = Chain(Address.from_label("token"), ChainKind.TOKEN, {}, 1005, {A: 600, B: 400})
+        chain.register_contract(payer, PayThenFail(payer))
+        chain.register_contract(broken, Broken(broken))
+        chain.seal_genesis()
+        refused = Transaction(A, payer, 0, 1, UserTransfer(dest=C))
+        block, rejections = chain.apply_block([refused], now=3)
+        assert [r.tx for r in rejections] == [refused] and block.height == 1
+        call = Transaction(A, broken, 0, 1, UserTransfer())
+        with pytest.raises(ModelError) as info:
+            chain.apply_block([pay(A, B, 1), call], now=7)
+        assert str(info.value) == (f"tick 7, chain {chain.chain_id}, tx 0x{call.digest().hex()}: "
+                                   "KeyError: 'missing'")
+        assert isinstance(info.value.__cause__, KeyError)
 
 
 class TestRejectionRollback:

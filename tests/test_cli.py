@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from bridgesim import cli, presets
+from bridgesim.contracts import BridgeHead
 from bridgesim.trace import first_divergence
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -233,6 +234,25 @@ class TestReplay:
         assert cli.main(["replay", str(trace)]) == 1
         assert capsys.readouterr().err == (
             f"error: trace header does not replay: threshold_override: {message}\n")
+
+
+def test_a_model_fault_exits_four(tmp_path, capsys, monkeypatch):
+    """A contract bug (``KeyError`` in a bridge head's ``handle``) makes both
+    ``run`` and ``replay`` print the model fault and exit 4, not 0."""
+    path = write(tmp_path, "ok.json", presets.happy_path())
+    trace = tmp_path / "ok.trace"
+    assert cli.main(["run", path, "--trace-out", str(trace)]) == 0
+
+    def broken(self, chain, tx):
+        raise KeyError("lane")
+
+    monkeypatch.setattr(BridgeHead, "handle", broken)
+    capsys.readouterr()
+    assert cli.main(["run", path]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: model fault: tick ") and err.endswith("KeyError: 'lane'\n")
+    assert cli.main(["replay", str(trace)]) == 4
+    assert capsys.readouterr().err == err
 
 
 class TestUsageErrors:

@@ -412,6 +412,11 @@ def test_reading_leaves_the_input_as_written():
     assert data == written and scenario.raw is data
 
 
+def test_a_native_gas_chain_has_no_owners():
+    parsed = parse_scenario(_every_object("native_gas")).side_chains[0]
+    assert (parsed.owners, parsed.owners_required) == ((), 0)
+
+
 def test_omitted_optional_fields_take_their_defaults():
     data = _every_object("gasless")
     side = data["side_chains"][0]

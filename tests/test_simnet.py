@@ -5,8 +5,10 @@ import json
 import pytest
 
 from bridgesim import cli, presets, simnet
-from bridgesim.chain import Address, Chain, InvalidReorg
-from bridgesim.contracts import QuorumTally, RegistrationVault
+from bridgesim.chain import (
+    Address, Chain, InvalidReorg, InvalidTransaction, ModelError, MultisigAction, Transaction,
+)
+from bridgesim.contracts import BridgeHead, QuorumTally, RegistrationVault
 from bridgesim.scenario import parse_scenario
 
 
@@ -376,3 +378,35 @@ def test_a_rejection_after_a_debit_rolls_back_within_the_block(tmp_path, monkeyp
     trace = tmp_path / "rollback.trace"
     result.write_trace(str(trace))
     assert cli.main(["replay", str(trace)]) == 0
+
+
+def test_a_contract_bug_stops_the_run_with_a_model_error(monkeypatch):
+    """Negative control: a bridge head whose ``handle`` raises ``KeyError``
+    is a fault of the model, not a refused registration."""
+    def broken(self, chain, tx):
+        raise KeyError("lane")
+
+    monkeypatch.setattr(BridgeHead, "handle", broken)
+    with pytest.raises(ModelError, match=r"^tick \d+, chain 0x[0-9a-f]{40}, tx 0x[0-9a-f]{64}: "
+                                         r"KeyError: 'lane'$"):
+        run(presets.happy_path())
+
+
+@pytest.mark.parametrize("chain_label, owner, contract", [
+    ("token-chain", "registry-owner-1", "registry"),
+    ("side-1", "side-1-owner-1", "side-1-vault"),
+])
+def test_owners_call_their_chains_contracts_gas_free(chain_label, owner, contract):
+    """Owners, like witnesses, may send a contract on their chain a gas-free
+    transaction; a stranger may not."""
+    sim = simnet.Simulation(parse_scenario(presets.happy_path()))
+    chain = sim.hosts[Address.from_hex(presets.addr(chain_label))].chain
+    to = Address.from_hex(presets.addr(contract))
+
+    def call(sender):
+        return Transaction(Address.from_hex(presets.addr(sender)), to, 0, 0,
+                           MultisigAction("suicide"))
+
+    chain._admit(call(owner))
+    with pytest.raises(InvalidTransaction, match="^zero gasprice without exemption$"):
+        chain._admit(call("creator"))
