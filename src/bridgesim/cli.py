@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import codec, simnet, trace as trace_mod
+from . import simnet, trace as trace_mod
 from .chain import InvalidReorg, ModelError
 from .reader import Collector, uint
 from .scenario import (
@@ -34,7 +34,7 @@ EXIT_MODEL = 4
 def _load(path: str) -> dict | None:
     try:
         return load_file(path)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None
 
@@ -95,7 +95,7 @@ def _print_report(result: simnet.RunResult) -> None:
     else:
         print("all invariants held")
     print("== summary (json) ==")
-    print(json.dumps(summary, sort_keys=True, default=codec.plain_leaf))
+    print(json.dumps(summary, sort_keys=True))
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -133,7 +133,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
     try:
         recorded = trace_mod.read_trace(args.trace)
         header = trace_mod.header_of(recorded)
-    except (OSError, trace_mod.TraceError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {args.trace}: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except trace_mod.TraceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     try:

@@ -10,9 +10,10 @@ bytes are equal.
 This module is the only place a value becomes text.  Inside the model values
 stay typed (``Address``, ``bytes``, ``int``, tuples): transactions, event
 payloads and contract state views alike.  They become text only where they
-are encoded: ``canonical_dumps`` writes the text of a digest or a trace
-record, and ``plain_leaf`` lets ``json`` encode the trace header, dict trace
-payloads and the run summary.
+are encoded: ``canonical_dumps`` writes the text of every digest, genesis
+file and trace payload.  ``json`` only reads input and writes the trace
+header and the run summary, which hold plain JSON (the header keeps a
+scenario's fault-rate floats, which have no canonical form).
 
 A value class declares its fields once (``Encoded``): its canonical form and
 its canonical text are both derived from the dataclass fields.  A value keeps
@@ -42,62 +43,16 @@ class SerializationError(ValueError):
     """Value cannot be put into canonical form (e.g. floats, arbitrary objects)."""
 
 
-def to_plain(value: Any) -> Any:
-    """Reduce a value to plain JSON types, hex-encoding byte strings.
-
-    Accepts dict / list / tuple / str / bool / int / None / bytes and objects
-    exposing ``canonical()``.  Floats are rejected: canonical content must be
-    exact.  ``canonical_dumps`` encodes the common kinds itself, so this
-    serves the rest and the readers of plain forms.
-    """
-    if value is None or isinstance(value, (str, int)):
-        return value
-    if isinstance(value, float):
-        raise SerializationError("floats are not canonical; use integer units")
-    if isinstance(value, bytes):
-        return "0x" + value.hex()
-    if hasattr(value, "canonical"):
-        return to_plain(value.canonical())
-    if isinstance(value, dict):
-        return _plain_dict(value)
-    if isinstance(value, (list, tuple)):
-        return [to_plain(item) for item in value]
-    raise SerializationError(f"cannot canonicalize {type(value).__name__}")
-
-
-def _plain_dict(value: dict) -> dict:
-    out = {}
-    for key, item in value.items():
-        if not isinstance(key, str):
-            raise SerializationError(f"non-string key {key!r}")
-        out[key] = to_plain(item)
-    return out
-
-
-def plain_leaf(value: Any) -> Any:
-    """``default`` hook for ``json.dumps``: the plain form of a leaf json cannot
-    encode itself, so a record is walked once, by the encoder.
-
-    Byte strings become ``0x`` hex and objects their ``canonical()`` form, which
-    the encoder then walks in turn.  Unlike ``to_plain`` this admits floats and
-    leaves non-``str`` keys to ``json``; digests go through ``canonical_dumps``.
-    """
-    if isinstance(value, bytes):
-        return "0x" + value.hex()
-    if hasattr(value, "canonical"):
-        return value.canonical()
-    raise SerializationError(f"cannot canonicalize {type(value).__name__}")
-
-
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-# The escaper ``_CANONICAL`` applies to keys and str values.
+# The escaper ``json`` applies to keys and str values.
 _quote = json.encoder.encode_basestring_ascii
 
 
 def canonical_dumps(value: Any) -> str:
-    # The members of composite values come here one by one; encode scalars,
-    # lists, tuples, dicts and ``Encoded`` values as ``_CANONICAL`` does,
-    # without its call overhead or a walk of what is already encoded.
+    """The canonical text of a str, int, bool, None, bytes, list, tuple,
+    str-keyed dict, ``Encoded`` value or object with ``canonical()``, nested;
+    anything else, floats included, raises ``SerializationError``."""
+    # The members of composite values come here one by one; an ``Encoded``
+    # member is its cached text, not walked again.
     kind = type(value)
     if kind is str:
         return _quote(value)
@@ -121,7 +76,11 @@ def canonical_dumps(value: Any) -> str:
             raise SerializationError(f"non-string key in {value!r}") from None
     if isinstance(value, str):  # a str enum
         return _quote(value)
-    return _CANONICAL.encode(to_plain(value))
+    if isinstance(value, float):
+        raise SerializationError("floats are not canonical; use integer units")
+    if hasattr(value, "canonical"):
+        return canonical_dumps(value.canonical())
+    raise SerializationError(f"cannot canonicalize {type(value).__name__}")
 
 
 def canonical_bytes(value: Any) -> bytes:

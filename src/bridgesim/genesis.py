@@ -49,22 +49,8 @@ class GenesisSpec:
     bal_bank: int | None = None
 
     def canonical(self) -> dict:
-        if self.variant == VARIANT_GASLESS:
-            return {
-                "Chain_ID": self.chain_id,
-                "SC_Register": self.register_contract,
-                "Bal_Resv": self.bal_resv,
-                "SC_Inter": self.inter_contract,
-                "SC_Bank": self.bank_contract,
-                "Bal_Bank": self.bal_bank,
-                "Wit_Addr_List": list(self.witnesses),
-            }
-        return {
-            "Chain_ID": self.chain_id,
-            "SC_Register": self.register_contract,
-            "SC_Trading": self.trading_contract,
-            "Wit_Addr_List": list(self.witnesses),
-        }
+        """The file form: each of the variant's keys and its field's value."""
+        return {key: getattr(self, _FIELDS[key]) for key in _TABLES[self.variant]}
 
     def total_reserved(self) -> int:
         """Sum the creator reserves for the chain (the claimed balance)."""
@@ -102,6 +88,17 @@ _TABLES = {
         "Wit_Addr_List": _witness_list,
     },
 }
+# The GenesisSpec field each file key fills.
+_FIELDS = {
+    "Chain_ID": "chain_id",
+    "SC_Register": "register_contract",
+    "Bal_Resv": "bal_resv",
+    "SC_Inter": "inter_contract",
+    "SC_Bank": "bank_contract",
+    "Bal_Bank": "bal_bank",
+    "SC_Trading": "trading_contract",
+    "Wit_Addr_List": "witnesses",
+}
 GASLESS_FIELDS = tuple(_TABLES[VARIANT_GASLESS])
 NATIVE_GAS_FIELDS = tuple(_TABLES[VARIANT_NATIVE_GAS])
 
@@ -116,17 +113,7 @@ def read_genesis(col: reader.Collector, raw: object, at: str) -> GenesisSpec | N
     if f is None or len(f) != len(raw):  # every field is required: the rest are unknown
         return None
     prefix = f"{at}." if at else ""
-    spec = GenesisSpec(
-        variant=genesis_variant(raw),
-        chain_id=f["Chain_ID"],
-        register_contract=f["SC_Register"],
-        witnesses=f["Wit_Addr_List"],
-        inter_contract=f.get("SC_Inter"),
-        bank_contract=f.get("SC_Bank"),
-        trading_contract=f.get("SC_Trading"),
-        bal_resv=f.get("Bal_Resv"),
-        bal_bank=f.get("Bal_Bank"),
-    )
+    spec = GenesisSpec(genesis_variant(raw), **{_FIELDS[key]: value for key, value in f.items()})
     contract_addrs = [a for a in (spec.register_contract, spec.inter_contract,
                                   spec.bank_contract, spec.trading_contract) if a is not None]
     if len(set(contract_addrs)) != len(contract_addrs):

@@ -38,7 +38,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from . import trace as trace_mod
+from . import codec, trace as trace_mod
 from .chain import (
     Address,
     Chain,
@@ -83,20 +83,16 @@ class ChainHost:
         self.label = str(self.chain.chain_id)
 
 
-@dataclass
-class InvariantResult:
+@dataclass(frozen=True)
+class InvariantResult(codec.Encoded):
+    """One invariant's verdict on one chain (or witness), as traced."""
+
     name: str
     chain: str
     passed: bool
     details: str = ""
 
-    def to_record(self) -> dict:
-        return {
-            "name": self.name,
-            "chain": self.chain,
-            "pass": self.passed,
-            "details": self.details,
-        }
+    KEYS = {"passed": "pass"}
 
 
 @dataclass
@@ -798,7 +794,7 @@ class Simulation(WorldView):
             "registry": [str(c) for c in self.registry.chain_ids],
             "side_chains": sides,
             "token_height": self.hosts[self.token_id].chain.height,
-            "invariant_failures": [r.to_record() for r in self.invariant_failures],
+            "invariant_failures": [r.canonical() for r in self.invariant_failures],
             "settled_checks": self.settled_checks,
             "resends": self.resend_records,
         }

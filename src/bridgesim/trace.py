@@ -5,6 +5,10 @@ payload), keys sorted, no insignificant whitespace, so identical runs produce
 identical bytes and any divergence is a meaningful difference.  The first line
 is a header embedding the scenario itself, which is what makes a trace
 self-replaying.
+
+Every payload is canonical text: joined from its members' texts, or
+``codec.canonical_dumps`` of a dict.  Only the header goes through ``json``,
+since a scenario may carry fault-rate floats.
 """
 
 from __future__ import annotations
@@ -15,22 +19,20 @@ from . import codec
 
 TRACE_FORMAT = 1
 
-# One encoder for the header and the trace payloads given as dicts;
-# ``codec.plain_leaf`` makes bytes and ``canonical()`` objects plain as the
-# encoder reaches them.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=codec.plain_leaf)
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def dumps(record: dict) -> str:
-    """Canonical-ish JSON for trace lines; floats allowed (fault rates)."""
+    """Plain JSON in the canonical layout, floats allowed: the header's text,
+    and the form in which parsed records are compared."""
     return _ENCODER.encode(record)
 
 
 # Every line, and the payload of a block, invariant, submit, deliver or batch
-# record, is joined from its members' texts: the bytes ``dumps`` gives the
-# same record, without walking it.  A line is the head its (chain, kind) pair
-# makes once, the payload, and the seq and tick, which sort after it;
-# ``_quote`` is the escaper the encoder applies to str values.
+# record, is joined from its members' texts: the bytes ``codec.canonical_dumps``
+# gives the same record, without walking it.  A line is the head its (chain,
+# kind) pair makes once, the payload, and the seq and tick, which sort after
+# it; ``_quote`` is the escaper json applies to str values.
 _HEAD = '{{"chain":{},"kind":{},"payload":'.format
 _BLOCK = codec.Shape("height", "hash", "txs", "rejected", "events", "state")
 _REJECTED = codec.Shape("tx", "reason")
@@ -77,16 +79,13 @@ def batch_payload(witness: str, window: tuple[int, int], count: int) -> str:
 
 
 _INVARIANTS = codec.Shape("final", "results")
-_RESULT = codec.Shape("name", "chain", "pass", "details")
-_BOOL = ("false", "true")
 
 
 def invariants_payload(final: bool, results: list) -> str:
     """The text of an ``invariant`` record's payload: whether the check is the
     run's final one, and each result's name, chain, verdict and details."""
-    return _INVARIANTS.text(_BOOL[final], codec.array([
-        _RESULT.text(_quote(r.name), _quote(r.chain), _BOOL[r.passed], _quote(r.details))
-        for r in results]))
+    return _INVARIANTS.text("true" if final else "false",
+                            codec.array([r.text() for r in results]))
 
 
 class TraceWriter:
@@ -110,11 +109,11 @@ class TraceWriter:
         }))
 
     def record(self, tick: int, kind: str, chain: str, payload: dict | str) -> None:
-        """Append one record; ``payload`` is a dict for the encoder, or the
-        text ``block_payload`` joined."""
+        """Append one record; ``payload`` is a dict to encode, or the text
+        ``block_payload`` or another joiner gave."""
         self._seq += 1
         self._line(tick, self._seq, kind, chain,
-                   payload if type(payload) is str else dumps(payload))
+                   payload if type(payload) is str else codec.canonical_dumps(payload))
 
 
 class TraceError(ValueError):

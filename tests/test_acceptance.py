@@ -239,7 +239,7 @@ class TestCriterion4PegConservation:
             assert result.quiescent, f"seed {seed} never settled"
             assert result.summary["settled_checks"] >= 1
             assert result.failures == [], (
-                f"seed {seed}: {[f.to_record() for f in result.failures][:2]}"
+                f"seed {seed}: {[f.canonical() for f in result.failures][:2]}"
             )
             side = side_summary(result)
             if side["variant"] == "gasless":

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+import plain_json
 from bridgesim import codec
 from bridgesim.chain import (
     Address,
@@ -449,5 +450,5 @@ class TestGenesisHash:
     def test_side_chain_genesis_block_carries_spec_digest(self):
         spec = parse_genesis(self.GENESIS)
         chain = Chain(spec.chain_id, ChainKind.GASLESS_SIDE,
-                      codec.to_plain(spec.canonical()), spec.total_reserved())
+                      plain_json.plain(spec.canonical()), spec.total_reserved())
         assert chain.blocks[0].hash == genesis_hash(spec)

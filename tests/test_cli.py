@@ -255,6 +255,18 @@ def test_a_model_fault_exits_four(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "replay"])
+def test_a_file_that_is_not_utf8_is_invalid_input(tmp_path, capsys, command):
+    """Input files are UTF-8: a file that is not is unreadable input, exit 1
+    with one ``error:`` line, not an uncaught ``UnicodeDecodeError``."""
+    path = tmp_path / "not-utf8.json"
+    path.write_bytes(b"\xff" + json.dumps(presets.happy_path()).encode())
+    assert cli.main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["run", str(SCENARIOS / "happy_path.json"), "--seed", "abc"],

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plain_json
 from bridgesim import codec, trace
 from bridgesim.chain import (
     Address, Block, Confirm, EventTopic, IoTRecord, MultisigAction, RegistrationRequest,
@@ -49,10 +50,16 @@ def test_trace_lines_encode_leaves_like_the_canonical_form():
     tx = Transaction(alice, alice, 3, 1, UserTransfer(dest=alice))
     value = {"b": b"\x01", "a": alice, "t": (1, [tx]), "e": EventTopic.ASSETS_LOCKED,
              "n": None, "ok": True}
-    assert trace.dumps(value) == codec.canonical_dumps(value)
+    assert codec.canonical_dumps(value) == plain_json.dumps(value)
+    writer = trace.TraceWriter()
+    writer.record(3, "action", "", value)
+    assert writer.lines == [
+        f'{{"chain":"","kind":"action","payload":{plain_json.dumps(value)},"seq":1,"tick":3}}']
+    # Only the header keeps floats; a payload is canonical or is refused.
     assert trace.dumps({"rate": 0.25}) == '{"rate":0.25}'
-    with pytest.raises(codec.SerializationError):
-        trace.dumps({"s": {1, 2}})
+    for payload in ({"s": {1, 2}}, {"rate": 0.25}):
+        with pytest.raises(codec.SerializationError):
+            writer.record(3, "action", "", payload)
 
 
 def test_digest_deterministic_and_sensitive():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plain_json
 from bridgesim import codec
 from bridgesim.chain import (
     Address,
@@ -949,7 +950,7 @@ def test_lane_outcome(outcome):
                and ev.topic in (EventTopic.CONSENSUS_RESULT, EventTopic.REGISTRATION_RESULT)]
     assert len(results) == 1
     assert results[0].topic == topic
-    payload = codec.to_plain(results[0].payload)
+    payload = plain_json.plain(results[0].payload)
     assert set(payload) == keys
     assert {k: payload[k] for k in pinned} == pinned
     assert (payload["round"], payload["next_round"]) == (round_no, next_round)

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from bridgesim import cli, trace
+import plain_json
+from bridgesim import cli
 from bridgesim.scenario import load_file, parse_scenario
 from bridgesim.simnet import Simulation, run_scenario
 
@@ -178,7 +179,7 @@ def test_events_are_not_changed_after_their_block_is_traced(name, override):
                 # run starts.
                 assert not block.events
                 continue
-            assert trace.dumps(block.events) == trace.dumps(traced[key]), key
+            assert plain_json.dumps(block.events) == plain_json.dumps(traced[key]), key
             checked += len(block.events)
     assert checked
 

@@ -1,11 +1,17 @@
 """Genesis file parsing and structural validation."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from bridgesim import presets
 from bridgesim.chain import Address
 from bridgesim.genesis import (
     GASLESS_FIELDS,
     NATIVE_GAS_FIELDS,
+    VARIANT_GASLESS,
+    VARIANT_NATIVE_GAS,
     GenesisError,
     genesis_hash,
     parse_genesis,
@@ -126,3 +132,16 @@ def test_every_field_feeds_the_hash():
     for data in variations:
         digests.add(genesis_hash(parse_genesis(data)))
     assert len(digests) == len(variations) + 1
+
+
+GENESIS_FILE = Path(__file__).resolve().parent.parent / "scenarios" / "genesis_gasless.json"
+
+
+@pytest.mark.parametrize("data", [
+    json.loads(GENESIS_FILE.read_text(encoding="utf-8")),
+    presets._side_chain("side-g", VARIANT_GASLESS, 4, 3)["genesis"],
+    presets._side_chain("side-n", VARIANT_NATIVE_GAS, 4, 3)["genesis"],
+], ids=["genesis_gasless.json", "preset-gasless", "preset-native-gas"])
+def test_a_genesis_hashes_as_the_file_it_was_read_from(data):
+    """The parsed genesis's canonical form is the file it was read from."""
+    assert genesis_hash(parse_genesis(data)) == genesis_hash(data)

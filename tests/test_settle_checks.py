@@ -18,6 +18,7 @@ from bridgesim import presets, simnet
 from bridgesim.chain import (
     Address, Block, Chain, EventTopic, InvalidTransaction, Transaction, UserTransfer,
 )
+from bridgesim.contracts import TradingBook
 from bridgesim.scenario import is_genesis_file, parse_scenario
 from bridgesim.simnet import InvariantResult
 from bridgesim.witness import Behavior, RelayCursor
@@ -260,6 +261,46 @@ def test_forged_zero_gasprice_block_fails_the_rule(checks):
         [rule] = [r for r in sim.check_invariants() if r.name == "zero_gasprice_rule"]
         assert not rule.passed
         assert rule.details == "1 violations"
+
+
+def test_overcredited_trading_ledger_fails_the_peg(monkeypatch):
+    """Negative control for peg_trading_ledger.  A trading book that credits
+    one unit more than the gateway asks holds more than the bridge head
+    locked, from the settle point after the first deposit on."""
+    data = presets.registered_with_transfers(variant="native_gas")
+    assert run(data).failures == []
+    credit = TradingBook.credit_from_gateway
+
+    def overcredit(self, caller, to, value):
+        credit(self, caller, to, value + 1)
+
+    monkeypatch.setattr(TradingBook, "credit_from_gateway", overcredit)
+    result = run(data)
+    assert {f.name for f in result.failures} == {"peg_trading_ledger"}
+    assert result.failures[0] == InvariantResult(
+        "peg_trading_ledger", presets.addr("side-1"), False, "locked 990, ledger+escrow 991")
+
+
+def test_registry_that_loses_a_chain_id_fails_monotonic(monkeypatch):
+    """Negative control for registry_monotonic.  A chain id the registry held
+    at the second settle point and lost before the third fails the third
+    check."""
+    data = presets.registered_with_transfers()
+    seen = []
+    original = simnet.Simulation.check_invariants
+
+    def check_then_forget(self):
+        results = original(self)
+        seen.append([r.passed for r in results if r.name == "registry_monotonic"])
+        if len(seen) == 2:
+            self.registry.chain_ids.clear()
+        return results
+
+    monkeypatch.setattr(simnet.Simulation, "check_invariants", check_then_forget)
+    result = run(data)
+    assert seen[:3] == [[True], [True], [False]]
+    assert result.failures == [InvariantResult(
+        "registry_monotonic", presets.addr("token-chain"), False, "ids []")]
 
 
 # -- flat cost: what a check reads --------------------------------------------
