@@ -17,11 +17,13 @@ reason and touches nothing.
 State is journaled, not copied.  The first time a block touches an account or
 a contract, the chain keeps its pre-image in the block's undo record: the old
 balance (or that the account was absent), or the contract's pickled
-``__dict__``.  A transaction that fails once it is applied (inside its
-contract, or on a debit) restores the block-start pre-images, drops from the
-record those it added itself and replays the accepted prefix against the
-rest; a reorg restores the undo records of the dropped blocks, newest first,
-then applies the replacement.  Only blocks that changed state have a record.
+``__dict__``, where a ``History`` (what only grows) is held by its length.  A
+transaction that fails once it is applied (inside its contract, or on a
+debit) restores the block-start pre-images, drops from the record those it
+added itself and replays the accepted prefix against the rest; a reorg
+restores the undo records of the dropped blocks, newest first, then applies
+the replacement.  Only blocks that changed state have a record, and only the
+newest ``undo_depth`` blocks keep it when that is set: no reorg goes deeper.
 
 Gas is modeled as flow control only: a transaction either qualifies for the
 zero-gasprice exemption or must be able to afford ``value + gasprice``.  A
@@ -37,11 +39,13 @@ a token ledger.  There are no block rewards.
 from __future__ import annotations
 
 import bisect
+import itertools
 import pickle
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import total_ordering
-from typing import Any, ClassVar, Optional
+from typing import Any, ClassVar, Iterable, Iterator, Optional
 
 from . import codec
 
@@ -107,6 +111,47 @@ class Address(codec.Encoded):
 
     def __repr__(self) -> str:
         return f"Address({self._str})"
+
+
+class History:
+    """An ordered, append-only collection with a membership index; appending
+    a present item changes nothing.  Equality is by value, in order.  It
+    pickles as its key and length, and unpickling cuts the live history back
+    to that length and returns it: a restored pre-image keeps its identity.
+    """
+
+    _live: ClassVar[weakref.WeakValueDictionary[int, "History"]] = weakref.WeakValueDictionary()
+    _keys: ClassVar[Iterator[int]] = itertools.count()
+
+    def __init__(self, items: Iterable = ()) -> None:
+        self._items = dict.fromkeys(items)  # insertion-ordered; values unused
+        self._key = next(History._keys)
+        History._live[self._key] = self
+
+    def append(self, item: Any) -> None:
+        self._items[item] = None
+
+    def __contains__(self, item: Any) -> bool:
+        return item in self._items
+
+    def __iter__(self) -> Iterator:
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == list(other) if isinstance(other, (History, list)) else NotImplemented
+
+    def __reduce__(self) -> tuple:
+        return (_truncated, (self._key, len(self._items)))
+
+
+def _truncated(key: int, length: int) -> History:
+    history = History._live[key]
+    while len(history._items) > length:
+        history._items.popitem()  # the newest item
+    return history
 
 
 class ChainKind(str, Enum):
@@ -315,8 +360,8 @@ _BLOCK_HASHED = codec.Shape("height", "parent_hash", "transactions")
 class Block:
     height: int
     parent_hash: bytes
-    transactions: list[Transaction]
-    events: list[Event] = field(default_factory=list)
+    transactions: tuple[Transaction, ...]
+    events: tuple[Event, ...] = ()
     hash: bytes = b""
     produced_at: int = 0  # scheduler tick; node-local metadata, not hashed
 
@@ -372,6 +417,7 @@ class Chain:
         genesis_spec: dict,
         total_supply: int,
         accounts: dict[Address, int] | None = None,
+        undo_depth: int | None = None,
     ) -> None:
         self.chain_id = chain_id
         self.kind = kind
@@ -383,7 +429,7 @@ class Chain:
         self.unbalanced: tuple[int, int] | None = None
         self.contracts: dict[Address, Any] = {}
         self.witness_exempt: frozenset[Address] = frozenset()
-        genesis = Block(height=0, parent_hash=GENESIS_PARENT, transactions=[])
+        genesis = Block(height=0, parent_hash=GENESIS_PARENT, transactions=())
         genesis.hash = codec.digest(genesis_spec)
         self.blocks: list[Block] = [genesis]
         # The head block and the canonical text of its hash (``head_text``).
@@ -392,8 +438,10 @@ class Chain:
         # for events walk these instead of every height.
         self.event_heights: list[int] = []
         # height -> undo record (account pre-images, contract pre-images) of
-        # every block that changed state; None marks an absent account.
+        # every block that changed state (the newest ``undo_depth`` blocks'
+        # only, if set); None marks an absent account.
         self._undo: dict[int, tuple[dict[Address, int | None], dict[Address, bytes]]] = {}
+        self.undo_depth = undo_depth
         # The block being applied: its undo record, height, tick and events so
         # far, and the index of the transaction in hand.
         self._record: tuple[dict[Address, int | None], dict[Address, bytes]] = ({}, {})
@@ -435,7 +483,7 @@ class Chain:
         held = sum(c.held_balance() for c in self.contracts.values())
         return sum(self.accounts.values()) + held
 
-    def events_at(self, height: int) -> list[Event]:
+    def events_at(self, height: int) -> tuple[Event, ...]:
         return self.blocks[height].events
 
     def heights_with_events(self, first: int, last: int) -> list[int]:
@@ -455,18 +503,13 @@ class Chain:
         self.contracts[address] = state
 
     def seal_genesis(self) -> None:
-        """Re-take the genesis image after contracts/exemptions are wired.
-
-        Must be called before the first block; ``replay_from_genesis`` starts
-        from this image.  The gas exemptions and the contract set are
-        genesis-only, so the exemptions are frozen and the contracts' sorted
-        order is taken here, and neither is journaled.
-        """
+        """Called before the first block, once contracts and exemptions are
+        wired.  Both are genesis-only, so the exemptions are frozen and the
+        contracts' sorted order is taken here, and neither is journaled."""
         if self.height != 0:
             raise ValueError("genesis already sealed by block production")
         self.witness_exempt = frozenset(self.witness_exempt)
         self.contract_order: tuple[Address, ...] = tuple(sorted(self.contracts))
-        self._genesis = pickle.dumps((self.accounts, self.contracts), pickle.HIGHEST_PROTOCOL)
 
     def credit(self, addr: Address, amount: int) -> None:
         if amount < 0:
@@ -493,11 +536,9 @@ class Chain:
                 raise InvalidTransaction("zero gasprice without exemption")
             return
         if self.has_token_ledger():
-            need = tx.value + tx.gasprice
-            if self.balance(tx.sender) < need:
-                raise InvalidTransaction(
-                    f"cannot afford value+gas: {self.balance(tx.sender)} < {need}"
-                )
+            have, need = self.balance(tx.sender), tx.value + tx.gasprice
+            if have < need:
+                raise InvalidTransaction(f"cannot afford value+gas: {have} < {need}")
         # Gas is a validity requirement only; no balance is consumed by it.
 
     def _admit(self, tx: Transaction) -> None:
@@ -601,7 +642,9 @@ class Chain:
                 total = self.ledger_total()
                 if total != self.total_supply:
                     self.unbalanced = (height, total)
-        block = Block(height, head.hash, accepted, events, produced_at=now)
+        if self.undo_depth is not None:
+            self._undo.pop(height - self.undo_depth, None)
+        block = Block(height, head.hash, tuple(accepted), tuple(events), produced_at=now)
         block.hash = block.compute_hash(self.head_text())
         self.blocks.append(block)
         if events:
@@ -619,6 +662,8 @@ class Chain:
         """
         if depth < 0 or depth > self.height:
             raise InvalidReorg(f"depth {depth} out of range (height {self.height})")
+        if self.undo_depth is not None and depth > self.undo_depth:
+            raise InvalidReorg(f"depth {depth} exceeds the undo depth {self.undo_depth}")
         if depth == 0 and not replacement:
             return
         fork_height = self.height - depth
@@ -630,16 +675,6 @@ class Chain:
         del self.event_heights[bisect.bisect_right(self.event_heights, fork_height):]
         for txs in replacement:
             self.apply_block(txs, now=now)
-
-    def replay_from_genesis(self) -> "Chain":
-        """Independent oracle: rebuild state by replaying every block."""
-        fresh = Chain(self.chain_id, self.kind, self.genesis_spec, self.total_supply)
-        fresh.accounts, fresh.contracts = pickle.loads(self._genesis)
-        fresh.witness_exempt = self.witness_exempt
-        fresh.seal_genesis()
-        for blk in self.blocks[1:]:
-            fresh.apply_block(blk.transactions, now=blk.produced_at)
-        return fresh
 
     # -- undo journal ---------------------------------------------------------
 
@@ -699,11 +734,8 @@ class Chain:
 
     def state_text(self) -> str:
         """The canonical text of ``state_digest()``, memoised with it."""
-        memo = self._memo.get("digest")
-        if memo is None:
-            self.state_digest()
-            memo = self._memo["digest"]
-        return memo[1]
+        self.state_digest()
+        return self._memo["digest"][1]
 
     def earliest_deadline(self) -> int | None:
         """The earliest lane deadline of any hosted contract; None if none is set.

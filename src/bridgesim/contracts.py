@@ -30,9 +30,9 @@ tally, threshold) and concludes a round (result payload, paid origins,
 quorum-safety count).  A contract with lanes keeps
 only its own payout or gate step and its pre-checks.  Votes tally per (round,
 subject digest): one vote per witness per round, votes from other rounds are
-rejected, and a subject only ever executes once.  The lane's set of paid
-per-event origin keys makes payouts exactly-once even across merged resend
-batches.
+rejected, and a subject only ever executes once.  The lane's history of
+paid per-event origin keys makes payouts exactly-once even across merged
+resend batches.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .chain import (
     Chain,
     Confirm,
     EventTopic,
+    History,
     MultisigAction,
     Refusal,
     RegistrationRequest,
@@ -190,8 +191,8 @@ class QuorumStream:
     A lane is plain data, because a chain rollback swaps each contract's
     state for its pickled pre-image: it holds no callables and no reference
     back to its contract.  ``witnesses`` is the contract's own roster tuple,
-    shared; ``paid`` may be shared by the lanes of one contract, so that an
-    origin pays once across them.
+    shared; ``executed`` and ``paid`` are histories, and ``paid`` may be
+    shared by the lanes of one contract, so that an origin pays once.
     """
 
     name: str
@@ -201,8 +202,8 @@ class QuorumStream:
     round: int = 0
     deadline: int | None = None
     tallies: dict[bytes, QuorumTally] = field(default_factory=dict)
-    executed: set[bytes] = field(default_factory=set)
-    paid: set[tuple] = field(default_factory=set)
+    executed: History = field(default_factory=History)
+    paid: History = field(default_factory=History)
     unsafe: int = 0
 
     @property
@@ -305,7 +306,7 @@ class QuorumStream:
         """
         round_no = self.round
         if subject:
-            self.executed.add(subject)
+            self.executed.append(subject)
         self.round += 1
         self.deadline = None
         self.tallies.clear()
@@ -313,7 +314,8 @@ class QuorumStream:
                 len(tally.yes) < self.threshold or self.threshold * 2 <= len(self.witnesses)):
             self.unsafe += 1
         origins = [e.origin_plain() for e in tally.entries] if success and tally else []
-        self.paid.update(origins)
+        for origin in origins:
+            self.paid.append(origin)
         return {**self._payload(self.topic, round_no, subject, success, origins, False, error),
                 **extra}
 
@@ -340,7 +342,7 @@ class Multisig:
     owners: tuple[Address, ...]
     required: int
     approvals: dict[bytes, set[Address]] = field(default_factory=dict)
-    completed: set[bytes] = field(default_factory=set)
+    completed: History = field(default_factory=History)
 
     def approve(self, owner: Address, action_key: bytes) -> bool:
         """Record one approval; True exactly when the action becomes ready."""
@@ -351,7 +353,7 @@ class Multisig:
         got = self.approvals.setdefault(action_key, set())
         got.add(owner)
         if len(got) >= self.required:
-            self.completed.add(action_key)
+            self.completed.append(action_key)
             return True
         return False
 
@@ -481,10 +483,7 @@ class ChainIdRegistry(Contract):
         self.address = address
         self.multisig = Multisig(owners=owners, required=required)
         self.authorized: set[Address] = set()
-        self.chain_ids: list[Address] = []
-
-    def snapshot_ids(self) -> set[Address]:
-        return set(self.chain_ids)
+        self.chain_ids = History()
 
     def transact(self, chain: Chain, tx: Transaction) -> None:
         _require_no_value(tx)
@@ -505,8 +504,7 @@ class ChainIdRegistry(Contract):
         if caller not in self.authorized:
             raise MultisigIncomplete(f"{caller} holds no standing registry authorization")
         fresh = chain_id not in self.chain_ids
-        if fresh:
-            self.chain_ids.append(chain_id)
+        self.chain_ids.append(chain_id)
         chain.emit(
             self.address,
             EventTopic.EXIST_OR_NOT,
@@ -975,8 +973,8 @@ class ConsensusGateway(Contract):
         self.address = address
         self.trading_address = trading_address
         roster = tuple(witnesses)
-        # One paid-origin set for all three lanes: an origin pays once across them.
-        paid: set[tuple] = set()
+        # One paid-origin history for all three lanes: an origin pays once across them.
+        paid = History()
         self.streams = {
             name: QuorumStream(name, threshold, timeout, roster, paid=paid)
             for name in (REGISTRATION, INBOUND, OUTBOUND)

@@ -9,12 +9,14 @@ import random
 import pytest
 
 import plain_json
+from replay import replay
 from bridgesim import codec
 from bridgesim.chain import (
     Address,
     Chain,
     ChainKind,
     EventTopic,
+    History,
     InvalidReorg,
     ModelError,
     Transaction,
@@ -94,12 +96,38 @@ class TestInternedAddress:
             Address(raw)
 
 
+class TestHistory:
+    def test_it_appends_each_item_once_in_order_and_compares_by_value(self):
+        history = History(["a", "b"])
+        history.append("a")
+        history.append("c")
+        history.append("b")
+        assert list(history) == ["a", "b", "c"] and len(history) == 3
+        assert "c" in history and "d" not in history
+        assert history == History(["a", "b", "c"]) == ["a", "b", "c"]
+        assert history != History(["a", "c", "b"]) and history != {"a", "b", "c"}
+
+    def test_a_pickle_holds_its_length_and_truncates_the_live_history(self):
+        history = History([b"x" * 32])
+        image = pickle.dumps({"lane": history, "shared": history}, pickle.HIGHEST_PROTOCOL)
+        for i in range(1000):
+            history.append(i)
+        # The length grows from one byte to two; no item is written.
+        assert len(pickle.dumps({"lane": history, "shared": history},
+                                pickle.HIGHEST_PROTOCOL)) - len(image) <= 2
+        state = pickle.loads(image)
+        assert state["lane"] is history and state["shared"] is history
+        assert history == [b"x" * 32] and 999 not in history
+        history.append(999)
+        assert list(history) == [b"x" * 32, 999]
+
+
 class TestApplyBlock:
     def test_empty_block_advances_height_without_events(self):
         chain = token_chain()
         block, rejections = chain.apply_block([])
         assert block.height == 1
-        assert block.events == []
+        assert block.events == ()
         assert rejections == []
 
     def test_simple_transfer_conserves_supply(self):
@@ -114,7 +142,7 @@ class TestApplyBlock:
         block, rejections = chain.apply_block([pay(A, B, 601)])
         assert len(rejections) == 1
         assert "cannot afford" in rejections[0].reason
-        assert block.transactions == []
+        assert block.transactions == ()
         assert chain.balance(A) == 600 and chain.balance(B) == 400
 
     def test_block_forms_from_remaining_valid_transactions(self):
@@ -179,6 +207,25 @@ class TestReorg:
         with pytest.raises(InvalidReorg):
             chain.reorg(5, [], now=0)
 
+    def test_depth_beyond_the_undo_depth_rejected(self):
+        """A chain with undo depth 1 keeps only its head block's undo record,
+        and refuses a reorg that would need an older one instead of
+        restoring part of the state."""
+        chain = Chain(Address.from_label("token"), ChainKind.TOKEN, {}, 1000,
+                      {A: 600, B: 400}, undo_depth=1)
+        chain.apply_block([pay(A, B, 10)])
+        chain.apply_block([pay(A, B, 5)])
+        chain.apply_block([])
+        assert list(chain._undo) == []  # the empty head block changed nothing
+        chain.apply_block([pay(A, C, 7)])
+        assert list(chain._undo) == [4]
+        digest, height = chain.state_digest(), chain.height
+        with pytest.raises(InvalidReorg, match="exceeds the undo depth 1"):
+            chain.reorg(2, [[], []], now=0)
+        assert (chain.state_digest(), chain.height) == (digest, height)
+        chain.reorg(1, [[]], now=0)
+        assert (chain.balance(A), chain.balance(B), chain.balance(C)) == (585, 415, 0)
+
     def test_removing_a_transfer_undoes_it(self):
         chain = token_chain()
         chain.apply_block([pay(A, B, 50)])
@@ -197,7 +244,7 @@ class TestReorg:
         chain.reorg(2, [[pay(A, C, 7)], []], now=0)
         chain.reorg(1, [[]], now=0)
         assert (chain.balance(A), chain.balance(B), chain.balance(C)) == (593, 400, 7)
-        assert chain.state_digest() == chain.replay_from_genesis().state_digest()
+        assert chain.state_digest() == replay(token_chain(), chain).state_digest()
 
     def test_reorg_state_equals_full_replay_oracle(self):
         # Independent check: state after an in-place reorg must match a from-
@@ -214,7 +261,7 @@ class TestReorg:
                                 rng.randint(0, 30)) for _ in range(rng.randint(0, 2))]
                            for _ in range(depth)]
             chain.reorg(depth, replacement, now=0)
-            oracle = chain.replay_from_genesis()
+            oracle = replay(token_chain({A: 500, B: 300, C: 200}), chain)
             assert oracle.state_digest() == chain.state_digest()
             assert [b.hash for b in oracle.blocks] == [b.hash for b in chain.blocks]
 
@@ -306,10 +353,16 @@ class TestRejectionRollback:
         of the prefix gives the accepted calls' events the transaction indexes
         and block-local seqs that a replay from genesis gives them."""
         payer, beacon = Address.from_label("pay-then-fail"), Address.from_label("beacon")
-        chain = Chain(Address.from_label("token"), ChainKind.TOKEN, {}, 1005, {A: 600, B: 400})
-        chain.register_contract(payer, PayThenFail(payer))
-        chain.register_contract(beacon, Beacon(beacon))
-        chain.seal_genesis()
+
+        def build():
+            chain = Chain(Address.from_label("token"), ChainKind.TOKEN, {}, 1005,
+                          {A: 600, B: 400})
+            chain.register_contract(payer, PayThenFail(payer))
+            chain.register_contract(beacon, Beacon(beacon))
+            chain.seal_genesis()
+            return chain
+
+        chain = build()
 
         def call(to, dest=None):
             return Transaction(sender=A, to=to, value=0, gasprice=1,
@@ -321,7 +374,7 @@ class TestRejectionRollback:
         assert [(e.height, e.tx_index, e.seq) for e in block.events] == \
             [(2, 0, 0), (2, 0, 1), (2, 1, 2), (2, 1, 3)]
         assert [e.payload["call"] for e in block.events] == [1, 1, 2, 2]
-        assert chain.replay_from_genesis().blocks[2].events == block.events
+        assert replay(build(), chain).blocks[2].events == block.events
 
     def test_rejections_keep_the_pre_images_of_the_accepted_prefix(self, monkeypatch):
         """Two rejected calls after an accepted prefix: each drops from the
@@ -345,7 +398,7 @@ class TestRejectionRollback:
         block, rejections = chain.apply_block(
             [pay(A, B, 1), call(counter), call(payer, C), call(payer, D), pay(B, C, 2)])
         assert [r.tx for r in rejections] == [call(payer, C), call(payer, D)]
-        assert block.transactions == [pay(A, B, 1), call(counter), pay(B, C, 2)]
+        assert block.transactions == (pay(A, B, 1), call(counter), pay(B, C, 2))
         accounts, contracts = chain._undo[block.height]
         assert accounts == {A: 600, B: 400, C: None} and list(contracts) == [counter]
         # The counter once, and each rejected call's payer, dropped with it.

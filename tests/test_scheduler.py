@@ -247,7 +247,7 @@ def test_a_deadline_restored_by_a_reorg_is_poked_on_time(monkeypatch):
     data = restored_deadline(reorg_tick=135, exclude=[late_vote])
     gated = simnet.run_scenario(parse_scenario(data))
     # The reorg left the concluding vote's block (side height 49) empty.
-    assert gated.sim.hosts[Address.from_hex(side)].chain.blocks[49].transactions == []
+    assert gated.sim.hosts[Address.from_hex(side)].chain.blocks[49].transactions == ()
     # The restored deadline is 50 ticks after the first votes landed at tick 92.
     assert timeouts(gated) == [(142, side)]
     monkeypatch.setattr(Chain, "earliest_deadline", lambda chain: 0)

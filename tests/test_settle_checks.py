@@ -16,7 +16,7 @@ import pytest
 
 from bridgesim import presets, simnet
 from bridgesim.chain import (
-    Address, Block, Chain, EventTopic, InvalidTransaction, Transaction, UserTransfer,
+    Address, Block, Chain, EventTopic, History, InvalidTransaction, Transaction, UserTransfer,
 )
 from bridgesim.contracts import TradingBook
 from bridgesim.scenario import is_genesis_file, parse_scenario
@@ -284,7 +284,7 @@ def test_overcredited_trading_ledger_fails_the_peg(monkeypatch):
 def test_registry_that_loses_a_chain_id_fails_monotonic(monkeypatch):
     """Negative control for registry_monotonic.  A chain id the registry held
     at the second settle point and lost before the third fails the third
-    check."""
+    check and every check after it."""
     data = presets.registered_with_transfers()
     seen = []
     original = simnet.Simulation.check_invariants
@@ -293,14 +293,15 @@ def test_registry_that_loses_a_chain_id_fails_monotonic(monkeypatch):
         results = original(self)
         seen.append([r.passed for r in results if r.name == "registry_monotonic"])
         if len(seen) == 2:
-            self.registry.chain_ids.clear()
+            self.registry.chain_ids = History()  # a history cannot be cleared
         return results
 
     monkeypatch.setattr(simnet.Simulation, "check_invariants", check_then_forget)
     result = run(data)
-    assert seen[:3] == [[True], [True], [False]]
+    assert len(seen) > 3
+    assert seen == [[True], [True]] + [[False]] * (len(seen) - 2)
     assert result.failures == [InvariantResult(
-        "registry_monotonic", presets.addr("token-chain"), False, "ids []")]
+        "registry_monotonic", presets.addr("token-chain"), False, "ids []")] * (len(seen) - 2)
 
 
 # -- flat cost: what a check reads --------------------------------------------
@@ -377,3 +378,60 @@ def test_settle_point_reads_follow_new_blocks_not_history(n, monkeypatch):
         assert again == (0, 0), f"tick {tick}: a repeated check read {again}"
         assert events <= produced, f"tick {tick}"
         assert blocks <= 2 * produced, f"tick {tick}"
+
+
+# -- flat cost: what the undo journal keeps ------------------------------------
+
+
+def test_pre_images_and_undo_records_do_not_grow_with_history(monkeypatch):
+    """On the ladder (n deposits of 10 and n withdrawals of 5, 20 ticks
+    apart), the largest pickled pre-images of the bridge head and the relay
+    are the same size at n=8 and at n=64: what only grows is pickled as its
+    length.  With no reorg scheduled, no chain keeps an undo record."""
+    touch = Chain._touch_contract
+    sizes: dict[str, int] = {}
+
+    def measured(chain, addr):
+        contract = touch(chain, addr)
+        if contract is not None:
+            name = type(contract).__name__
+            sizes[name] = max(sizes.get(name, 0), len(chain._record[1][addr]))
+        return contract
+
+    monkeypatch.setattr(Chain, "_touch_contract", measured)
+    largest = []
+    for n in (8, 64):
+        sizes.clear()
+        data = presets.registered_with_transfers(
+            deposits=[10] * n, withdrawals=[5] * n, spacing=20, max_ticks=670 + 40 * n)
+        result = run(data)
+        assert result.ok and result.quiescent
+        assert [host.chain._undo for host in result.sim.hosts.values()] == [{}, {}]
+        largest.append(dict(sizes))
+    small, large = largest
+    for name in ("BridgeHead", "InterRelay"):
+        assert abs(large[name] - small[name]) <= 16, (name, small[name], large[name])
+
+
+def test_each_chain_keeps_undo_records_as_deep_as_its_deepest_scheduled_reorg(monkeypatch):
+    """A chain keeps the undo records of as many newest blocks as its deepest
+    scheduled reorg drops, and a chain with no reorg scheduled keeps none."""
+    side = presets.addr("side-1")
+    plan = {"reorg_schedule": [{"tick": tick, "chain": side, "depth": depth}
+                               for tick, depth in ((150, 2), (250, 3), (350, 1))]}
+    sim = simnet.Simulation(parse_scenario(presets.registered_with_transfers(
+        deposits=[100, 50], withdrawals=[40], fault_plan=plan)))
+    token, side_chain = sim.chain(sim.token_id), sim.chain(Address.from_hex(side))
+    assert (token.undo_depth, side_chain.undo_depth) == (0, 3)
+    apply_block, kept = Chain.apply_block, {token: [], side_chain: []}
+
+    def recorded(chain, *args, **kwargs):
+        out = apply_block(chain, *args, **kwargs)
+        kept[chain].append([chain.height - h for h in chain._undo])
+        return out
+
+    monkeypatch.setattr(Chain, "apply_block", recorded)
+    result = sim.run()
+    assert result.ok and result.quiescent
+    assert not any(kept[token])
+    assert {age for ages in kept[side_chain] for age in ages} == {0, 1, 2}
