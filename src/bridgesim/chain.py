@@ -42,12 +42,12 @@ import bisect
 import itertools
 import pickle
 import weakref
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import total_ordering
 from typing import Any, ClassVar, Iterable, Iterator, Optional
 
 from . import codec
+from .record import frozen_guard, record
 
 ADDRESS_SIZE = 20
 GENESIS_PARENT = b"\x00" * codec.DIGEST_SIZE
@@ -58,21 +58,21 @@ GENESIS_PARENT = b"\x00" * codec.DIGEST_SIZE
 
 
 @total_ordering
-@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Address(codec.Encoded):
     """20-byte opaque identifier, rendered as 0x-prefixed lowercase hex.
 
     Addresses are interned: there is one object per 20-byte value, made in
     ``__new__`` with its hex text, its canonical text and its hash (a function
     of the bytes), so each is computed once per value.  Equality is identity
-    and ordering is by ``raw``.  An address pickles as its bytes, so a
-    pre-image holds each address once and unpickling returns the interned
-    object.
+    and ordering is by ``raw``; an address is frozen like a frozen record.  An
+    address pickles as its bytes, so a pre-image holds each address once and
+    unpickling returns the interned object.
     """
 
     raw: bytes
 
     _interned: ClassVar[dict[bytes, "Address"]] = {}
+    __setattr__ = __delattr__ = frozen_guard
 
     def __new__(cls, raw: bytes) -> "Address":
         addr = cls._interned.get(raw) if type(raw) is bytes else None
@@ -146,6 +146,9 @@ class History:
     def __reduce__(self) -> tuple:
         return (_truncated, (self._key, len(self._items)))
 
+    def __deepcopy__(self, memo: dict) -> "History":
+        return History(self._items)  # by value: the items are hashable, so immutable
+
 
 def _truncated(key: int, length: int) -> History:
     history = History._live[key]
@@ -198,7 +201,7 @@ class InvalidReorg(Exception):
 # cached texts of their members instead of encoding every member again.
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RegistrationRequest(codec.Encoded):
     """Creator asks the bridge head to register a side chain."""
 
@@ -210,7 +213,7 @@ class RegistrationRequest(codec.Encoded):
     TAG = "registration_request"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Confirm(codec.Encoded):
     """Witness verdict on a registration request."""
 
@@ -221,7 +224,7 @@ class Confirm(codec.Encoded):
     TAG = "confirm"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TransferEntry(codec.Encoded):
     """One cross-chain credit, tagged with the origin of the event it mirrors.
 
@@ -240,7 +243,7 @@ class TransferEntry(codec.Encoded):
         return (str(self.origin_chain), self.origin_height, self.origin_seq)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Transferring(codec.Encoded):
     """Witness relay of a batch of observed cross-chain events, plus its vote."""
 
@@ -251,7 +254,7 @@ class Transferring(codec.Encoded):
     TAG = "transferring"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UserTransfer(codec.Encoded):
     """User payment; ``dest`` names the far-chain recipient on bridge deposits."""
 
@@ -260,7 +263,7 @@ class UserTransfer(codec.Encoded):
     TAG = "user_transfer"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IoTRecord(codec.Encoded):
     """Application record on a side chain; never interacts with the bridge."""
 
@@ -269,7 +272,7 @@ class IoTRecord(codec.Encoded):
     TAG = "iot_record"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MultisigAction(codec.Encoded):
     """Owner approval for a contract-administration action, or a deadline poke."""
 
@@ -279,7 +282,7 @@ class MultisigAction(codec.Encoded):
     TAG = "multisig_action"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TradingAction(codec.Encoded):
     """Trading-ledger operation: intra-chain transfer or cross-chain withdraw."""
 
@@ -301,7 +304,7 @@ Payload = (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Transaction(codec.Encoded):
     sender: Address
     to: Address
@@ -328,7 +331,7 @@ class Transaction(codec.Encoded):
         return cached
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Event(codec.Encoded):
     """Emitted by a contract while applying exactly one transaction.
 
@@ -356,7 +359,7 @@ class Event(codec.Encoded):
 _BLOCK_HASHED = codec.Shape("height", "parent_hash", "transactions")
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Block:
     height: int
     parent_hash: bytes
@@ -375,7 +378,7 @@ class Block:
         ))
 
 
-@dataclass
+@record
 class Rejection:
     """A transaction excluded from a block, with the reason."""
 
@@ -671,7 +674,7 @@ class Chain:
             record = self._undo.pop(h, None)
             if record is not None:
                 self._restore(*record)
-        self.blocks = self.blocks[: fork_height + 1]
+        del self.blocks[fork_height + 1:]
         del self.event_heights[bisect.bisect_right(self.event_heights, fork_height):]
         for txs in replacement:
             self.apply_block(txs, now=now)

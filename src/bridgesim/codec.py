@@ -16,7 +16,7 @@ header and the run summary, which hold plain JSON (the header keeps a
 scenario's fault-rate floats, which have no canonical form).
 
 A value class declares its fields once (``Encoded``): its canonical form and
-its canonical text are both derived from the dataclass fields.  A value keeps
+its canonical text are both derived from its declared fields.  A value keeps
 its text once it is computed, and a composite value's text is joined from its
 members' texts (``Shape``, ``array``, ``mapping``), so such a value is
 encoded once in its lifetime however often it is hashed again inside a block,
@@ -27,7 +27,6 @@ members' texts.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import json
@@ -126,17 +125,17 @@ class Shape:
 
 
 class Encoded:
-    """Mixin for frozen dataclass values whose canonical form is their fields.
+    """Mixin for frozen records whose canonical form is their declared fields.
 
     ``canonical()`` maps each field's key to its value: the key is the
     field's name, or the name the class's ``KEYS`` gives it, and a class with
     a ``TAG`` adds it under ``"type"``.  ``text()`` is the canonical text of
     that form, one ``Shape`` join of the members' ``canonical_dumps`` texts,
-    computed on first use and cached beside the fields, so dataclass equality
-    and hashing do not see it.  The cache is sound only while the members do
-    not change: a value's members must be immutable all the way down, or
-    mutable members that the value's maker hands over and never changes
-    again (an emitted event's payload).
+    computed on first use and cached beside the fields, so the record's
+    equality and hashing do not see it.  The cache is sound only while the
+    members do not change: a value's members must be immutable all the way
+    down, or mutable members that the value's maker hands over and never
+    changes again (an emitted event's payload).
     """
 
     TAG: ClassVar[str | None] = None
@@ -161,7 +160,7 @@ class Encoded:
 def _layout(cls: type) -> tuple[tuple[str, ...], tuple[str, ...], Any]:
     """An ``Encoded`` class's field names, their keys, and the join of its
     members' texts (with the tag's text already in place)."""
-    names = tuple(f.name for f in dataclasses.fields(cls))
+    names = cls.__record_fields__
     keys = tuple(cls.KEYS.get(name, name) for name in names)
     if cls.TAG is None:
         return names, keys, Shape(*keys).text

@@ -37,8 +37,6 @@ resend batches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import codec
 from .chain import (
     Address,
@@ -55,6 +53,7 @@ from .chain import (
     Transferring,
     UserTransfer,
 )
+from .record import field, record
 
 POKE_ACTION = "poke"
 
@@ -161,7 +160,7 @@ def registration_subject(
     )
 
 
-@dataclass
+@record
 class QuorumTally:
     """Votes collected for one subject within the stream's current round."""
 
@@ -174,7 +173,7 @@ class QuorumTally:
         return self.yes | self.no
 
 
-@dataclass
+@record
 class QuorumStream:
     """One consensus lane of a contract (registration, inbound or outbound).
 
@@ -335,7 +334,7 @@ class QuorumStream:
         return payload
 
 
-@dataclass
+@record
 class Multisig:
     """n-of-m owner approvals collected per action; fires once at the n-th."""
 
@@ -467,7 +466,7 @@ class Contract:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class PendingRegistration:
     chain_id: Address
     creator: Address

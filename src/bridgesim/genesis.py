@@ -17,10 +17,9 @@ change to any field changes the genesis hash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import codec, reader
 from .chain import Address
+from .record import record
 
 VARIANT_GASLESS = "gasless"
 VARIANT_NATIVE_GAS = "native_gas"
@@ -34,7 +33,7 @@ class GenesisError(ValueError):
         self.field = field
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GenesisSpec:
     """Parsed genesis file for either side-chain variant."""
 

@@ -10,14 +10,14 @@ Reading never writes into the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from . import codec
 from .chain import Address
+from .record import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Diagnostic:
     field: str
     message: str

@@ -16,7 +16,6 @@ reads no scenario text.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any
 
 from .chain import Address, IoTRecord, RegistrationRequest, TradingAction, Transaction, UserTransfer
@@ -43,6 +42,7 @@ from .reader import (
     text,
     uint,
 )
+from .record import field, record
 from .witness import Behavior
 
 MODES = ("conservation", "strict")
@@ -67,7 +67,7 @@ class ScenarioInvalid(ValueError):
         self.diagnostics = diagnostics
 
 
-@dataclass
+@record
 class TokenChainConfig:
     chain_id: Address
     total_supply: int
@@ -75,7 +75,7 @@ class TokenChainConfig:
     omega: int
 
 
-@dataclass
+@record
 class BridgeHeadConfig:
     address: Address
     threshold: int
@@ -83,7 +83,7 @@ class BridgeHeadConfig:
     entrance_fee_minimum: int
 
 
-@dataclass
+@record
 class SideChainConfig:
     block_interval: int
     omega: int
@@ -98,7 +98,7 @@ class SideChainConfig:
         return self.genesis.chain_id
 
 
-@dataclass
+@record
 class WitnessEntry:
     name: str
     chain_id: Address
@@ -107,14 +107,14 @@ class WitnessEntry:
     behavior: Behavior = Behavior.HONEST
 
 
-@dataclass
+@record
 class RegistryConfig:
     address: Address
     owners: tuple[Address, ...]
     required: int
 
 
-@dataclass
+@record
 class ReorgSpec:
     tick: int
     chain_id: Address
@@ -122,14 +122,14 @@ class ReorgSpec:
     exclude: frozenset[bytes] = frozenset()  # tx digests dropped from the replacement
 
 
-@dataclass
+@record
 class BehaviorChange:
     tick: int
     witness: str
     behavior: Behavior
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FaultPlan:
     drop_rate: float = 0.0
     dup_rate: float = 0.0
@@ -141,7 +141,7 @@ class FaultPlan:
     fetch_fail: tuple[str, ...] = ()
 
 
-@dataclass
+@record
 class WorkloadAction:
     """A parsed user action: at ``tick`` its transaction ``tx`` enters the
     mempool of chain ``chain``; ``params`` keeps the fields as written, for the trace."""
@@ -153,7 +153,7 @@ class WorkloadAction:
     tx: Transaction
 
 
-@dataclass
+@record
 class Scenario:
     token_chain: TokenChainConfig
     accounts: dict[Address, int]

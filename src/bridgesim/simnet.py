@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import codec, trace as trace_mod
@@ -59,6 +58,7 @@ from .contracts import (
     TradingBook,
 )
 from .genesis import VARIANT_GASLESS, GenesisSpec
+from .record import field, record
 from .scenario import BehaviorChange, ReorgSpec, Scenario, SideChainConfig, WorkloadAction
 from .witness import (
     Behavior,
@@ -72,7 +72,7 @@ from .witness import (
 )
 
 
-@dataclass
+@record
 class ChainHost:
     chain: Chain
     interval: int
@@ -83,7 +83,7 @@ class ChainHost:
         self.label = str(self.chain.chain_id)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InvariantResult(codec.Encoded):
     """One invariant's verdict on one chain (or witness), as traced."""
 
@@ -95,7 +95,7 @@ class InvariantResult(codec.Encoded):
     KEYS = {"passed": "pass"}
 
 
-@dataclass
+@record
 class ScanProgress:
     """How far the settle-point checks have read one chain, and what they found.
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass
 from enum import Enum
 from typing import AbstractSet, Iterable, Iterator, NamedTuple
 
@@ -35,6 +34,7 @@ from .chain import (
 )
 from .contracts import INBOUND, OUTBOUND, REGISTRATION, entries_subject
 from .genesis import VARIANT_GASLESS, GenesisSpec, genesis_hash
+from .record import record
 
 
 class Behavior(str, Enum):
@@ -98,7 +98,7 @@ def validate_registration_nativegas(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class RelayCursor:
     """Position of a witness's scan over one chain.
 
@@ -216,7 +216,7 @@ def read_ready(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class WitnessConfig:
     """One witness's keys and timing, and the side chain it serves.
 
@@ -246,7 +246,7 @@ class WitnessConfig:
                          if a is not None)
 
 
-@dataclass
+@record
 class PendingVote:
     """An unconfirmed submission: either a confirmation or a relay batch."""
 
@@ -282,7 +282,7 @@ def _event_entry(origin_chain: Address, ev: Event, to: Address | None = None,
     )
 
 
-@dataclass
+@record
 class ObservedRegistration:
     side_creator: Address
     payout: int

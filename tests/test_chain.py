@@ -1,7 +1,6 @@
 """Chain substrate: block application, conservation, reorgs, genesis hashing."""
 
 import copy
-import dataclasses
 import json
 import pickle
 import random
@@ -22,8 +21,9 @@ from bridgesim.chain import (
     Transaction,
     UserTransfer,
 )
-from bridgesim.contracts import Contract, ContractError
+from bridgesim.contracts import Contract, ContractError, QuorumStream
 from bridgesim.genesis import genesis_hash, parse_genesis
+from bridgesim.record import FrozenInstanceError, frozen_guard
 
 A = Address.from_label("a")
 B = Address.from_label("b")
@@ -77,11 +77,13 @@ class TestInternedAddress:
         assert hash(a) == hash(a.raw)
         assert {a: 1}[Address.from_hex(str(a))] == 1
 
-    def test_it_stays_a_frozen_dataclass(self):
+    def test_it_stays_frozen(self):
         a = Address.from_label("interned")
-        assert dataclasses.is_dataclass(a) and a.__dataclass_params__.frozen
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        assert type(a).__setattr__ is frozen_guard
+        with pytest.raises(FrozenInstanceError):
             a.raw = b"\x00" * 20
+        with pytest.raises(FrozenInstanceError):
+            del a.raw
         assert Address.from_label("interned").raw == codec.digest(["addr", "interned"])[:20]
 
     def test_texts_are_the_canonical_ones(self):
@@ -120,6 +122,22 @@ class TestHistory:
         assert history == [b"x" * 32] and 999 not in history
         history.append(999)
         assert list(history) == [b"x" * 32, 999]
+
+    def test_a_deep_copied_lane_owns_its_histories_and_a_pickle_stays_live(self):
+        lane = QuorumStream("inbound", threshold=2, timeout=50)
+        lane.executed.append(b"s" * 32)
+        lane.paid.append((str(A), 1, 0))
+        twin = copy.deepcopy(lane)
+        assert twin == lane
+        assert twin.executed is not lane.executed and twin.paid is not lane.paid
+        twin.executed.append(b"t" * 32)
+        twin.paid.append((str(A), 2, 0))
+        assert lane.executed == [b"s" * 32] and lane.paid == [(str(A), 1, 0)]
+        image = pickle.dumps(vars(lane), pickle.HIGHEST_PROTOCOL)
+        lane.executed.append(b"u" * 32)
+        state = pickle.loads(image)
+        assert state["executed"] is lane.executed and state["paid"] is lane.paid
+        assert lane.executed == [b"s" * 32]
 
 
 class TestApplyBlock:
@@ -200,6 +218,16 @@ class TestReorg:
         chain.reorg(0, [], now=0)
         assert chain.state_digest() == digest_before
         assert chain.height == 1
+
+    def test_a_reorg_cuts_the_block_list_in_place(self):
+        chain = token_chain()
+        blocks = chain.blocks
+        for value in (1, 2, 3):
+            chain.apply_block([pay(A, B, value)])
+        kept = blocks[:2]
+        chain.reorg(2, [[pay(A, C, 4)]], now=0)
+        assert chain.blocks is blocks and blocks[:2] == kept and len(blocks) == 3
+        assert chain.head.transactions == (pay(A, C, 4),)
 
     def test_depth_beyond_height_rejected(self):
         chain = token_chain()
@@ -457,8 +485,11 @@ class TestDeterminism:
         assert first.digest() is first.digest()
         assert first == second and hash(first) == hash(second)
         assert first.digest() == second.digest()
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(FrozenInstanceError):
             first.value = 11
+        with pytest.raises(FrozenInstanceError):
+            del first.value
+        assert first.value == 10
 
     def test_identical_inputs_identical_hashes(self):
         def build():

@@ -1,6 +1,6 @@
 """Contract state machines: registration, quorums, multisig, the peg vaults."""
 
-import dataclasses
+import copy
 import pickle
 import random
 
@@ -762,8 +762,8 @@ def test_admission_refusals_touch_nothing(monkeypatch):
     assert list(chain._undo[block.height][1]) == [RELAY_ADDR]
     # A stale vote from an outsider that carries value: debited, then refused
     # for the value, rolled back.
-    paying = dataclasses.replace(relay_tx(SIDE_CREATOR, RELAY_ADDR, INBOUND, inbound,
-                                          round_no=9), value=5, gasprice=1)
+    paying = Transaction(sender=SIDE_CREATOR, to=RELAY_ADDR, value=5, gasprice=1, round=9,
+                         payload=relay_tx(SIDE_CREATOR, RELAY_ADDR, INBOUND, inbound).payload)
     _, rejections = chain.apply_block([paying])
     assert [r.reason for r in rejections] == ["UnexpectedValue: transferring must not carry value"]
     assert chain.balance(SIDE_CREATOR) == BAL_RESV
@@ -1257,8 +1257,9 @@ def _native_menu(chain, a, b, stale):
 
 
 # Threshold 2 of 4 lets short random schedules reach quorum.  The last
-# member names the menu picks that are always rejected when stale: votes a
-# round behind their lane, which mostly touch the contract before they fail.
+# member names the menu picks that are votes.  Two witnesses' current votes on
+# one subject reach quorum, and a stale vote is always rejected: it is a round
+# behind its lane, and mostly touches the contract before it fails.
 UNDO_CHAINS = {
     "side": (lambda: make_side(threshold=2)[0], _side_menu, (0, 1)),
     "token": (lambda: make_token(threshold=2)[0], _token_menu, (1, 3)),
@@ -1315,21 +1316,27 @@ def test_rollbacks_and_reorgs_match_full_replay(kind, data):
     reorgs of any depth up to the height, leave exactly the state, lanes,
     paid origins and block hashes that replaying the surviving blocks builds,
     and an event index that names exactly the blocks holding events.  Some
-    blocks reject two or more transactions after their first ones."""
-    build, menu, stale_picks = UNDO_CHAINS[kind]
+    blocks reject two or more transactions after their first ones, and some
+    rollbacks and reorgs cut back a history that held items before the
+    undone blocks."""
+    build, menu, vote_picks = UNDO_CHAINS[kind]
+    vote = st.tuples(st.sampled_from(vote_picks), st.integers(0, 3), st.integers(0, 3))
     chain = build()
     now = 0
     seen: set = set()
 
     def draw_txs():
         """A block's transactions, and the stale votes among them."""
-        txs = [menu(chain, a, b, stale)[pick]
-               for pick, a, b, stale in data.draw(st.lists(INTENT, max_size=5))]
+        # Two witnesses' current votes on one subject reach the threshold of 2,
+        # so lanes execute often, and later undos cut back histories that
+        # already held items before the undone blocks.
+        txs = [menu(chain, (a + i) % 4, b, False)[pick]
+               for pick, a, b in data.draw(st.lists(vote, max_size=2)) for i in (0, 1)]
+        txs += [menu(chain, a, b, stale)[pick]
+                for pick, a, b, stale in data.draw(st.lists(INTENT, max_size=5))]
         stale_votes = []
         if data.draw(st.booleans()):
-            picks = data.draw(st.lists(
-                st.tuples(st.sampled_from(stale_picks), st.integers(0, 3), st.integers(0, 3)),
-                min_size=2, max_size=3))
+            picks = data.draw(st.lists(vote, min_size=2, max_size=3))
             stale_votes = [menu(chain, a, b, True)[pick] for pick, a, b in picks]
             txs += stale_votes + [menu(chain, a, b, stale)[pick]
                                   for pick, a, b, stale in data.draw(st.lists(INTENT, max_size=2))]
@@ -1350,6 +1357,17 @@ def test_rollbacks_and_reorgs_match_full_replay(kind, data):
             _, rejections = chain.apply_block(txs, now=now)
             assert {r.tx for r in rejections} >= set(stale_votes)
         assert_matches_replay(chain, build, seen)
+
+
+def test_a_deep_copied_gateway_shares_one_paid_history_of_its_own():
+    chain, gateway, _ = make_native(threshold=2)
+    entries = [entry(USERS[0], 40)]
+    chain.apply_block(votes(WIT_S[:2], GATEWAY_ADDR, INBOUND, entries))
+    twin = copy.deepcopy(gateway)
+    assert vars(twin) == vars(gateway) and len(twin.streams[INBOUND].paid) == 1
+    assert len({id(lane.paid) for lane in twin.lanes()}) == 1
+    assert twin.streams[INBOUND].paid is not gateway.streams[INBOUND].paid
+    assert twin.streams[INBOUND].executed is not gateway.streams[INBOUND].executed
 
 
 def test_contracts_keep_identity_across_rollback_and_reorg():

@@ -6,7 +6,6 @@ program's behaviour changed.  Regenerate ``TRACE_SHA256`` only for a change
 that is meant to alter traces, and say so in CHANGES.md.
 """
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -19,6 +18,7 @@ import pytest
 
 import plain_json
 from bridgesim import cli
+from bridgesim.record import frozen_guard
 from bridgesim.scenario import load_file, parse_scenario
 from bridgesim.simnet import Simulation, run_scenario
 
@@ -188,8 +188,7 @@ def _mutable_parts(obj, found: dict[int, object]) -> None:
     """Every mutable object reachable from ``obj``, by id."""
     if isinstance(obj, (str, bytes, int, float, type(None), Enum)) or id(obj) in found:
         return
-    frozen = isinstance(obj, (tuple, frozenset)) or (
-        dataclasses.is_dataclass(obj) and obj.__dataclass_params__.frozen)
+    frozen = isinstance(obj, (tuple, frozenset)) or type(obj).__setattr__ is frozen_guard
     if not frozen:
         found[id(obj)] = obj
     if isinstance(obj, dict):
