@@ -425,7 +425,7 @@ class Simulation(WorldView):
         self.resend_records += 1
         self.trace.record(self.tick, "resend", str(vote.target_chain), {
             "witness": witness.config.name, "target": vote.target,
-            "direction": vote.direction, "round": round_no, "subject": vote.subject,
+            "direction": vote.direction, "round": round_no, "subject": vote.payload.subject,
         })
 
     def log_abstain(self, witness: WitnessNode, reason: str) -> None:

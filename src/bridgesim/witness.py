@@ -7,11 +7,14 @@ reorganization no deeper than that window can never change what the witness
 has already acted on.  Consensus results are learned the same way, which makes
 the whole relay loop reorg-immune for bounded depths.
 
-The relay loop per target contract is: scan the confirmed windows, merge
-their relay-worthy events with anything still unconfirmed, submit one relay
-transaction carrying the batch and its content digest, then wait for the
-matching consensus-result event.  If nothing concludes within the timeout the
-batch is resent, adopting whatever round the contract last announced.
+The relay loop per target contract and lane is: scan the confirmed windows,
+merge their relay-worthy events into the lane's pending vote, submit it, then
+wait for the matching result event.  A pending vote holds the payload it
+sends: a registration confirmation for the bridge head, or a relay batch
+bound to its content digest.  One builder turns it into each submission's
+transaction; a Byzantine behavior withholds or alters the payload there.  If
+nothing concludes within the timeout the vote is resent, adopting whatever
+round the contract last announced.
 """
 
 from __future__ import annotations
@@ -56,14 +59,15 @@ class FetchFailure(Exception):
 
 def registration_conditions(
     genesis: GenesisSpec,
-    side_height: int,
+    side_height: int | None,
     claimed_hash: bytes,
     claimed_balance: int,
     claimed_chain_id: Address,
     registered_ids: set[Address],
     token_chain_id: Address,
 ) -> list[bool]:
-    """The six checks a witness asserts before accepting a registration."""
+    """The six checks a witness asserts before accepting a registration;
+    ``side_height`` is None when no chain is hosted under the claimed id."""
     return [
         genesis_hash(genesis) == claimed_hash,          # genesis integrity
         side_height == 0,                               # a brand new chain
@@ -248,25 +252,22 @@ class WitnessConfig:
 
 @record
 class PendingVote:
-    """An unconfirmed submission: either a confirmation or a relay batch."""
+    """An unconfirmed vote: the payload a witness sends to ``target`` in its
+    ``direction`` lane, a registration ``Confirm`` or a relay batch's
+    ``Transferring``, until a result settles it."""
 
-    kind: str                       # "confirm" | "relay"
     target_chain: Address
     target: Address
     direction: str
-    subject: bytes
-    entries: tuple[TransferEntry, ...] = ()
-    verdict: bool = True
-    chain_id: Address | None = None  # registration confirmations only
+    payload: Confirm | Transferring
     last_submit: int | None = None  # None: due on the next step
 
     @classmethod
     def relay(cls, target_chain: Address, target: Address, direction: str,
               entries: tuple[TransferEntry, ...]) -> PendingVote:
         """A relay batch, with the subject that binds its entries."""
-        return cls(kind="relay", target_chain=target_chain, target=target,
-                   direction=direction, subject=entries_subject(direction, entries),
-                   entries=entries)
+        return cls(target_chain, target, direction,
+                   Transferring(direction, entries_subject(direction, entries), entries))
 
 
 def _event_entry(origin_chain: Address, ev: Event, to: Address | None = None,
@@ -302,8 +303,10 @@ class WitnessNode:
             Watch(side_chain, RelayCursor(omega=config.omega_side), config.side_watched()),
         )
         self.anchored = False  # every cursor has anchored its first window
-        self.pending: dict[tuple, PendingVote] = {}
-        self.adopted_rounds: dict[tuple, int] = {}
+        # Both keyed by (target, lane): a confirm goes to the bridge head's
+        # registration lane, which no relay batch goes to.
+        self.pending: dict[tuple[Address, str], PendingVote] = {}
+        self.adopted_rounds: dict[tuple[Address, str], int] = {}
         self.observed_registration: ObservedRegistration | None = None
         self.relayed_origins: set[tuple] = set()
         self.wake = 0  # the next tick ``step`` is due
@@ -311,92 +314,51 @@ class WitnessNode:
 
     # -- helpers -------------------------------------------------------------
 
-    def _round_key(self, target: Address, direction: str) -> tuple:
-        return (str(target), direction)
-
-    def adopted_round(self, target: Address, direction: str) -> int:
-        return self.adopted_rounds.get(self._round_key(target, direction), 0)
-
-    def _adopt(self, target: Address, direction: str, next_round: int) -> None:
-        key = self._round_key(target, direction)
+    def _adopt(self, key: tuple[Address, str], next_round: int) -> None:
         if next_round > self.adopted_rounds.get(key, 0):
             self.adopted_rounds[key] = next_round
-            for vote in self.pending.values():
-                if vote.target == target and vote.direction == direction:
-                    vote.last_submit = None
+            vote = self.pending.get(key)
+            if vote is not None:
+                vote.last_submit = None
 
     def idle(self) -> bool:
         return not self.pending
 
-    # -- relay construction (vote content depends on the behavior) -----------
+    def _vote_tx(self, vote: PendingVote, round_no: int) -> Transaction | None:
+        """The transaction that sends ``vote`` in ``round_no`` under this
+        behavior, or None when this behavior sends no such vote.
 
-    def relay_and_vote(
-        self,
-        entries: tuple[TransferEntry, ...],
-        target: Address,
-        direction: str,
-        round_no: int,
-        subject: bytes | None = None,
-    ) -> Transaction | None:
-        """Build the relay transaction for one batch under this behavior, or
-        None when this behavior sends none.
-
-        ``entries`` are in origin order, as a pending vote keeps them.
-        ``subject``, when given, is the one already bound to ``entries`` (a
-        pending vote's); it is recomputed only when this behavior alters an
-        entry.
+        An equivocator alters the payload anew on every submission: a
+        confirm's subject, or the value of a batch's first entry, with the
+        subject rebound to the altered entries.
         """
         cfg = self.config
-        if cfg.behavior in (Behavior.CRASHED, Behavior.BYZANTINE_REJECT_ALL):
-            return None
-        if cfg.behavior == Behavior.EQUIVOCATING and entries:
-            bump = self._rng.randint(1, 1 << 30)
-            first = entries[0]
-            entries = (
-                TransferEntry(
-                    first.origin_chain,
-                    first.origin_height,
-                    first.origin_seq,
-                    first.to,
-                    first.value + bump,
-                ),
-            ) + entries[1:]
-            subject = None
-        if subject is None:
-            subject = entries_subject(direction, entries)
-        sender = cfg.token_address if target in (cfg.bridge_head, cfg.registry) else cfg.side_address
-        return Transaction(
-            sender=sender,
-            to=target,
-            value=0,
-            gasprice=0,
-            round=round_no,
-            payload=Transferring(direction=direction, subject=subject, entries=entries),
-        )
-
-    def _confirm_tx(self, vote: PendingVote, round_no: int) -> Transaction | None:
-        cfg = self.config
-        if cfg.behavior == Behavior.CRASHED:
-            return None
-        subject = vote.subject
-        if cfg.behavior == Behavior.EQUIVOCATING:
-            subject = codec.digest([subject, self._rng.randint(1, 1 << 30)])
-        return Transaction(
-            sender=cfg.token_address,
-            to=cfg.bridge_head,
-            value=0,
-            gasprice=0,
-            round=round_no,
-            payload=Confirm(chain_id=vote.chain_id, subject=subject, verdict=vote.verdict),
-        )
+        payload = vote.payload
+        if isinstance(payload, Transferring):
+            if cfg.behavior == Behavior.BYZANTINE_REJECT_ALL:
+                return None
+            if cfg.behavior == Behavior.EQUIVOCATING:
+                first, *rest = payload.entries
+                entries = (TransferEntry(first.origin_chain, first.origin_height, first.origin_seq,
+                                         first.to, first.value + self._rng.randint(1, 1 << 30)),
+                           *rest)
+                payload = Transferring(vote.direction, entries_subject(vote.direction, entries),
+                                       entries)
+        elif cfg.behavior == Behavior.EQUIVOCATING:
+            subject = codec.digest([payload.subject, self._rng.randint(1, 1 << 30)])
+            payload = Confirm(payload.chain_id, subject, payload.verdict)
+        sender = cfg.token_address if vote.target_chain == self.token_chain_id else cfg.side_address
+        return Transaction(sender=sender, to=vote.target, value=0, gasprice=0, round=round_no,
+                           payload=payload)
 
     # -- event handling -------------------------------------------------------
 
     def _decide_registration(
         self, view: "WorldView", payload: dict, spec: GenesisSpec | None
-    ) -> bool | None:
-        """Verdict for a registration request; None means abstain.  ``spec``
-        is the fetched genesis of the claimed chain (None on a native-gas one)."""
+    ) -> bool:
+        """Verdict for a registration request.  ``spec`` is the fetched
+        genesis of the claimed chain (None on a native-gas one); a chain the
+        witness cannot see has no height, so it is not brand new."""
         cfg = self.config
         claimed_chain_id = payload["chain_id"]
         registered = view.registry_ids()
@@ -408,8 +370,6 @@ class WitnessNode:
         if spec is None:
             return validate_registration_nativegas(
                 claimed_chain_id, side_height, registered, self.token_chain_id)
-        if side_height is None:
-            return None
         return all(registration_conditions(
             spec, side_height, payload["genesis_hash"], payload["balance"],
             claimed_chain_id, registered, self.token_chain_id,
@@ -431,23 +391,13 @@ class WitnessNode:
                         view.log_abstain(self, "genesis fetch failed")
                         return
                 verdict = self._decide_registration(view, payload, spec)
-                if verdict is None:
-                    view.log_abstain(self, "genesis fetch failed")
-                    return
                 self.observed_registration = ObservedRegistration(
                     side_creator=payload["side_creator"],
                     payout=payload["amount"] if spec is None else spec.bal_resv,
                 )
-                key = ("confirm", str(cfg.bridge_head))
-                self.pending[key] = PendingVote(
-                    kind="confirm",
-                    target_chain=self.token_chain_id,
-                    target=cfg.bridge_head,
-                    direction=REGISTRATION,
-                    subject=payload["subject"],
-                    verdict=verdict,
-                    chain_id=payload["chain_id"],
-                )
+                self.pending[cfg.bridge_head, REGISTRATION] = PendingVote(
+                    self.token_chain_id, cfg.bridge_head, REGISTRATION,
+                    Confirm(payload["chain_id"], payload["subject"], verdict))
             elif payload.get("kind") == "transfer":
                 target = cfg.genesis.inter_contract or cfg.genesis.register_contract
                 self._queue_entry(self.side_chain_id, target, INBOUND,
@@ -485,43 +435,41 @@ class WitnessNode:
     ) -> None:
         """Merge ``entry`` into the pending relay batch for ``target``, in
         origin order; it replaces a queued entry with the same origin."""
-        key = ("relay", str(target), direction)
+        key = (target, direction)
         vote = self.pending.get(key)
         if vote is None:
             entries: tuple[TransferEntry, ...] = (entry,)
         else:
-            entries, origin = vote.entries, entry.origin_plain()
+            entries, origin = vote.payload.entries, entry.origin_plain()
             at = bisect.bisect_left(entries, origin, key=TransferEntry.origin_plain)
             same = at < len(entries) and entries[at].origin_plain() == origin
             entries = entries[:at] + (entry,) + entries[at + same:]
         self.pending[key] = PendingVote.relay(target_chain, target, direction, entries)
 
     def _settle_result(self, contract: Address, direction: str, payload: dict) -> None:
-        self._adopt(contract, direction, payload["next_round"])
-        success = payload["success"]
-        origins = set(payload.get("origins", ())) if success else set()
-        for key in list(self.pending):
-            vote = self.pending[key]
-            if vote.target != contract or vote.direction != direction:
-                continue
-            # A result naming this exact subject concludes it for good, no
-            # matter the outcome: a revert or execution failure will never
-            # succeed on retry.  Timeout results carry an empty subject and
-            # leave the pending vote alive for the resend path.
-            if vote.subject == payload["subject"]:
+        key = (contract, direction)
+        self._adopt(key, payload["next_round"])
+        vote = self.pending.get(key)
+        if vote is None:
+            return
+        # A result naming this exact subject concludes it for good, no
+        # matter the outcome: a revert or execution failure will never
+        # succeed on retry.  Timeout results carry an empty subject and
+        # leave the pending vote alive for the resend path.
+        if vote.payload.subject == payload["subject"]:
+            del self.pending[key]
+        elif payload["success"] and isinstance(vote.payload, Confirm):
+            # The registration concluded even if the subject we saw was
+            # announced under a different request instance.
+            del self.pending[key]
+        elif payload["success"]:
+            entries, origins = vote.payload.entries, set(payload.get("origins", ()))
+            remaining = tuple(e for e in entries if e.origin_plain() not in origins)
+            if not remaining:
                 del self.pending[key]
-                continue
-            if vote.kind == "relay" and origins:
-                remaining = tuple(e for e in vote.entries if e.origin_plain() not in origins)
-                if not remaining:
-                    del self.pending[key]
-                elif len(remaining) != len(vote.entries):
-                    self.pending[key] = PendingVote.relay(
-                        vote.target_chain, vote.target, direction, remaining)
-            elif vote.kind == "confirm" and success:
-                # The registration concluded even if the subject we saw was
-                # announced under a different request instance.
-                del self.pending[key]
+            elif len(remaining) != len(entries):
+                self.pending[key] = PendingVote.relay(vote.target_chain, contract, direction,
+                                                      remaining)
 
     # -- the relay loop -------------------------------------------------------
 
@@ -566,25 +514,24 @@ class WitnessNode:
         return vote.last_submit is None or tick - vote.last_submit >= self.config.timeout
 
     def _submit_due(self, view: "WorldView", tick: int) -> None:
-        for key in sorted(self.pending, key=str):
-            vote = self.pending[key]
+        """Send every due vote: the confirm first, then the relay batches by
+        target and lane."""
+        for key, vote in sorted(self.pending.items(),
+                                key=lambda item: (not isinstance(item[1].payload, Confirm),
+                                                  item[0])):
             if not self._due(vote, tick):
                 continue
-            resend = vote.last_submit is not None
-            round_no = self.adopted_round(vote.target, vote.direction)
-            if vote.kind == "confirm":
-                tx = self._confirm_tx(vote, round_no)
-            else:
-                tx = self.relay_and_vote(vote.entries, vote.target, vote.direction,
-                                         round_no, vote.subject)
+            round_no = self.adopted_rounds.get(key, 0)
+            tx = self._vote_tx(vote, round_no)
             if tx is None:
                 # This behavior never submits this vote; drop it so the node
                 # does not hold up quiescence.
                 del self.pending[key]
                 continue
-            if resend:
+            if vote.last_submit is not None:
                 view.log_resend(self, vote, round_no)
-            self.relayed_origins.update(e.origin_plain() for e in vote.entries)
+            if isinstance(vote.payload, Transferring):
+                self.relayed_origins.update(e.origin_plain() for e in vote.payload.entries)
             view.submit(self, vote.target_chain, tx)
             vote.last_submit = tick
 

@@ -1359,6 +1359,47 @@ def test_rollbacks_and_reorgs_match_full_replay(kind, data):
         assert_matches_replay(chain, build, seen)
 
 
+# Per chain kind: the lane two witnesses' votes execute in, witness w's vote
+# on the i-th batch (in round i), and a transaction refused after it journaled
+# a contract.
+CUT_BACK = {
+    "side": (lambda chain: chain.contracts[RELAY_ADDR].stream,
+             lambda w, i: relay_tx(WIT_S[w], RELAY_ADDR, INBOUND,
+                                   [entry(USERS[i], 40, height=i)], round_no=i),
+             _owner(OWNER1, BANK_ADDR, "add_relay", RELAY_ADDR)),
+    "token": (lambda chain: chain.contracts[BRIDGE_ADDR].out_stream,
+              lambda w, i: relay_tx(WIT_T[w], BRIDGE_ADDR, OUTBOUND,
+                                    [entry(USERS[i], 10, height=i, chain=SIDE_ID)], round_no=i),
+              request_tx(attach=50)),
+    "native": (lambda chain: chain.contracts[GATEWAY_ADDR].streams[INBOUND],
+               lambda w, i: relay_tx(WIT_S[w], GATEWAY_ADDR, INBOUND,
+                                     [entry(USERS[i], 40, height=i)], round_no=i),
+               _owner(OWNER1, TRADING_ADDR, "authorize_gateway", GATEWAY_ADDR, gasprice=1)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNDO_CHAINS))
+def test_a_rollback_and_a_reorg_each_cut_a_history_back_to_its_older_item(kind):
+    """The cut the drawn examples above may not reach, made on purpose: a
+    rejection rollback and a reorg each cut a lane's executed history from
+    two items back to one, and the chain matches a full replay after each."""
+    build = UNDO_CHAINS[kind][0]
+    lane_of, vote, refused = CUT_BACK[kind]
+    chain, seen = build(), set()
+    chain.apply_block([vote(0, 0), vote(1, 0)], now=1)
+    first = list(lane_of(chain).executed)
+    assert len(first) == 1
+    # The refusal restores the block's start, one executed subject, and the
+    # two votes before it execute the second subject again.
+    _, rejections = chain.apply_block([vote(0, 1), vote(1, 1), refused], now=2)
+    assert [r.tx for r in rejections] == [refused]
+    assert list(lane_of(chain).executed)[:1] == first and len(lane_of(chain).executed) == 2
+    assert_matches_replay(chain, build, seen)
+    chain.reorg(1, [[]], now=3)
+    assert list(lane_of(chain).executed) == first
+    assert_matches_replay(chain, build, seen)
+
+
 def test_a_deep_copied_gateway_shares_one_paid_history_of_its_own():
     chain, gateway, _ = make_native(threshold=2)
     entries = [entry(USERS[0], 40)]

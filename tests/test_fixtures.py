@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import plain_json
-from bridgesim import cli
+from bridgesim import cli, presets
 from bridgesim.record import frozen_guard
 from bridgesim.scenario import load_file, parse_scenario
 from bridgesim.simnet import Simulation, run_scenario
@@ -86,6 +86,17 @@ TRACE_SHA256 = {
 
 RUNS = sorted(TRACE_SHA256, key=str)
 
+# Preset-built runs that reach witness paths no fixture does: an equivocating
+# witness, and a reject-all witness with relay batches pending, each under
+# loss, duplicates and delays.  name -> (witness behaviors, drop start tick,
+# resend records, sha256 of the written trace).
+BYZANTINE_RUNS = {
+    "equivocating": ({0: "equivocating"}, 0, 116,
+                     "86420c494af511aa2d95a22f1b0a2b8f077e817636a64366de3717334ba06f38"),
+    "reject_all": ({2: "byzantine_reject_all"}, 80, 84,
+                   "b2962aa63ed96ec977f059f908b09711a08d4d1bc1cfacbd8e7b88a64972c698"),
+}
+
 
 def cli_args(tmp_path, name, override, seed):
     """``bridgesim run`` arguments for one pinned run, and its trace path."""
@@ -121,6 +132,23 @@ def test_exit_code_and_trace_digest(tmp_path, capsys, name, override, seed):
     capsys.readouterr()
     assert code == EXIT_CODES[(name, override)]
     assert sha256_of(trace_path) == TRACE_SHA256[(name, override, seed)]
+
+
+@pytest.mark.parametrize("name", sorted(BYZANTINE_RUNS))
+def test_byzantine_witness_run_digest(name):
+    behaviors, drop_start, resends, pin = BYZANTINE_RUNS[name]
+    data = presets.registered_with_transfers(
+        seed=5, deposits=[250, 120, 90], withdrawals=[60, 30], max_ticks=3000,
+        fault_plan={"drop_rate": 0.4, "dup_rate": 0.2, "max_delay": 3,
+                    "max_consecutive_drops": 3, "drop_start_tick": drop_start})
+    data["witnesses"] = presets._witnesses("side-1", 4, behaviors)
+    result = run_scenario(parse_scenario(data))
+    [side] = result.summary["side_chains"].values()
+    assert result.ok and result.quiescent
+    assert side["registered"] and side["locked"] == side["circulating"]
+    assert result.summary["resends"] == resends
+    text = "".join(line + "\n" for line in result.trace_lines)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == pin
 
 
 # Runs each argument list it reads from stdin through ``bridgesim run``, then

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from bridgesim import witness as witness_mod
 from bridgesim.chain import (
     Address, Chain, ChainKind, Event, EventTopic, IoTRecord, Transaction, TransferEntry,
+    Transferring,
 )
-from bridgesim.contracts import INBOUND, OUTBOUND, Contract, entries_subject
+from bridgesim.contracts import INBOUND, OUTBOUND, REGISTRATION, Contract, entries_subject
 from bridgesim.genesis import genesis_hash, parse_genesis
 from bridgesim.witness import (
     Behavior,
+    PendingVote,
     RelayCursor,
     WitnessConfig,
     WitnessNode,
@@ -342,10 +344,24 @@ def sample_entries():
     )
 
 
+def inbound_vote(node, subject=None):
+    """A pending inbound relay of ``sample_entries`` to the node's SC_Inter,
+    bound to ``subject`` when given."""
+    genesis = node.config.genesis
+    if subject is None:
+        return PendingVote.relay(genesis.chain_id, genesis.inter_contract, INBOUND,
+                                 sample_entries())
+    return PendingVote(genesis.chain_id, genesis.inter_contract, INBOUND,
+                       Transferring(INBOUND, subject, sample_entries()))
+
+
 class TestRelayAndVote:
+    """The transaction ``_vote_tx`` builds for a pending relay batch under
+    each behavior."""
+
     def test_honest_witness_builds_one_bound_transaction(self):
         node = witness_node()
-        tx = node.relay_and_vote(sample_entries(), node.config.genesis.inter_contract, INBOUND, 0)
+        tx = node._vote_tx(inbound_vote(node), 0)
         assert isinstance(tx, Transaction)
         assert tx.round == 0
         assert tx.gasprice == 0
@@ -355,21 +371,31 @@ class TestRelayAndVote:
 
     def test_token_chain_targets_use_token_address(self):
         node = witness_node()
-        tx = node.relay_and_vote(sample_entries(), node.config.bridge_head, OUTBOUND, 0)
+        vote = PendingVote.relay(node.token_chain_id, node.config.bridge_head, OUTBOUND,
+                                 sample_entries())
+        tx = node._vote_tx(vote, 0)
         assert tx.sender == node.config.token_address
 
     def test_crashed_witness_submits_nothing(self):
+        """A crashed witness with due votes steps without submitting or
+        acting; its votes stay pending and unsent."""
         node = witness_node(Behavior.CRASHED)
-        assert node.relay_and_vote(sample_entries(), node.config.genesis.inter_contract, INBOUND, 0) is None
+        genesis = node.config.genesis
+        node._queue_entry(genesis.chain_id, genesis.inter_contract, INBOUND, sample_entries()[0])
+        view = RecordingView()
+        assert not node.step(view, 10)
+        assert view.sent == [] and view.resends == []
+        assert [vote.last_submit for vote in node.pending.values()] == [None]
 
     def test_reject_all_witness_never_relays(self):
         node = witness_node(Behavior.BYZANTINE_REJECT_ALL)
-        assert node.relay_and_vote(sample_entries(), node.config.genesis.inter_contract, INBOUND, 0) is None
+        assert node._vote_tx(inbound_vote(node), 0) is None
 
     def test_equivocator_corrupts_content_consistently(self):
         node = witness_node(Behavior.EQUIVOCATING)
-        tx1 = node.relay_and_vote(sample_entries(), node.config.genesis.inter_contract, INBOUND, 0)
-        tx2 = node.relay_and_vote(sample_entries(), node.config.genesis.inter_contract, INBOUND, 0)
+        vote = inbound_vote(node)
+        tx1 = node._vote_tx(vote, 0)
+        tx2 = node._vote_tx(vote, 0)
         honest_subject = entries_subject(INBOUND, sample_entries())
         # each submission lies, the lie is internally consistent, and two
         # submissions do not pool with each other or with honest votes
@@ -388,10 +414,10 @@ class TestRelayAndVote:
 
         monkeypatch.setattr(witness_mod, "entries_subject", counted)
         honest = witness_node()
-        tx = honest.relay_and_vote(sample_entries(), honest.config.genesis.inter_contract, INBOUND, 0, bound)
+        tx = honest._vote_tx(inbound_vote(honest, bound), 0)
         assert tx.payload.subject == bound and hashed == []
         liar = witness_node(Behavior.EQUIVOCATING)
-        tx = liar.relay_and_vote(sample_entries(), liar.config.genesis.inter_contract, INBOUND, 0, bound)
+        tx = liar._vote_tx(inbound_vote(liar, bound), 0)
         assert hashed == [tx.payload.entries]
         assert tx.payload.subject == entries_subject(INBOUND, tx.payload.entries) != bound
 
@@ -411,9 +437,9 @@ def test_queued_entries_stay_in_origin_order(queued):
                               origin_seq=seq, to=Address.from_label("dest"), value=value)
         node._queue_entry(TOKEN_ID, target, INBOUND, entry)
         expected[entry.origin_plain()] = entry
-        vote = node.pending["relay", str(target), INBOUND]
-        assert vote.entries == tuple(expected[k] for k in sorted(expected))
-        assert vote.subject == entries_subject(INBOUND, vote.entries)
+        vote = node.pending[target, INBOUND]
+        assert vote.payload.entries == tuple(expected[k] for k in sorted(expected))
+        assert vote.payload.subject == entries_subject(INBOUND, vote.payload.entries)
         assert vote.last_submit is None
         vote.last_submit = 3  # sent; the next merge makes it due again
 
@@ -464,14 +490,16 @@ class RecordingView(witness_mod.WorldView):
         self.resends.append((self.tick, round_no))
 
 
-class TestRegistrationRequest:
-    def request(self, genesis):
-        return Event(Address.from_label("bridge-head"), EventTopic.CROSS_CHAIN_ARRIVED, {
-            "kind": "registration", "chain_id": genesis.chain_id, "amount": 1,
-            "balance": genesis.total_reserved(), "genesis_hash": genesis_hash(genesis),
-            "side_creator": Address.from_label("creator-side"), "round": 0, "subject": b"s",
-        }, height=5, tx_index=0, seq=0)
+def registration_request(genesis):
+    """The bridge head's event announcing a registration of ``genesis``."""
+    return Event(Address.from_label("bridge-head"), EventTopic.CROSS_CHAIN_ARRIVED, {
+        "kind": "registration", "chain_id": genesis.chain_id, "amount": 1,
+        "balance": genesis.total_reserved(), "genesis_hash": genesis_hash(genesis),
+        "side_creator": Address.from_label("creator-side"), "round": 0, "subject": b"s",
+    }, height=5, tx_index=0, seq=0)
 
+
+class TestRegistrationRequest:
     def test_the_genesis_is_fetched_once_per_request(self):
         genesis = gasless_genesis()
 
@@ -489,10 +517,36 @@ class TestRegistrationRequest:
                 return 0
 
         node = witness_node()
-        node._handle_token_event(View(), self.request(genesis))
+        node._handle_token_event(View(), registration_request(genesis))
         assert View.fetches == 1
         assert node.observed_registration.payout == genesis.bal_resv
-        assert next(iter(node.pending.values())).verdict is True
+        assert next(iter(node.pending.values())).payload.verdict is True
+
+    def test_a_chain_the_witness_cannot_see_is_refused_not_abstained_on(self):
+        """A fetched genesis whose chain has no height fails the brand-new
+        chain check: the witness confirms with verdict False."""
+        genesis = gasless_genesis()
+
+        class View(RecordingView):
+            abstains = []
+
+            def fetch_genesis(self, witness, chain_id):
+                return genesis
+
+            def registry_ids(self):
+                return set()
+
+            def side_height(self, chain_id):
+                return None
+
+            def log_abstain(self, witness, reason):
+                self.abstains.append(reason)
+
+        node = witness_node()
+        view = View()
+        node._handle_token_event(view, registration_request(genesis))
+        assert view.abstains == []
+        assert node.pending[node.config.bridge_head, REGISTRATION].payload.verdict is False
 
     def test_a_failed_fetch_abstains_and_observes_nothing(self):
         class View(RecordingView):
@@ -509,7 +563,7 @@ class TestRegistrationRequest:
 
         node = witness_node()
         view = View()
-        node._handle_token_event(view, self.request(gasless_genesis()))
+        node._handle_token_event(view, registration_request(gasless_genesis()))
         assert view.abstains == ["genesis fetch failed"]
         assert node.observed_registration is None and node.pending == {}
 
@@ -577,3 +631,52 @@ class TestDueRule:
         self.step(node, view, [111])
         assert [(t, tx.round) for t, _, tx in view.sent[3:]] == [(111, 3)]
         assert view.resends == [(60, 0), (111, 3)]
+
+
+class TestSubmissionOrder:
+    def test_the_confirm_goes_first_then_relays_by_target_text_and_lane(self):
+        """One step sends every due vote: the confirm first, then the relay
+        batches by their target's text and then by lane, whatever order they
+        were queued in."""
+        node = witness_node()
+        cfg, genesis = node.config, node.config.genesis
+
+        class View(RecordingView):
+            def fetch_genesis(self, witness, chain_id):
+                return genesis
+
+            def registry_ids(self):
+                return set()
+
+            def side_height(self, chain_id):
+                return 0
+
+        view = View()
+        transfer = {"to": Address.from_label("dest"), "value": 70}
+        for handle, ev in [
+            (node._handle_side_event, Event(genesis.bank_contract, EventTopic.ASSETS_LOCKED,
+                                            transfer, height=3, tx_index=0, seq=0)),
+            (node._handle_side_event, Event(genesis.inter_contract,
+                                            EventTopic.CROSS_CHAIN_ARRIVED,
+                                            transfer, height=4, tx_index=0, seq=0)),
+            (node._handle_token_event, Event(cfg.bridge_head, EventTopic.CROSS_CHAIN_ARRIVED,
+                                             {"kind": "transfer", **transfer},
+                                             height=4, tx_index=0, seq=0)),
+            (node._handle_token_event, registration_request(genesis)),
+            (node._handle_token_event, Event(cfg.registry, EventTopic.EXIST_OR_NOT,
+                                             {"chain_id": genesis.chain_id, "success": True},
+                                             height=6, tx_index=0, seq=0)),
+        ]:
+            handle(view, ev)
+        assert node.step(view, 10)
+        relays = sorted([(cfg.bridge_head, OUTBOUND), (genesis.inter_contract, OUTBOUND),
+                         (genesis.inter_contract, INBOUND),
+                         (genesis.register_contract, REGISTRATION)],
+                        key=lambda lane: (str(lane[0]), lane[1]))
+        # The confirm is first by its kind, not by its target's text.
+        assert relays[-1] == (cfg.bridge_head, OUTBOUND)
+        assert [(tx.to, getattr(tx.payload, "direction", "confirm")) for _, _, tx in view.sent] \
+            == [(cfg.bridge_head, "confirm")] + relays
+        assert [chain_id for _, chain_id, _ in view.sent] == [
+            node.token_chain_id if to == cfg.bridge_head else genesis.chain_id
+            for to, _ in [(cfg.bridge_head, "confirm")] + relays]
