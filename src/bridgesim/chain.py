@@ -357,6 +357,7 @@ class Event(codec.Encoded):
 
 
 _BLOCK_HASHED = codec.Shape("height", "parent_hash", "transactions")
+_EMPTY_BLOCK_HASHED = codec.Shape("height", "parent_hash", transactions="[]")
 
 
 @record(slots=True)
@@ -437,9 +438,10 @@ class Chain:
         self.blocks: list[Block] = [genesis]
         # The head block and the canonical text of its hash (``head_text``).
         self._head_text = (genesis, codec.canonical_dumps(genesis.hash))
-        # Ascending heights of the blocks that hold events; readers looking
-        # for events walk these instead of every height.
+        # Ascending heights of the blocks that hold events, of any contract
+        # and of each; readers look up events there, not at every height.
         self.event_heights: list[int] = []
+        self.contract_event_heights: dict[Address, list[int]] = {}
         # height -> undo record (account pre-images, contract pre-images) of
         # every block that changed state (the newest ``undo_depth`` blocks'
         # only, if set); None marks an absent account.
@@ -597,17 +599,21 @@ class Chain:
         Invalid transactions are excluded (the block still forms from the
         remaining valid ones) and reported back for logging.  ``now`` is the
         scheduler tick at which the block is produced; contracts use it for
-        their deadlines.
+        their deadlines.  A block without transactions changes nothing: it
+        opens no undo record, is not held to conservation, and is hashed from
+        one template.
         """
         head = self.blocks[-1]
         height = self.block_height = head.height + 1
         self.now = now
-        accepted: list[Transaction] = []
-        self._events = events = []
         rejections: list[Rejection] = []
-        # A block without transactions changes nothing: it opens no undo
-        # record and is not held to conservation.
-        if transactions:
+        if not transactions:
+            digest = codec.digest_text(
+                _EMPTY_BLOCK_HASHED.text(int.__repr__(height), self.head_text()))
+            block = Block(height, head.hash, (), (), digest, now)
+        else:
+            accepted: list[Transaction] = []
+            self._events = events = []
             self._record = record = ({}, {})
             try:
                 for tx in transactions:
@@ -645,13 +651,16 @@ class Chain:
                 total = self.ledger_total()
                 if total != self.total_supply:
                     self.unbalanced = (height, total)
+            block = Block(height, head.hash, tuple(accepted), tuple(events), produced_at=now)
+            block.hash = block.compute_hash(self.head_text())
+            if events:
+                self.event_heights.append(height)
+                for contract in {ev.contract for ev in events}:
+                    self.contract_event_heights.setdefault(contract, []).append(height)
         if self.undo_depth is not None:
             self._undo.pop(height - self.undo_depth, None)
-        block = Block(height, head.hash, tuple(accepted), tuple(events), produced_at=now)
-        block.hash = block.compute_hash(self.head_text())
         self.blocks.append(block)
-        if events:
-            self.event_heights.append(height)
+        self._head_text = (block, codec.canonical_dumps(block.hash))
         return block, rejections
 
     def reorg(self, depth: int, replacement: list[list[Transaction]], now: int) -> None:
@@ -675,7 +684,8 @@ class Chain:
             if record is not None:
                 self._restore(*record)
         del self.blocks[fork_height + 1:]
-        del self.event_heights[bisect.bisect_right(self.event_heights, fork_height):]
+        for heights in (self.event_heights, *self.contract_event_heights.values()):
+            del heights[bisect.bisect_right(heights, fork_height):]
         for txs in replacement:
             self.apply_block(txs, now=now)
 

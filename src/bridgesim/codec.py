@@ -44,6 +44,7 @@ class SerializationError(ValueError):
 
 # The escaper ``json`` applies to keys and str values.
 _quote = json.encoder.encode_basestring_ascii
+_BRACES = str.maketrans({"{": "{{", "}": "}}"})  # literal braces in an f-string
 
 
 def canonical_dumps(value: Any) -> str:
@@ -111,17 +112,18 @@ class Shape:
     """Canonical text of one kind of object, joined from its members' texts.
 
     ``text`` takes the members' canonical texts in the order the keys are
-    given here.  The sorted key order the encoder would use is worked out
-    once, when the shape is made, so joining a value costs one format call:
-    ``text`` is the bound ``str.format`` of the shape's template.
+    given here; a member given by keyword has that text in every value.  The
+    sorted key order the encoder would use is worked out once, when the
+    shape is made: ``text`` is one compiled f-string of the shape's template.
     """
 
-    def __init__(self, *keys: str) -> None:
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        members = (
-            _quote(keys[i]).replace("{", "{{").replace("}", "}}") + ":{%d}" % i for i in order
-        )
-        self.text = ("{{" + ",".join(members) + "}}").format
+    def __init__(self, *keys: str, **fixed: str) -> None:
+        texts = {key: "{m%d}" % i for i, key in enumerate(keys)}
+        texts.update((key, text.translate(_BRACES)) for key, text in fixed.items())
+        template = "{{%s}}" % ",".join(_quote(key).translate(_BRACES) + ":" + texts[key]
+                                        for key in sorted(texts))
+        params = ",".join("m%d" % i for i in range(len(keys)))
+        self.text = eval(f"lambda {params}: f{template!r}")
 
 
 class Encoded:
@@ -147,6 +149,10 @@ class Encoded:
         plain.update(zip(keys, [self.__dict__[name] for name in names]))
         return plain
 
+    @classmethod
+    def __recorded__(cls) -> None:
+        _layout(cls)  # compiled with the class, not on a run's first encoding
+
     def text(self) -> str:
         members = self.__dict__
         cached = members.get("_text")
@@ -162,9 +168,8 @@ def _layout(cls: type) -> tuple[tuple[str, ...], tuple[str, ...], Any]:
     members' texts (with the tag's text already in place)."""
     names = cls.__record_fields__
     keys = tuple(cls.KEYS.get(name, name) for name in names)
-    if cls.TAG is None:
-        return names, keys, Shape(*keys).text
-    return names, keys, functools.partial(Shape("type", *keys).text, _quote(cls.TAG))
+    tag = {} if cls.TAG is None else {"type": _quote(cls.TAG)}
+    return names, keys, Shape(*keys, **tag).text
 
 
 def parse_hex(text: str, *, length: int | None = None) -> bytes:

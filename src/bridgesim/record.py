@@ -46,7 +46,8 @@ def record(cls: Any = None, /, *, frozen: bool = False, slots: bool = False) -> 
     the class defines them, it gets ``__init__`` (compiled with one ``exec``;
     then ``__post_init__``), field ``__eq__``, ``__hash__`` (None unless frozen),
     ``Name(a=1)`` ``__repr__``, and when frozen ``frozen_guard``.  ``slots=True``
-    makes the fields the ``__slots__``."""
+    makes the fields the ``__slots__``.  Last it calls the class's
+    ``__recorded__`` classmethod, if it has one."""
     if cls is None:  # @record(...)
         return lambda cls: record(cls, frozen=frozen, slots=slots)
     names = tuple(name for name, kind in cls.__annotations__.items()
@@ -87,4 +88,6 @@ def record(cls: Any = None, /, *, frozen: bool = False, slots: bool = False) -> 
                    if key not in (*names, "__dict__", "__weakref__")}
         members.update(__slots__=names, __qualname__=cls.__qualname__)
         cls = type(cls)(cls.__name__, cls.__bases__, members)
+    if hasattr(cls, "__recorded__"):
+        cls.__recorded__()
     return cls

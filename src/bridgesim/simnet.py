@@ -9,11 +9,12 @@ ticks; each tick executes fixed phases in a fixed order:
      data), and the handler is a plain function called with the simulation;
   2. block production for every chain whose interval divides the tick; a
      block's trace line reuses the chain's texts of its hash and state digest;
-  3. the witness phase: each witness whose wake tick has come steps, in
-     roster order.  A witness wakes on every tick until its cursors anchor
+  3. the witness phase: each witness whose wake tick has come, in roster
+     order, steps if it can act and skips the tick otherwise.  It wakes as
+     the paper's polling loop does: on every tick until its cursors anchor
      their first windows, then on every multiple of its sleep period T.  A
-     step reads every window that has become ready and sends only the votes
-     that are due, so a step with nothing to read or send does no work;
+     step reads every window that has become ready and sends the votes that
+     are due, and the trace is the polling loop's (see ``witness``);
   4. the owner phase: the daemons still watching for registration success and
      the vault payout step, and submit the vault-suicide approvals;
   5. settledness bookkeeping: when the bridge comes to rest, the peg
@@ -466,7 +467,10 @@ class Simulation(WorldView):
                 changed |= self._produce(host)
         for witness in self.witnesses:
             if witness.wake <= tick:
-                changed |= witness.step(self, tick)
+                if witness.can_act(tick):
+                    changed |= witness.step(self, tick)
+                else:
+                    witness.skip(tick)
         for daemon in self.owner_daemons:
             if not daemon.watches:
                 continue  # native gas, or done: nothing left to read
@@ -517,22 +521,20 @@ class Simulation(WorldView):
 
     def _produce(self, host: ChainHost) -> bool:
         """Seal one block; True if it was offered any transaction."""
-        chain = host.chain
-        txs: list[Transaction] = []
+        chain, now = host.chain, self.tick
+        txs = host.mempool
         deadline = chain.earliest_deadline()
-        if deadline is not None and deadline <= self.tick:
-            for addr in chain.contract_order:
-                due = chain.contracts[addr].next_deadline()
-                if due is not None and due <= self.tick:
-                    txs.append(Transaction(
-                        sender=addr, to=addr, value=0, gasprice=0,
-                        payload=MultisigAction(action=POKE_ACTION),
-                    ))
-        txs.extend(host.mempool)
-        host.mempool = []
-        _, rejections = chain.apply_block(txs, now=self.tick)
-        self.trace.record(self.tick, "block", host.label,
-                          trace_mod.block_payload(chain, rejections))
+        if deadline is not None and deadline <= now:
+            txs = [
+                Transaction(sender=addr, to=addr, value=0, gasprice=0,
+                            payload=MultisigAction(action=POKE_ACTION))
+                for addr in chain.contract_order
+                if (due := chain.contracts[addr].next_deadline()) is not None and due <= now
+            ] + txs
+        if txs:
+            host.mempool = []
+        _, rejections = chain.apply_block(txs, now=now)
+        self.trace.record(now, "block", host.label, trace_mod.block_payload(chain, rejections))
         return bool(txs)
 
     # ---------------------------------------------------------------- reorgs
@@ -554,6 +556,8 @@ class Simulation(WorldView):
             self.trace.record(self.tick, "reorg", str(chain_id),
                               {"depth": 0, "note": "no-op"})
             return
+        for witness in self.witnesses:
+            witness.catch_up()
         removed = chain.blocks[len(chain.blocks) - depth:]
         kept: list[list[Transaction]] = [[] for _ in range(depth)]
         for i, blk in enumerate(removed):

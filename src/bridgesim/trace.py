@@ -35,6 +35,7 @@ def dumps(record: dict) -> str:
 # it; ``_quote`` is the escaper json applies to str values.
 _HEAD = '{{"chain":{},"kind":{},"payload":'.format
 _BLOCK = codec.Shape("height", "hash", "txs", "rejected", "events", "state")
+_EMPTY_BLOCK = codec.Shape("height", "hash", "state", txs="[]", rejected="[]", events="[]")
 _REJECTED = codec.Shape("tx", "reason")
 _quote = json.encoder.encode_basestring_ascii
 
@@ -45,6 +46,8 @@ def block_payload(chain, rejections: list) -> str:
     and the chain's state digest after it."""
     block = chain.head
     txs, events = block.transactions, block.events
+    if not txs and not rejections:  # then it holds no events either
+        return _EMPTY_BLOCK.text(int.__repr__(block.height), chain.head_text(), chain.state_text())
     return _BLOCK.text(
         int.__repr__(block.height), chain.head_text(),
         codec.array([tx.id_text() for tx in txs]) if txs else "[]",

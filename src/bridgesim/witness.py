@@ -15,11 +15,18 @@ bound to its content digest.  One builder turns it into each submission's
 transaction; a Byzantine behavior withholds or alters the payload there.  If
 nothing concludes within the timeout the vote is resent, adopting whatever
 round the contract last announced.
+
+The scheduler wakes a witness as the paper's polling loop does but steps it
+only when it could read, anchor or send.  A skipped wake tick leaves the
+cursors short of windows without watched events, which the next step passes
+over, reading the same batches in the same windows; a reorg deeper than the
+window could move a read event into them, so the cursors catch up first.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import random
 from enum import Enum
 from typing import AbstractSet, Iterable, Iterator, NamedTuple
@@ -133,6 +140,23 @@ class RelayCursor:
         end = start + self.omega - 1
         return (start, end) if head >= end + self.omega else None
 
+    def ready_height(self, chain: Chain, watched: AbstractSet[Address]) -> float:
+        """The least head of ``chain`` at which a scan could anchor or read an
+        event of a ``watched`` contract: ``2*omega - 1`` before anchoring,
+        ``next_start`` when ``omega == 0``, else ``omega`` past the end of the
+        window of the first such event at or past ``next_start`` (or never)."""
+        omega, start = self.omega, self.next_start
+        if self.first_time:
+            return 2 * omega - 1
+        if not omega:
+            return start
+        height = math.inf
+        for contract in watched:
+            heights = chain.contract_event_heights.get(contract)
+            if heights and heights[-1] >= start:
+                height = min(height, heights[bisect.bisect_left(heights, start)])
+        return height - (height - start) % omega + 2 * omega - 1 if height < math.inf else height
+
     def advance(self, span: tuple[int, int]) -> None:
         start, end = span
         if end < start - 1 or (self.last_end is not None and start != self.last_end + 1):
@@ -143,16 +167,17 @@ class RelayCursor:
 
 
 def scan_ready(
-    cursor: RelayCursor, chain: Chain, watched: AbstractSet[Address]
+    cursor: RelayCursor, chain: Chain, watched: AbstractSet[Address], head: int | None = None
 ) -> list[tuple[list[Event], tuple[int, int]]]:
-    """Read every window that has cleared the revertible zone.
+    """Read every window that has cleared the revertible zone below ``head``
+    (the chain's head unless given).
 
     The cursor moves past all of them, so successive scans cover contiguous,
     disjoint height ranges.  Returned are (events, window) for the windows
     that hold events of watched contracts, in height order; windows without
     any are passed over unread.
     """
-    head = chain.height
+    head = chain.height if head is None else head
     first = cursor.window_if_ready(head)
     if first is None:
         return []
@@ -310,6 +335,10 @@ class WitnessNode:
         self.observed_registration: ObservedRegistration | None = None
         self.relayed_origins: set[tuple] = set()
         self.wake = 0  # the next tick ``step`` is due
+        self.live_as: Behavior | None = None  # the behavior at the last live step
+        # The watched chains' event counts and their cursors' ready heights.
+        self.ready: tuple[tuple[int, int], float, float] | None = None
+        self.skipped_heads: tuple[int, int] | None = None  # see ``skip``
         self._rng = random.Random(f"{seed}:witness:{config.name}")
 
     # -- helpers -------------------------------------------------------------
@@ -480,20 +509,18 @@ class WitnessNode:
         submitted or dropped a vote: only these change what the scheduler's
         settledness reads, so a step that did none of them leaves it as it was.
 
-        The scheduler calls it only at ``wake``, and ``step`` then sets the
-        next wake tick: every tick while a cursor has not yet anchored its
-        first window, else the next multiple of ``sleep``.  A crashed witness
-        does nothing but keeps waking on that rule, so it acts again on the
-        first such tick after it recovers.  No other state makes a step due:
-        a vote is due while it is unsent (``last_submit`` is None), only the
-        event handlers leave a vote unsent, and ``_submit_due`` sends
-        every such vote in the same step.  A sent vote is resent once
-        ``timeout`` ticks have passed since it went, which the next wake at or
-        after that tick does.
+        The scheduler calls it at ``wake`` when ``can_act`` says it can act,
+        and ``skip`` if not; either sets the next wake tick: every tick
+        while a cursor has not anchored its first window, else the next
+        multiple of ``sleep``.  A crashed witness does nothing but keeps
+        stepping on that rule, so it acts again on the first such tick after
+        it recovers.  A vote is due while unsent (``last_submit`` is None)
+        and again once ``timeout`` ticks have passed since it went.
         """
         cfg = self.config
         acted = False
         if cfg.behavior != Behavior.CRASHED:
+            self.live_as, self.skipped_heads, self.ready = cfg.behavior, None, None
             acted, batches = read_ready(self.watches)
             for watch, events, window in batches:
                 chain_id = watch.chain.chain_id
@@ -506,8 +533,45 @@ class WitnessNode:
                 self._submit_due(view, tick)
                 acted = True
         self.anchored = self.anchored or not any(w.cursor.first_time for w in self.watches)
-        self.wake = (tick // cfg.sleep + 1) * cfg.sleep if self.anchored else tick + 1
+        self.wake = self._wake_after(tick)
         return acted
+
+    def can_act(self, tick: int) -> bool:
+        """Whether a step at this wake tick could read, anchor or send: the
+        behavior is not the one of the last live step (a crashed witness
+        always steps), a watched chain's head has reached its cursor's ready
+        height, or a vote is due.  The ready heights are kept until a live
+        step, a catch-up (before a reorg) or a new event block moves them."""
+        if self.config.behavior != self.live_as:
+            return True
+        (token, token_cursor, token_watched), (side, side_cursor, side_watched) = self.watches
+        events = (len(token.event_heights), len(side.event_heights))
+        ready = self.ready
+        if ready is None or ready[0] != events:
+            ready = self.ready = (events, token_cursor.ready_height(token, token_watched),
+                                  side_cursor.ready_height(side, side_watched))
+        if token.height >= ready[1] or side.height >= ready[2]:
+            return True
+        pending = self.pending
+        return bool(pending) and any(self._due(vote, tick) for vote in pending.values())
+
+    def skip(self, tick: int) -> None:
+        """Keep this wake tick's heads, where the live witness cannot act,
+        and move the wake tick on as a step would."""
+        self.skipped_heads = (self.watches[0].chain.height, self.watches[1].chain.height)
+        self.wake = self._wake_after(tick)
+
+    def _wake_after(self, tick: int) -> int:
+        sleep = self.config.sleep
+        return (tick // sleep + 1) * sleep if self.anchored else tick + 1
+
+    def catch_up(self) -> None:
+        """Pass the cursors over the windows, without watched events, ready
+        at the heads of the last skipped wake tick; called before a reorg,
+        which can move an event into heights a step there passed over."""
+        for (chain, cursor, watched), head in zip(self.watches, self.skipped_heads or ()):
+            scan_ready(cursor, chain, watched, head)
+        self.ready = self.skipped_heads = None
 
     def _due(self, vote: PendingVote, tick: int) -> bool:
         """Unsent, or sent ``timeout`` or more ticks ago."""

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plain_json
+from bridgesim import codec, trace
 from bridgesim.chain import (
-    Address, Confirm, Event, EventTopic, IoTRecord, MultisigAction, RegistrationRequest,
-    TradingAction, Transaction, TransferEntry, Transferring, UserTransfer,
+    Address, Chain, ChainKind, Confirm, Event, EventTopic, IoTRecord, MultisigAction,
+    RegistrationRequest, TradingAction, Transaction, TransferEntry, Transferring, UserTransfer,
 )
 
 A = Address(bytes(range(20)))
@@ -79,6 +80,21 @@ def test_event_text():
         f'{{"contract":{A_TEXT},"height":4,"payload":{{"amount":5,"entries":[{ENTRY_TEXT}],'
         f'"from":{A_TEXT},"ok":false,"subject":{D_TEXT}}},"seq":2,"topic":"AssetsLocked",'
         f'"tx_index":1}}')
+
+
+def test_an_empty_block_hash_and_record():
+    """An empty block is hashed, and its record written, from a template of
+    its own; both are the texts of the plain block and record."""
+    chain = Chain(A, ChainKind.TOKEN, {"Chain_ID": A}, 0)
+    chain.apply_block([])
+    block, _ = chain.apply_block([])
+    parent = chain.blocks[1]
+    assert block.hash == codec.digest(
+        {"height": 2, "parent_hash": parent.hash, "transactions": []})
+    assert block.hash == block.compute_hash()
+    assert trace.block_payload(chain, []) == (
+        f'{{"events":[],"hash":"0x{block.hash.hex()}","height":2,"rejected":[],'
+        f'"state":"0x{chain.state_digest().hex()}","txs":[]}}')
 
 
 # -- an event's text is the text block records were encoded with ---------------

@@ -161,3 +161,8 @@ def test_block_hash_is_the_digest_of_the_plain_block(height, parent, txs):
 def test_shape_joins_members_in_sorted_key_order():
     shape = codec.Shape("b", "a{", "c")
     assert shape.text("1", "[2]", '"x"') == '{"a{":[2],"b":1,"c":"x"}'
+
+
+def test_a_fixed_member_keeps_its_text_in_sorted_key_order():
+    shape = codec.Shape("b", "d", c="[]", a='{"x":"}"}')
+    assert shape.text("1", "2") == '{"a":{"x":"}"},"b":1,"c":[],"d":2}'

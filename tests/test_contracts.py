@@ -1291,6 +1291,11 @@ def assert_matches_replay(chain, build, seen):
     assert [b.hash for b in chain.blocks] == [b.hash for b in oracle.blocks]
     assert [b.events for b in chain.blocks] == [b.events for b in oracle.blocks]
     assert chain.event_heights == [b.height for b in chain.blocks if b.events]
+    by_contract = {}
+    for b in chain.blocks:
+        for contract in dict.fromkeys(ev.contract for ev in b.events):
+            by_contract.setdefault(contract, []).append(b.height)
+    assert {c: hs for c, hs in chain.contract_event_heights.items() if hs} == by_contract
     assert list(chain.accounts.items()) == list(oracle.accounts.items())
     assert chain.state_digest() == oracle.state_digest()
     for addr, live in chain.contracts.items():

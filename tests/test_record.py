@@ -115,3 +115,31 @@ def test_slots_leave_no_instance_dict():
     slim.b = (2,)
     assert Slim.__qualname__.endswith("<locals>.Slim")
     assert repr(slim) == Slim.__qualname__ + "(a=1, b=(2,))"
+
+
+@pytest.mark.parametrize("slots", [False, True])
+def test_the_built_class_is_handed_to_its_recorded_hook(slots):
+    built = []
+
+    @record(slots=slots)
+    class Hooked:
+        a: int
+
+        @classmethod
+        def __recorded__(cls):
+            built.append((cls, cls.__record_fields__))
+
+    assert built == [(Hooked, ("a",))]
+
+
+def test_an_encoded_records_text_join_is_made_with_the_class():
+    from bridgesim import codec
+
+    @record(frozen=True)
+    class Pair(codec.Encoded):
+        b: int
+        a: str
+
+    made = codec._layout.cache_info().misses
+    assert Pair(1, "x").text() == '{"a":"x","b":1}'
+    assert codec._layout.cache_info().misses == made

@@ -1,14 +1,17 @@
 """The scheduler's kept answers: wake ticks, settledness and deadlines.
 
 ``Simulation._run_tick`` derives settledness again only after a tick that
-changed something, steps only the witnesses whose wake tick has come, and
-pokes a chain's contracts only once its memoised earliest deadline has come.
-These tests hold each kept answer to a full recomputation at every tick, and
-count what the scheduler skips.
+changed something, steps only the witnesses whose wake tick has come and
+that can act then, and pokes a chain's contracts only once its memoised
+earliest deadline has come.  These tests hold each kept answer to a full
+recomputation at every tick and at every skipped wake tick, and count what
+the scheduler skips.
 """
 
+import copy
 import json
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -70,12 +73,29 @@ def fresh_deadline(chain):
     return min(deadlines, default=None)
 
 
+def assert_nothing_to_read(cursor, chain, watched, where):
+    """Read window by window, every height of every window ready at the
+    head, on a copy of ``cursor``: no window anchors, none is ready when
+    ``omega`` is 0 (a step would move the window it reads), and no ready
+    window holds an event of a watched contract."""
+    probe = copy.copy(cursor)
+    while (window := probe.window_if_ready(chain.height)) is not None:
+        assert cursor.omega and not cursor.first_time, f"{where}: a window is due at {window}"
+        events = [ev for height in range(window[0], window[1] + 1)
+                  for ev in chain.events_at(height) if ev.contract in watched]
+        assert not events, f"{where}: {len(events)} events in {window}"
+        probe.advance(window)
+
+
 @pytest.fixture
 def every_tick(monkeypatch):
-    """Checks each kept answer against a full recomputation after every tick;
-    returns the ticks seen."""
-    seen = []
-    run_tick = simnet.Simulation._run_tick
+    """Checks each kept answer against a full recomputation after every tick,
+    and each skipped wake tick against a reading from scratch: nothing to
+    read, no vote due, and the behavior of the witness's last live step.
+    Returns the ticks seen and the skipped (witness, tick) pairs."""
+    seen = {"ticks": [], "skips": []}
+    run_tick, step, skip = simnet.Simulation._run_tick, WitnessNode.step, WitnessNode.skip
+    live_as = {}
 
     def checked(sim):
         run_tick(sim)
@@ -85,9 +105,27 @@ def every_tick(monkeypatch):
         for chain_id, host in sim.hosts.items():
             assert host.chain.earliest_deadline() == fresh_deadline(host.chain), \
                 f"tick {sim.tick}: earliest deadline of {chain_id}"
-        seen.append(sim.tick)
+        seen["ticks"].append(sim.tick)
+
+    def stepped(witness, view, tick):
+        if witness.config.behavior != Behavior.CRASHED:
+            live_as[witness.config.name] = witness.config.behavior
+        return step(witness, view, tick)
+
+    def skipped(witness, tick):
+        where = f"{witness.config.name} at tick {tick}"
+        assert witness.config.behavior == live_as.get(witness.config.name), where
+        assert not [vote for vote in witness.pending.values()
+                    if vote.last_submit is None
+                    or tick - vote.last_submit >= witness.config.timeout], where
+        for chain, cursor, watched in witness.watches:
+            assert_nothing_to_read(cursor, chain, watched, where)
+        seen["skips"].append((witness.config.name, tick))
+        skip(witness, tick)
 
     monkeypatch.setattr(simnet.Simulation, "_run_tick", checked)
+    monkeypatch.setattr(WitnessNode, "step", stepped)
+    monkeypatch.setattr(WitnessNode, "skip", skipped)
     return seen
 
 
@@ -95,7 +133,8 @@ def every_tick(monkeypatch):
 def test_kept_answers_match_a_full_recomputation_at_every_tick(case, every_tick):
     build, override = RUNS[case]
     result = simnet.run_scenario(parse_scenario(build()), threshold_override=override)
-    assert every_tick == list(range(result.sim.ended_at + 1))
+    assert every_tick["ticks"] == list(range(result.sim.ended_at + 1))
+    assert every_tick["skips"]
 
 
 @pytest.mark.parametrize("case", sorted(RUNS))
@@ -118,50 +157,57 @@ def test_every_pending_vote_has_been_sent_after_every_step(case, monkeypatch):
     assert any(steps)
 
 
+class Step(NamedTuple):
+    name: str
+    tick: int
+    first: bool    # a cursor had not yet anchored its first window
+    live: bool     # the witness was not crashed
+    changed: bool  # its behavior differs from the one at its last live step
+    acted: bool    # the step read a batch, anchored a window, or sent or dropped a vote
+
+
 def record_steps(monkeypatch):
-    """(witness name, tick, a cursor still first_time, live) per step call;
-    a witness is live when it is not crashed as the step begins."""
+    """One ``Step`` per step call, as the step began and what it returned."""
     step = WitnessNode.step
     calls = []
 
     def recorded(witness, view, tick):
+        cfg = witness.config
         first = any(watch.cursor.first_time for watch in witness.watches)
-        live = witness.config.behavior != Behavior.CRASHED
-        calls.append((witness.config.name, tick, first, live))
-        return step(witness, view, tick)
+        live, changed = cfg.behavior != Behavior.CRASHED, cfg.behavior != witness.live_as
+        acted = step(witness, view, tick)
+        calls.append(Step(cfg.name, tick, first, live, changed, acted))
+        return acted
 
     monkeypatch.setattr(WitnessNode, "step", recorded)
     return calls
 
 
 def test_witnesses_step_only_on_sleep_and_first_time_ticks(monkeypatch):
-    """Two transfers far apart leave a long idle stretch between them; each
-    witness steps on exactly the sleep ticks and the ticks before its cursors
-    anchored their first windows, not on every tick."""
+    """Two transfers far apart leave a long idle stretch between them.  A
+    witness steps only on sleep ticks and on ticks before its cursors
+    anchored their first windows, and only when it can act: every step read
+    a batch, anchored a window, sent a vote or followed a behavior change
+    (each witness's first step does).  In the idle stretch none steps."""
     calls = record_steps(monkeypatch)
     data = presets.registered_with_transfers(deposits=[100], withdrawals=[40], spacing=300)
     result = simnet.run_scenario(parse_scenario(data))
     sim = result.sim
     assert result.quiescent and result.failures == []
-    end = sim.ended_at
-    for witness in sim.witnesses:
-        name = witness.config.name
-        ticks = [tick for who, tick, _, _ in calls if who == name]
-        anchoring = [tick for who, tick, first, _ in calls if who == name and first]
-        expected = sorted(set(anchoring) | set(range(0, end + 1, sim.scenario.sleep)))
-        assert ticks == expected
-        assert anchoring == list(range(len(anchoring)))
+    for step in calls:
+        assert step.tick % sim.scenario.sleep == 0 or step.first, step
+        assert step.acted or step.changed, step
+    assert {step.name for step in calls if step.changed} == {w.config.name for w in sim.witnesses}
     idle = range(120, 350)  # between the deposit's payout and the withdrawal
     assert not any(r["kind"] == "submit" and r["tick"] in idle
                    for r in map(json.loads, result.trace_lines))
-    idle_steps = [tick for _, tick, _, _ in calls if tick in idle]
-    assert len(idle_steps) == len(sim.witnesses) * len(range(120, 350, sim.scenario.sleep))
+    assert not [step for step in calls if step.tick in idle]
 
 
 def test_quiet_steps_leave_settledness_alone(monkeypatch):
-    """Between the deposit's payout and the withdrawal no step reads an event
-    or submits, so no step asks for settledness to be derived again: the
-    idle sleep ticks, where every witness steps, derive it not once."""
+    """Between the deposit's payout and the withdrawal nothing is read or
+    submitted, so nothing asks for settledness to be derived again: no
+    witness acts in that idle stretch, and settledness is derived not once."""
     step, settled = WitnessNode.step, simnet.Simulation._settled
     acted, derived = [], []
 
@@ -192,10 +238,10 @@ def test_a_recovered_witness_steps_on_its_next_sleep_tick(monkeypatch):
     sleep = data["timeouts"]["T"]
     assert recover % sleep, "the recovery must fall between sleep ticks"
     simnet.run_scenario(parse_scenario(data))
-    live_after = [tick for name, tick, _, live in calls
-                  if name == "side-1-w1" and live and tick >= recover]
+    live_after = [step.tick for step in calls
+                  if step.name == "side-1-w1" and step.live and step.tick >= recover]
     assert live_after[0] == (recover // sleep + 1) * sleep
-    crashed = [tick for name, tick, _, live in calls if name == "side-1-w1" and not live]
+    crashed = [step.tick for step in calls if step.name == "side-1-w1" and not step.live]
     assert crashed and all(tick % sleep == 0 for tick in crashed)
 
 

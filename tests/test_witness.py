@@ -1,6 +1,7 @@
 """Witness behavior: registration validation, window scanning, relay votes."""
 
 import itertools
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -310,6 +311,145 @@ def test_scan_reads_what_the_reference_loop_reads(omega, watched, moves, eventle
         windows = [w for _, w in expected]
         assert spans[read:] == ([(windows[0][0], windows[-1][1])] if windows else [])
         assert all(b[0] == a[1] + 1 for a, b in zip(windows, windows[1:]))
+
+
+def emitter_chain(events, chain_id=TOKEN_ID, height=0):
+    """A chain whose block at each height in ``events`` holds one event of
+    each emitter index listed there; ``height`` blocks high at least."""
+    chain = Chain(chain_id, ChainKind.TOKEN, {"Chain_ID": chain_id}, 100, {SENDER: 100})
+    for addr in EMITTERS:
+        chain.register_contract(addr, Emitter(addr))
+    chain.seal_genesis()
+    for at in range(1, max([height, *events]) + 1):
+        chain.apply_block([Transaction(SENDER, EMITTERS[i], 0, 1, IoTRecord(""))
+                           for i in events.get(at, ())])
+    return chain
+
+
+def anchored(omega, next_start):
+    return RelayCursor(omega=omega, next_start=next_start, first_time=False,
+                       last_end=next_start - 1)
+
+
+class TestReadyHeight:
+    """The least head at which a scan could anchor the first window or read
+    an event of a watched contract."""
+
+    WATCHED = {EMITTERS[0]}
+
+    def test_an_unanchored_cursor_is_ready_two_windows_deep(self):
+        chain = emitter_chain({}, height=30)
+        cursor = RelayCursor(omega=3)
+        assert cursor.ready_height(chain, self.WATCHED) == 5
+        assert scan_ready(cursor, chain, self.WATCHED, head=4) == [] and cursor.first_time
+        scan_ready(cursor, chain, self.WATCHED, head=5)
+        assert not cursor.first_time and cursor.next_start == 3
+
+    def test_with_omega_zero_every_new_block_is_ready(self):
+        cursor = anchored(omega=0, next_start=6)
+        assert cursor.ready_height(emitter_chain({}, height=30), self.WATCHED) == 6
+        assert cursor.ready_height(emitter_chain({20: [0]}), self.WATCHED) == 6
+
+    def test_an_event_is_ready_omega_past_the_end_of_its_window(self):
+        # Windows [10, 12], [13, 15], ...: an event at a window's first or
+        # last height is ready once the head is omega past that window's end.
+        cursor = anchored(omega=3, next_start=10)
+        for height, ready in [(10, 15), (12, 15), (13, 18), (15, 18), (16, 21)]:
+            chain = emitter_chain({height: [0]}, height=30)
+            assert cursor.ready_height(chain, self.WATCHED) == ready, height
+            probe = anchored(omega=3, next_start=10)
+            assert scan_ready(probe, chain, self.WATCHED, head=ready - 1) == []
+            assert scan_ready(anchored(omega=3, next_start=10), chain, self.WATCHED, head=ready)
+
+    def test_events_below_the_cursor_and_of_unwatched_contracts_do_not_count(self):
+        cursor = anchored(omega=3, next_start=10)
+        assert cursor.ready_height(emitter_chain({9: [0], 11: [1, 2]}, height=30),
+                                   self.WATCHED) == math.inf
+        assert cursor.ready_height(emitter_chain({11: [1], 14: [0]}, height=30),
+                                   self.WATCHED) == 18
+
+    def test_with_no_event_nothing_is_ever_ready(self):
+        assert anchored(omega=3, next_start=10).ready_height(
+            emitter_chain({}, height=30), self.WATCHED) == math.inf
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(omega=st.integers(0, 4), watched=st.sets(st.sampled_from(range(len(EMITTERS)))),
+       events=st.dictionaries(st.integers(1, 24), BLOCK, max_size=6),
+       start=st.one_of(st.none(), st.integers(0, 24)))
+def test_a_scan_acts_from_the_ready_height_on(omega, watched, events, start):
+    """At every head below the ready height a scan neither anchors nor reads
+    a batch, and when ``omega`` is 0 it does not move; at every head from
+    there on it does.  ``start`` None is an unanchored cursor."""
+    chain = emitter_chain(events, height=28)
+    watched = {EMITTERS[i] for i in watched}
+    cursor = RelayCursor(omega=omega) if start is None else anchored(omega, start)
+    ready = cursor.ready_height(chain, watched)
+    for head in range(chain.height + 1):
+        probe = RelayCursor(omega, cursor.next_start, cursor.first_time, cursor.last_end)
+        batches = scan_ready(probe, chain, watched, head)
+        anchors = cursor.first_time and not probe.first_time
+        moves = probe.next_start != cursor.next_start
+        assert (bool(batches) or anchors or (not omega and moves)) == (head >= ready), head
+
+
+def test_a_catch_up_leaves_the_cursors_where_polling_steps_leave_them():
+    """Two witnesses over the same chains, whose blocks hold events of
+    contracts they do not watch: one steps at every wake tick, as the
+    polling loop does, the other only when ``can_act`` says so.  The second
+    lags behind by the windows it skipped, and a catch-up brings its cursors
+    exactly where the first one's are."""
+    config = witness_config()
+    events = {at: [at % 3] for at in range(3, 200, 7)}
+    token = emitter_chain(events)
+    side = emitter_chain(events, chain_id=config.genesis.chain_id)
+    polling = WitnessNode(config, token, side, seed=1)
+    skipping = WitnessNode(witness_config(), token, side, seed=1)
+    view = RecordingView()
+    for tick in range(1, 120):
+        for chain in (token, side):
+            chain.apply_block([Transaction(SENDER, EMITTERS[i], 0, 1, IoTRecord(""))
+                               for i in events.get(chain.height + 1, ())])
+        if polling.wake <= tick:
+            polling.step(view, tick)
+        if skipping.wake <= tick:
+            if skipping.can_act(tick):
+                skipping.step(view, tick)
+            else:
+                skipping.skip(tick)
+
+    def state(node):
+        return [(w.cursor.next_start, w.cursor.first_time, w.cursor.last_end, w.cursor.gaps)
+                for w in node.watches]
+
+    assert view.sent == [] and skipping.skipped_heads is not None
+    lags = [s[0] - p[0] for s, p in zip(state(skipping), state(polling))]
+    assert all(lag < 0 for lag in lags)
+    skipping.catch_up()
+    assert state(skipping) == state(polling) and skipping.skipped_heads is None
+
+
+def test_a_catch_up_drops_the_ready_heights_a_reorg_may_move():
+    """A reorg can move a watched event without changing how many blocks
+    hold events.  The catch-up that precedes it drops the ready heights
+    worked out before it, so the event's new window is read on time."""
+    config = witness_config()
+    token = Chain(TOKEN_ID, ChainKind.TOKEN, {"Chain_ID": TOKEN_ID}, 100, {SENDER: 100})
+    token.register_contract(config.bridge_head, Emitter(config.bridge_head))
+    token.seal_genesis()
+    node = WitnessNode(config, token, emitter_chain({}, config.genesis.chain_id, 25), seed=1)
+    view = RecordingView()
+    for _ in range(25):
+        token.apply_block([])
+    node.step(view, 1)  # anchors the token cursor at next_start 24, windows [24, 25], ...
+    lock = Transaction(SENDER, config.bridge_head, 0, 1, IoTRecord(""))
+    for txs in ([lock], [], []):  # the event at height 26 is ready at head 29
+        token.apply_block(txs)
+    assert not node.can_act(10)
+    node.catch_up()
+    token.reorg(5, [[lock], [], [], [], []], now=10)  # the event moves to 24
+    assert len(token.event_heights) == 1
+    assert node.can_act(10)
 
 
 def witness_node(behavior=Behavior.HONEST, height=0):
