@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import pickle
 import weakref
 from enum import Enum
@@ -406,12 +407,13 @@ class Chain:
     there live in the trading ledger contract).
 
     State changes only through ``apply_block`` and ``reorg``.  The undo
-    journal and the memoised ``state_digest`` and ``earliest_deadline`` rely
-    on it: every change goes through ``credit``, ``debit`` or
-    ``_touch_contract`` (a contract about to be called), which record the
-    pre-image and drop the memos, and every undo goes through ``_restore``,
-    which drops them too.  A contract's view text is dropped the same way,
-    when that contract is touched or restored.
+    journal and the memoised ``state_digest``, ``earliest_deadline`` and
+    ``first_event_at`` rely on it: every change goes through ``credit``,
+    ``debit`` or ``_touch_contract`` (a contract about to be called), which
+    record the pre-image and drop the memos (an account's change only the
+    state digest), and every undo goes through ``_restore``, which drops
+    them too.  A contract's view text is dropped the same way, when that
+    contract is touched or restored.
     """
 
     def __init__(
@@ -422,8 +424,10 @@ class Chain:
         total_supply: int,
         accounts: dict[Address, int] | None = None,
         undo_depth: int | None = None,
+        interval: int = 1,
     ) -> None:
         self.chain_id = chain_id
+        self.interval = interval  # ticks between blocks; see ``tick_at``
         self.kind = kind
         self.genesis_spec = genesis_spec
         self.total_supply = total_supply
@@ -452,8 +456,10 @@ class Chain:
         self._record: tuple[dict[Address, int | None], dict[Address, bytes]] = ({}, {})
         self.block_height = self.now = self.tx_index = 0
         self._events: list[Event] = []
-        # state_digest and earliest_deadline, until the next change or restore.
-        self._memo: dict[str, Any] = {}
+        # state_digest, earliest_deadline and first_event_at, until the next
+        # change or restore: a block's events come with a contract's change,
+        # and a reorg drops them by restoring those blocks' undo records.
+        self._memo: dict[Any, Any] = {}
         # Each contract's canonical state-view text, until it is called or
         # restored.
         self._view_texts: dict[Address, str] = {}
@@ -599,69 +605,108 @@ class Chain:
         Invalid transactions are excluded (the block still forms from the
         remaining valid ones) and reported back for logging.  ``now`` is the
         scheduler tick at which the block is produced; contracts use it for
-        their deadlines.  A block without transactions changes nothing: it
-        opens no undo record, is not held to conservation, and is hashed from
-        one template.
+        their deadlines.  A block without transactions is sealed by
+        ``seal_empty``.
         """
+        if not transactions:
+            self.seal_empty(now)
+            return self.blocks[-1], []
         head = self.blocks[-1]
         height = self.block_height = head.height + 1
         self.now = now
         rejections: list[Rejection] = []
-        if not transactions:
-            digest = codec.digest_text(
-                _EMPTY_BLOCK_HASHED.text(int.__repr__(height), self.head_text()))
-            block = Block(height, head.hash, (), (), digest, now)
-        else:
-            accepted: list[Transaction] = []
-            self._events = events = []
-            self._record = record = ({}, {})
-            try:
-                for tx in transactions:
-                    try:
-                        self._admit(tx)
-                    except Refusal as exc:
-                        # Refused before it touched anything: nothing to undo.
-                        rejections.append(Rejection(tx, _reason(exc)))
-                        continue
-                    marks = [len(pre_images) for pre_images in record]
-                    try:
-                        self._apply_tx(tx, len(accepted))
-                    except Refusal as exc:
-                        # Roll back to the block start and replay the accepted
-                        # prefix; such failures are rare, so this beats
-                        # journaling per tx.  The pre-images this transaction
-                        # added go: the prefix never touched those entries,
-                        # and finds its own intact.
-                        self._restore(*record)
-                        for pre_images, mark in zip(record, marks):
-                            for key in list(pre_images)[mark:]:
-                                del pre_images[key]
-                        events.clear()
-                        for i, prev in enumerate(accepted):
-                            self._apply_tx(prev, i)
-                        rejections.append(Rejection(tx, _reason(exc)))
-                        continue
-                    accepted.append(tx)
-            except Exception as exc:
-                raise ModelError(f"tick {now}, chain {self.chain_id}, tx "
-                                 f"0x{tx.digest().hex()}: {_reason(exc)}") from exc
-            if any(record):
-                self._undo[height] = record
-            if self.unbalanced is None and self.has_token_ledger():
-                total = self.ledger_total()
-                if total != self.total_supply:
-                    self.unbalanced = (height, total)
-            block = Block(height, head.hash, tuple(accepted), tuple(events), produced_at=now)
-            block.hash = block.compute_hash(self.head_text())
-            if events:
-                self.event_heights.append(height)
-                for contract in {ev.contract for ev in events}:
-                    self.contract_event_heights.setdefault(contract, []).append(height)
+        accepted: list[Transaction] = []
+        self._events = events = []
+        self._record = record = ({}, {})
+        try:
+            for tx in transactions:
+                try:
+                    self._admit(tx)
+                except Refusal as exc:
+                    # Refused before it touched anything: nothing to undo.
+                    rejections.append(Rejection(tx, _reason(exc)))
+                    continue
+                marks = [len(pre_images) for pre_images in record]
+                try:
+                    self._apply_tx(tx, len(accepted))
+                except Refusal as exc:
+                    # Roll back to the block start and replay the accepted
+                    # prefix; such failures are rare, so this beats
+                    # journaling per tx.  The pre-images this transaction
+                    # added go: the prefix never touched those entries,
+                    # and finds its own intact.
+                    self._restore(*record)
+                    for pre_images, mark in zip(record, marks):
+                        for key in list(pre_images)[mark:]:
+                            del pre_images[key]
+                    events.clear()
+                    for i, prev in enumerate(accepted):
+                        self._apply_tx(prev, i)
+                    rejections.append(Rejection(tx, _reason(exc)))
+                    continue
+                accepted.append(tx)
+        except Exception as exc:
+            raise ModelError(f"tick {now}, chain {self.chain_id}, tx "
+                             f"0x{tx.digest().hex()}: {_reason(exc)}") from exc
+        if any(record):
+            self._undo[height] = record
+        if self.unbalanced is None and self.has_token_ledger():
+            total = self.ledger_total()
+            if total != self.total_supply:
+                self.unbalanced = (height, total)
+        block = Block(height, head.hash, tuple(accepted), tuple(events), produced_at=now)
+        block.hash = block.compute_hash(self.head_text())
+        if events:
+            self.event_heights.append(height)
+            for contract in {ev.contract for ev in events}:
+                self.contract_event_heights.setdefault(contract, []).append(height)
         if self.undo_depth is not None:
             self._undo.pop(height - self.undo_depth, None)
         self.blocks.append(block)
         self._head_text = (block, codec.canonical_dumps(block.hash))
         return block, rejections
+
+    def seal_empty(self, now: int = 0) -> tuple[int, str, str]:
+        """Seal the next block with no transactions, produced at ``now``, and
+        return its height and the texts of its hash and the state digest.
+
+        Such a block changes nothing: it opens no undo record, is not held to
+        conservation, and is hashed from one template.
+        """
+        head, parent_text = self._head_text
+        if head is not self.blocks[-1]:
+            head, parent_text = self.blocks[-1], self.head_text()
+        height = head.height + 1  # an int formats as its canonical text
+        digest = codec.digest_text(_EMPTY_BLOCK_HASHED.text(height, parent_text))
+        block = Block(height, head.hash, (), (), digest, now)
+        if self.undo_depth is not None:
+            self._undo.pop(height - self.undo_depth, None)
+        self.blocks.append(block)
+        self._head_text = (block, hash_text := '"0x' + digest.hex() + '"')
+        state = self._memo.get("digest")
+        return height, hash_text, self.state_text() if state is None else state[1]
+
+    # A live chain seals one block at every multiple of its interval, and a
+    # dormant one (height 0) none until it is offered a transaction; a reorg
+    # keeps the height.  So heights and ticks map to each other by arithmetic
+    # from the head block's tick.
+
+    def height_at(self, tick: int) -> int:
+        """The head's height once the blocks due by a past ``tick`` were
+        sealed."""
+        head, interval = self.blocks[-1], self.interval
+        if not head.height:
+            return 0
+        return max(0, head.height - head.produced_at // interval + tick // interval)
+
+    def tick_at(self, height: float) -> float:
+        """The tick at which the head reaches ``height``; 0 if it has."""
+        head, interval = self.blocks[-1], self.interval
+        if height <= head.height:
+            return 0
+        if not head.height:
+            return math.inf
+        return (head.produced_at // interval + height - head.height) * interval
 
     def reorg(self, depth: int, replacement: list[list[Transaction]], now: int) -> None:
         """Drop the top ``depth`` blocks and seal one block per batch in
@@ -695,7 +740,7 @@ class Chain:
         """Journal the account at ``addr`` before it changes."""
         if addr not in self._record[0]:
             self._record[0][addr] = self.accounts.get(addr)
-        self._memo.clear()
+        self._memo.pop("digest", None)
 
     def _touch_contract(self, addr: Address) -> Any:
         """The contract at ``addr`` (None if there is none), journaled before a call."""
@@ -756,9 +801,26 @@ class Chain:
         Memoised like ``state_digest``: only a block that calls a contract, a
         rejection rollback or a reorg can move a deadline.
         """
-        if "deadline" not in self._memo:
-            self._memo["deadline"] = min(
-                (d for c in self.contracts.values() if (d := c.next_deadline()) is not None),
-                default=None,
-            )
-        return self._memo["deadline"]
+        memo = self._memo
+        if "deadline" not in memo:
+            earliest = None
+            for contract in self.contracts.values():
+                due = contract.next_deadline()
+                if due is not None and (earliest is None or due < earliest):
+                    earliest = due
+            memo["deadline"] = earliest
+        return memo["deadline"]
+
+    def first_event_at(self, contracts: frozenset[Address], start: int) -> float:
+        """The least height from ``start`` on whose block holds an event of
+        one of ``contracts``; infinity if none.  Memoised like
+        ``earliest_deadline``."""
+        first = self._memo.get((contracts, start))
+        if first is None:
+            first = math.inf
+            for contract in contracts:
+                heights = self.contract_event_heights.get(contract)
+                if heights and heights[-1] >= start:
+                    first = min(first, heights[bisect.bisect_left(heights, start)])
+            self._memo[contracts, start] = first
+        return first

@@ -394,8 +394,12 @@ class Contract:
 
     def next_deadline(self) -> int | None:
         """The earliest deadline among the lanes; None when no lane has one."""
-        return min((lane.deadline for lane in self.lanes() if lane.deadline is not None),
-                   default=None)
+        earliest = None
+        for lane in self.lanes():
+            due = lane.deadline
+            if due is not None and (earliest is None or due < earliest):
+                earliest = due
+        return earliest
 
     def state_view(self) -> dict:
         raise NotImplementedError

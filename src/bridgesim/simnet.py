@@ -9,14 +9,16 @@ ticks; each tick executes fixed phases in a fixed order:
      data), and the handler is a plain function called with the simulation;
   2. block production for every chain whose interval divides the tick; a
      block's trace line reuses the chain's texts of its hash and state digest;
-  3. the witness phase: each witness whose wake tick has come, in roster
-     order, steps if it can act and skips the tick otherwise.  It wakes as
-     the paper's polling loop does: on every tick until its cursors anchor
-     their first windows, then on every multiple of its sleep period T.  A
-     step reads every window that has become ready and sends the votes that
-     are due, and the trace is the polling loop's (see ``witness``);
+  3. the witness phase: each witness whose wake tick has come steps, in
+     roster order.  The paper's polling loop wakes on every tick until the
+     cursors anchor their first windows, then on every multiple of the sleep
+     period T; a witness's wake tick is the first of those at which a step
+     could read, anchor or send (``WitnessNode.next_wake``).  A step reads
+     every window that has become ready and sends the votes that are due,
+     and the trace is the polling loop's (see ``witness``);
   4. the owner phase: the daemons still watching for registration success and
-     the vault payout step, and submit the vault-suicide approvals;
+     the vault payout step at the first tick at which they could read, and
+     submit the vault-suicide approvals;
   5. settledness bookkeeping: when the bridge comes to rest, the peg
      invariants are evaluated and recorded, and the run ends at the first rest
      point with nothing left to do.  One rest test answers both, reading each
@@ -25,6 +27,16 @@ ticks; each tick executes fixed phases in a fixed order:
      or had a witness or an owner daemon act (read a batch, anchor a first
      window, or submit or drop a vote).  A tick that did none of these leaves
      every input of that answer as it was.
+
+Time advances to the next event.  After a tick that runs the phases, the
+horizon is the least of the next scheduled event, every wake tick, and each
+chain's next block that is offered a transaction (a queued one, or a poke
+once a lane's deadline has come).  A tick below it only seals the empty
+blocks that are due, in chain order.  A live chain seals one block at every
+multiple of its interval, so the tick at which a head reaches a height is
+arithmetic (``Chain.tick_at``), and a wake tick moves only when its witness
+or daemon steps, a behavior changes, a chain reorganizes, or a block holds
+an event of a contract it watches or wakes a dormant chain.
 
 Faults exist only on the message and block channels: witness submissions can
 be dropped, duplicated or delayed (seeded), chains can be reorganized, and
@@ -35,6 +47,7 @@ state directly.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from typing import Any, Callable
 
@@ -69,6 +82,8 @@ from .witness import (
     WitnessConfig,
     WitnessNode,
     WorldView,
+    first_ready,
+    pass_over,
     read_ready,
 )
 
@@ -76,9 +91,10 @@ from .witness import (
 @record
 class ChainHost:
     chain: Chain
-    interval: int
     mempool: list[Transaction] = field(default_factory=list)
     label: str = field(init=False)  # the chain id's text, for trace lines
+    # No lane deadline of the chain is earlier (see ``_produce``).
+    deadline_floor: float = math.inf
 
     def __post_init__(self) -> None:
         self.label = str(self.chain.chain_id)
@@ -129,6 +145,18 @@ class OwnerDaemon:
                 Watch(side_chain, RelayCursor(omega=side.omega),
                       frozenset({side.genesis.register_contract})),
             )
+        self.wake: float = 0  # kept by the scheduler, as a witness's is
+
+    # The daemon polls on every tick; see ``WitnessNode`` for these three.
+    def next_wake(self, earliest: int) -> float:
+        return max(earliest, first_ready(self.watches))
+
+    def wake_by(self, tick: float) -> None:
+        if tick < self.wake and self.watches:
+            self.wake = tick
+
+    def catch_up(self, tick: int) -> None:
+        pass_over(self.watches, tick - 1)
 
     def step(self) -> tuple[bool, list[Transaction]]:
         """Scan what is confirmed: (whether it read a batch, anchored a
@@ -187,6 +215,7 @@ class Simulation(WorldView):
         self.ended_at: int | None = None
         self.quiescent = False
         self._registry_prev: set[str] = set()
+        self.horizon: float = 0  # see ``_horizon``
 
         self._build()
         self._progress = {chain_id: ScanProgress() for chain_id in self.hosts}
@@ -212,10 +241,11 @@ class Simulation(WorldView):
             token_cfg.total_supply,
             dict(sc.accounts),
             undo_depth=self._undo_depth(token_cfg.chain_id),
+            interval=token_cfg.block_interval,
         )
         self.token_id = token_cfg.chain_id
         self.hosts: dict[Address, ChainHost] = {
-            token_cfg.chain_id: ChainHost(token, token_cfg.block_interval)
+            token_cfg.chain_id: ChainHost(token)
         }
         self.registry = ChainIdRegistry(
             sc.registry.address, sc.registry.owners, sc.registry.required
@@ -244,7 +274,7 @@ class Simulation(WorldView):
             gas_exempt_token.update(w.token_address for w in witnesses)
 
             side_chain = self._build_side_chain(side, threshold)
-            self.hosts[side.chain_id] = ChainHost(side_chain, side.block_interval)
+            self.hosts[side.chain_id] = ChainHost(side_chain)
             self.owner_daemons.append(
                 OwnerDaemon(side, sc.registry.address, token, side_chain, token_cfg.omega)
             )
@@ -273,6 +303,15 @@ class Simulation(WorldView):
         self._contracts = tuple(
             contract for host in self.hosts.values() for contract in host.chain.contracts.values()
         )
+        # The witnesses and owner daemons, each contract's watchers with their
+        # cursor on its chain, and those whose wake tick is to be worked out.
+        self._nodes = (*self.witnesses, *self.owner_daemons)
+        self._watchers: dict[Address, list[tuple[Any, RelayCursor]]] = {}
+        for node in self._nodes:
+            for _, cursor, watched in node.watches:
+                for contract in watched:
+                    self._watchers.setdefault(contract, []).append((node, cursor))
+        self._stale = dict.fromkeys(self._nodes)
 
         for action in sc.workload:
             self._push(action.tick, Simulation._apply_action, action)
@@ -316,6 +355,7 @@ class Simulation(WorldView):
                 g.canonical(),
                 g.total_reserved(),
                 undo_depth=self._undo_depth(g.chain_id),
+                interval=side.block_interval,
             )
             vault = RegistrationVault(
                 address=g.register_contract,
@@ -351,6 +391,7 @@ class Simulation(WorldView):
                 g.canonical(),
                 total_supply=0,
                 undo_depth=self._undo_depth(g.chain_id),
+                interval=side.block_interval,
             )
             trading = TradingBook(
                 address=g.trading_contract,
@@ -454,6 +495,12 @@ class Simulation(WorldView):
 
     def _run_tick(self) -> None:
         tick = self.tick
+        if tick < self.horizon:
+            for host in self.hosts.values():
+                chain = host.chain
+                if tick % chain.interval == 0 and chain.height:
+                    self.trace.empty_block(tick, host.label, *chain.seal_empty(tick))
+            return
         changed = tick == 0  # no earlier answer to keep
         while self.events and self.events[0][0] <= tick:
             _, _, handler, data = heapq.heappop(self.events)
@@ -463,25 +510,33 @@ class Simulation(WorldView):
             # A dormant chain (height 0, nothing queued) produces no blocks, so a
             # side chain is still at height 0 when its registration is validated;
             # once alive it produces on every interval to advance confirmations.
-            if tick % host.interval == 0 and tick and (host.mempool or host.chain.height):
+            if tick % host.chain.interval == 0 and tick and (host.mempool or host.chain.height):
                 changed |= self._produce(host)
+        if self._stale:
+            stale, self._stale = self._stale, {}
+            for node in stale:
+                node.wake = node.next_wake(tick)
+        horizon = math.inf
         for witness in self.witnesses:
             if witness.wake <= tick:
-                if witness.can_act(tick):
-                    changed |= witness.step(self, tick)
-                else:
-                    witness.skip(tick)
+                changed |= witness.step(self, tick)
+                witness.wake = witness.next_wake(tick + 1)
+            if witness.wake < horizon:
+                horizon = witness.wake
         for daemon in self.owner_daemons:
-            if not daemon.watches:
-                continue  # native gas, or done: nothing left to read
-            acted, txs = daemon.step()
-            changed |= acted
-            for tx in txs:
-                self.hosts[daemon.side.chain_id].mempool.append(tx)
-                self.trace.record(tick, "submit", str(daemon.side.chain_id), {
-                    "owner": tx.sender, "tx": tx.digest(),
-                    "payload": tx.payload.TAG, "round": None,
-                })
+            if daemon.wake <= tick:
+                acted, txs = daemon.step()
+                daemon.wake = daemon.next_wake(tick + 1)
+                changed |= acted
+                for tx in txs:
+                    self.hosts[daemon.side.chain_id].mempool.append(tx)
+                    self.trace.record(tick, "submit", str(daemon.side.chain_id), {
+                        "owner": tx.sender, "tx": tx.digest(),
+                        "payload": tx.payload.TAG, "round": None,
+                    })
+            if daemon.wake < horizon:
+                horizon = daemon.wake
+        self.horizon = self._horizon(tick, horizon)
         if not changed:
             # The last answer stands: unsettled, or settled, checked and
             # not finished.
@@ -495,6 +550,18 @@ class Simulation(WorldView):
         if finished:
             self.quiescent = True
             self.ended_at = tick
+
+    def _horizon(self, tick: int, wake: float) -> float:
+        """The next tick at which anything but sealing an empty block can
+        happen: the next scheduled event, the least ``wake`` tick, or a
+        chain's next block that is offered a queued transaction or a poke."""
+        horizon = min(self.events[0][0], wake) if self.events else wake
+        for host in self.hosts.values():
+            due = tick + 1 if host.mempool else host.deadline_floor
+            if due < horizon:
+                interval = host.chain.interval
+                horizon = min(horizon, -(-max(due, tick + 1) // interval) * interval)
+        return horizon
 
     def _dispatch(self, handler: Callable[[Simulation, Any], None], data: Any) -> None:
         handler(self, data)
@@ -514,7 +581,9 @@ class Simulation(WorldView):
     def _change_behavior(self, change: BehaviorChange) -> None:
         for witness in self.witnesses:
             if witness.config.name == change.witness:
+                witness.catch_up(self.tick)
                 witness.config.behavior = change.behavior
+                self._stale[witness] = None
         self.trace.record(self.tick, "fault", "", {
             "witness": change.witness, "behavior": change.behavior.value,
         })
@@ -531,11 +600,29 @@ class Simulation(WorldView):
                 for addr in chain.contract_order
                 if (due := chain.contracts[addr].next_deadline()) is not None and due <= now
             ] + txs
-        if txs:
-            host.mempool = []
+        if not txs:
+            self.trace.empty_block(now, host.label, *chain.seal_empty(now))
+            host.deadline_floor = math.inf if deadline is None else deadline
+            return False
+        host.mempool = []
+        waking = not chain.height
         _, rejections = chain.apply_block(txs, now=now)
+        # A block sets a lane's deadline only to ``timeout`` past it, so the
+        # deadline is worked out again at the chain's next production.
+        host.deadline_floor = min(math.inf if deadline is None else deadline,
+                                  now + self.scenario.timeout)
         self.trace.record(now, "block", host.label, trace_mod.block_payload(chain, rejections))
-        return bool(txs)
+        if waking:
+            self._stale.update(dict.fromkeys(self._nodes))
+        # A new event can only bring its watchers' wake ticks earlier, and
+        # no earlier than the next block.
+        height = chain.height
+        soonest = chain.tick_at(height + 1)
+        for contract in {ev.contract for ev in chain.head.events}:
+            for node, cursor in self._watchers.get(contract, ()):
+                if node.wake > soonest:
+                    node.wake_by(chain.tick_at(cursor.ready_for(height)))
+        return True
 
     # ---------------------------------------------------------------- reorgs
 
@@ -556,8 +643,8 @@ class Simulation(WorldView):
             self.trace.record(self.tick, "reorg", str(chain_id),
                               {"depth": 0, "note": "no-op"})
             return
-        for witness in self.witnesses:
-            witness.catch_up()
+        for node in self._nodes:
+            node.catch_up(self.tick)
         removed = chain.blocks[len(chain.blocks) - depth:]
         kept: list[list[Transaction]] = [[] for _ in range(depth)]
         for i, blk in enumerate(removed):
@@ -568,7 +655,10 @@ class Simulation(WorldView):
                 kept[slot].append(tx)
         fork_height = chain.height - depth
         chain.reorg(depth, kept, now=self.tick)
+        deadline = chain.earliest_deadline()
+        self.hosts[chain_id].deadline_floor = math.inf if deadline is None else deadline
         self._progress[chain_id] = ScanProgress()
+        self._stale.update(dict.fromkeys(self._nodes))
         # The state changed under a bridge that may be at rest: check it again.
         self.was_settled = False
         self.trace.record(self.tick, "reorg", str(chain_id), {

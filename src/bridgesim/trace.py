@@ -35,7 +35,6 @@ def dumps(record: dict) -> str:
 # it; ``_quote`` is the escaper json applies to str values.
 _HEAD = '{{"chain":{},"kind":{},"payload":'.format
 _BLOCK = codec.Shape("height", "hash", "txs", "rejected", "events", "state")
-_EMPTY_BLOCK = codec.Shape("height", "hash", "state", txs="[]", rejected="[]", events="[]")
 _REJECTED = codec.Shape("tx", "reason")
 _quote = json.encoder.encode_basestring_ascii
 
@@ -43,11 +42,10 @@ _quote = json.encoder.encode_basestring_ascii
 def block_payload(chain, rejections: list) -> str:
     """The text of the record of ``chain``'s head block: its height and hash,
     its transactions' digests, the rejections with their reasons, its events
-    and the chain's state digest after it."""
+    and the chain's state digest after it.  ``TraceWriter.empty_block``
+    writes the record of a block that was offered no transaction."""
     block = chain.head
     txs, events = block.transactions, block.events
-    if not txs and not rejections:  # then it holds no events either
-        return _EMPTY_BLOCK.text(int.__repr__(block.height), chain.head_text(), chain.state_text())
     return _BLOCK.text(
         int.__repr__(block.height), chain.head_text(),
         codec.array([tx.id_text() for tx in txs]) if txs else "[]",
@@ -96,12 +94,26 @@ class TraceWriter:
         self.lines: list[str] = []
         self._seq = 0
         self._heads: dict[tuple[str, str], str] = {}
+        self._empty_heads: dict[str, str] = {}  # chain -> an empty block line's start
 
     def _line(self, tick: int, seq: int, kind: str, chain: str, payload: str) -> None:
         head = self._heads.get((chain, kind))
         if head is None:
             head = self._heads[chain, kind] = _HEAD(_quote(chain), _quote(kind))
         self.lines.append(f'{head}{payload},"seq":{seq},"tick":{tick}}}')
+
+    def empty_block(self, tick: int, chain: str, height: int, hash_text: str,
+                    state: str) -> None:
+        """Append the record of a block that was offered no transaction, from
+        what ``Chain.seal_empty`` returns: the line ``record`` writes for
+        ``block_payload`` of that block."""
+        self._seq += 1
+        head = self._empty_heads.get(chain)
+        if head is None:
+            head = self._empty_heads[chain] = \
+                _HEAD(_quote(chain), '"block"') + '{"events":[],"hash":'
+        self.lines.append(f'{head}{hash_text},"height":{height},"rejected":[],"state":{state},'
+                          f'"txs":[]}},"seq":{self._seq},"tick":{tick}}}')
 
     def header(self, scenario, threshold_override: int | None) -> None:
         self._line(-1, 0, "header", "", dumps({

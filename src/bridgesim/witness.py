@@ -16,8 +16,9 @@ transaction; a Byzantine behavior withholds or alters the payload there.  If
 nothing concludes within the timeout the vote is resent, adopting whatever
 round the contract last announced.
 
-The scheduler wakes a witness as the paper's polling loop does but steps it
-only when it could read, anchor or send.  A skipped wake tick leaves the
+The paper's witness polls on a fixed grid of wake ticks.  This one steps
+only at the first wake tick at which it could read, anchor or send
+(``WitnessNode.next_wake``).  The wake ticks it sleeps through leave the
 cursors short of windows without watched events, which the next step passes
 over, reading the same batches in the same windows; a reorg deeper than the
 window could move a read event into them, so the cursors catch up first.
@@ -140,22 +141,27 @@ class RelayCursor:
         end = start + self.omega - 1
         return (start, end) if head >= end + self.omega else None
 
-    def ready_height(self, chain: Chain, watched: AbstractSet[Address]) -> float:
+    def ready_height(self, chain: Chain, watched: frozenset[Address]) -> float:
         """The least head of ``chain`` at which a scan could anchor or read an
         event of a ``watched`` contract: ``2*omega - 1`` before anchoring,
-        ``next_start`` when ``omega == 0``, else ``omega`` past the end of the
-        window of the first such event at or past ``next_start`` (or never)."""
+        ``next_start`` when ``omega == 0``, else ``ready_for`` the first such
+        event at or past ``next_start``."""
         omega, start = self.omega, self.next_start
         if self.first_time:
             return 2 * omega - 1
         if not omega:
             return start
-        height = math.inf
-        for contract in watched:
-            heights = chain.contract_event_heights.get(contract)
-            if heights and heights[-1] >= start:
-                height = min(height, heights[bisect.bisect_left(heights, start)])
+        height = chain.first_event_at(watched, start)
         return height - (height - start) % omega + 2 * omega - 1 if height < math.inf else height
+
+    def ready_for(self, height: int) -> float:
+        """The least head at which a scan could read an event at ``height``
+        at or past ``next_start``, as ``ready_height`` works it out; never
+        before anchoring or when ``omega`` is 0, where no event moves it."""
+        omega, start = self.omega, self.next_start
+        if self.first_time or not omega:
+            return math.inf
+        return height - (height - start) % omega + 2 * omega - 1
 
     def advance(self, span: tuple[int, int]) -> None:
         start, end = span
@@ -214,12 +220,15 @@ class Watch(NamedTuple):
     watched: frozenset[Address]
 
     def unscanned(self) -> Iterator[Event]:
-        """Watched events at or past the cursor's next start."""
-        chain = self.chain
-        for height in chain.heights_with_events(self.cursor.next_start, chain.height):
-            for ev in chain.events_at(height):
-                if ev.contract in self.watched:
-                    yield ev
+        """Watched events at or past the cursor's next start, contract by
+        contract: only the heights that hold them are read."""
+        chain, start = self.chain, self.cursor.next_start
+        for contract in self.watched:
+            heights = chain.contract_event_heights.get(contract, ())
+            for height in heights[bisect.bisect_left(heights, start):]:
+                for ev in chain.events_at(height):
+                    if ev.contract == contract:
+                        yield ev
 
 
 def read_ready(
@@ -238,6 +247,24 @@ def read_ready(
         if batches:
             read.extend((watch, events, window) for events, window in batches)
     return acted, read
+
+
+def first_ready(watches: Iterable[Watch]) -> float:
+    """The first tick (0 if past) at which a watch's head reaches its
+    cursor's ready height."""
+    ready = math.inf
+    for chain, cursor, watched in watches:
+        height = cursor.ready_height(chain, watched)
+        if height < math.inf and (tick := chain.tick_at(height)) < ready:
+            ready = tick
+    return ready
+
+
+def pass_over(watches: Iterable[Watch], tick: int) -> None:
+    """Scan every watch at its chain's head as of ``tick``.  Used only where
+    the windows ready then hold no watched event, so it only moves cursors."""
+    for chain, cursor, watched in watches:
+        scan_ready(cursor, chain, watched, chain.height_at(tick))
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +361,10 @@ class WitnessNode:
         self.adopted_rounds: dict[tuple[Address, str], int] = {}
         self.observed_registration: ObservedRegistration | None = None
         self.relayed_origins: set[tuple] = set()
-        self.wake = 0  # the next tick ``step`` is due
+        self.wake: float = 0  # the tick of the next step, kept by the scheduler
         self.live_as: Behavior | None = None  # the behavior at the last live step
-        # The watched chains' event counts and their cursors' ready heights.
-        self.ready: tuple[tuple[int, int], float, float] | None = None
-        self.skipped_heads: tuple[int, int] | None = None  # see ``skip``
+        # The last tick at which the cursors are where the polling loop has them.
+        self.caught_up_to = -1
         self._rng = random.Random(f"{seed}:witness:{config.name}")
 
     # -- helpers -------------------------------------------------------------
@@ -508,19 +534,15 @@ class WitnessNode:
         It acted when it read a batch, anchored a cursor's first window, or
         submitted or dropped a vote: only these change what the scheduler's
         settledness reads, so a step that did none of them leaves it as it was.
-
-        The scheduler calls it at ``wake`` when ``can_act`` says it can act,
-        and ``skip`` if not; either sets the next wake tick: every tick
-        while a cursor has not anchored its first window, else the next
-        multiple of ``sleep``.  A crashed witness does nothing but keeps
-        stepping on that rule, so it acts again on the first such tick after
-        it recovers.  A vote is due while unsent (``last_submit`` is None)
-        and again once ``timeout`` ticks have passed since it went.
+        A crashed witness does nothing.  A vote is due while unsent
+        (``last_submit`` is None) and again once ``timeout`` ticks have passed
+        since it went.
         """
         cfg = self.config
         acted = False
+        self.caught_up_to = tick
         if cfg.behavior != Behavior.CRASHED:
-            self.live_as, self.skipped_heads, self.ready = cfg.behavior, None, None
+            self.live_as = cfg.behavior
             acted, batches = read_ready(self.watches)
             for watch, events, window in batches:
                 chain_id = watch.chain.chain_id
@@ -533,45 +555,47 @@ class WitnessNode:
                 self._submit_due(view, tick)
                 acted = True
         self.anchored = self.anchored or not any(w.cursor.first_time for w in self.watches)
-        self.wake = self._wake_after(tick)
         return acted
 
-    def can_act(self, tick: int) -> bool:
-        """Whether a step at this wake tick could read, anchor or send: the
-        behavior is not the one of the last live step (a crashed witness
-        always steps), a watched chain's head has reached its cursor's ready
-        height, or a vote is due.  The ready heights are kept until a live
-        step, a catch-up (before a reorg) or a new event block moves them."""
-        if self.config.behavior != self.live_as:
-            return True
-        (token, token_cursor, token_watched), (side, side_cursor, side_watched) = self.watches
-        events = (len(token.event_heights), len(side.event_heights))
-        ready = self.ready
-        if ready is None or ready[0] != events:
-            ready = self.ready = (events, token_cursor.ready_height(token, token_watched),
-                                  side_cursor.ready_height(side, side_watched))
-        if token.height >= ready[1] or side.height >= ready[2]:
-            return True
-        pending = self.pending
-        return bool(pending) and any(self._due(vote, tick) for vote in pending.values())
+    def next_wake(self, earliest: int) -> float:
+        """The first wake tick of the polling loop from ``earliest`` on at
+        which a step could act: the behavior is not the one of the last live
+        step, a watched head has reached its cursor's ready height, or a vote
+        falls due.  A crashed witness never acts.  The polling loop wakes on
+        every tick until the cursors anchor, then on multiples of ``sleep``.
+        """
+        cfg = self.config
+        behavior, at = cfg.behavior, earliest
+        if behavior is Behavior.CRASHED:
+            return math.inf
+        if behavior is self.live_as:
+            ready = first_ready(self.watches)
+            for vote in self.pending.values():
+                due = earliest if vote.last_submit is None else vote.last_submit + cfg.timeout
+                if due < ready:
+                    ready = due
+            if ready > at:
+                at = ready
+        return -(-at // cfg.sleep) * cfg.sleep if self.anchored and at < math.inf else at
 
-    def skip(self, tick: int) -> None:
-        """Keep this wake tick's heads, where the live witness cannot act,
-        and move the wake tick on as a step would."""
-        self.skipped_heads = (self.watches[0].chain.height, self.watches[1].chain.height)
-        self.wake = self._wake_after(tick)
+    def wake_by(self, tick: float) -> None:
+        """Wake by the first wake tick from ``tick`` on, unless crashed: a
+        new event will be ready to read then.  ``wake`` is on that grid."""
+        cfg = self.config
+        if tick < self.wake and cfg.behavior is not Behavior.CRASHED:
+            self.wake = -(-tick // cfg.sleep) * cfg.sleep if self.anchored else tick
 
-    def _wake_after(self, tick: int) -> int:
-        sleep = self.config.sleep
-        return (tick // sleep + 1) * sleep if self.anchored else tick + 1
-
-    def catch_up(self) -> None:
-        """Pass the cursors over the windows, without watched events, ready
-        at the heads of the last skipped wake tick; called before a reorg,
-        which can move an event into heights a step there passed over."""
-        for (chain, cursor, watched), head in zip(self.watches, self.skipped_heads or ()):
-            scan_ready(cursor, chain, watched, head)
-        self.ready = self.skipped_heads = None
+    def catch_up(self, tick: int) -> None:
+        """Move the cursors to where the polling loop has them before
+        ``tick``: past the windows ready at the last wake tick since the last
+        step, if live then.  Called before a reorg, which can move an event
+        into heights the loop passed over, and before a behavior change."""
+        sleep, last = self.config.sleep, tick - 1
+        if self.anchored:
+            last -= last % sleep
+        if last > self.caught_up_to and self.config.behavior is not Behavior.CRASHED:
+            pass_over(self.watches, last)
+        self.caught_up_to = tick - 1
 
     def _due(self, vote: PendingVote, tick: int) -> bool:
         """Unsent, or sent ``timeout`` or more ticks ago."""

@@ -5,6 +5,7 @@ derives keys (a lost ``"from"`` alias, a missing ``"type"`` tag) fails here
 even where every text would still agree with its own ``canonical()``.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,6 +96,45 @@ def test_an_empty_block_hash_and_record():
     assert trace.block_payload(chain, []) == (
         f'{{"events":[],"hash":"0x{block.hash.hex()}","height":2,"rejected":[],'
         f'"state":"0x{chain.state_digest().hex()}","txs":[]}}')
+
+
+@pytest.mark.parametrize("undo_depth", [None, 2])
+def test_a_sealed_empty_block_is_what_the_general_encoder_writes(undo_depth):
+    """``Chain.seal_empty`` and ``TraceWriter.empty_block`` hash and write an
+    empty block from templates of their own.  At every height, before and
+    after a block with a transaction and a reorg, the hash is the one
+    ``Block.compute_hash`` and the plain block give, and the line is the one
+    ``record`` writes for ``block_payload``, the ``_BLOCK`` shape with empty
+    lists.  A chain with an undo depth keeps no older undo record."""
+    chain = Chain(A, ChainKind.TOKEN, {"Chain_ID": A}, 100, {B: 100}, undo_depth=undo_depth)
+    chain.seal_genesis()
+    fused, general = trace.TraceWriter(), trace.TraceWriter()
+    pay = Transaction(B, A, 5, 1, UserTransfer(None))
+
+    def seal(tick):
+        texts = chain.seal_empty(tick)
+        block = chain.head
+        assert block.hash == block.compute_hash() == codec.digest(
+            {"height": block.height, "parent_hash": block.parent_hash, "transactions": []})
+        assert texts == (block.height, codec.canonical_dumps(block.hash), chain.state_text())
+        fused.empty_block(tick, str(A), *texts)
+        general.record(tick, "block", str(A), trace.block_payload(chain, []))
+        assert fused.lines[-1] == general.lines[-1]
+        if undo_depth is not None:
+            assert all(chain.height - height < undo_depth for height in chain._undo)
+
+    for tick in range(1, 4):
+        seal(tick)
+    chain.apply_block([pay], now=4)
+    general.record(4, "block", str(A), trace.block_payload(chain, []))
+    fused.record(4, "block", str(A), trace.block_payload(chain, []))
+    for tick in range(5, 8):
+        seal(tick)
+    chain.reorg(2, [[pay], []], now=8)
+    assert chain.head.transactions == ()
+    for tick in range(8, 11):
+        seal(tick)
+    assert chain.height == 10 and fused.lines == general.lines
 
 
 # -- an event's text is the text block records were encoded with ---------------

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import pickle
 import random
 
@@ -208,6 +209,26 @@ class TestHeight:
             chain.apply_block([])
         chain.reorg(2, [[pay(A, B, 1)], []], now=0)
         assert chain.height == 4
+
+    def test_ticks_and_heights_map_by_one_block_per_interval(self):
+        """A dormant chain reaches no new height; a live one seals a block at
+        every multiple of its interval, so ``tick_at`` and ``height_at`` are
+        the sealed heights' ticks read forward and back, across a reorg."""
+        chain = token_chain()
+        chain.interval = 3
+        assert chain.tick_at(0) == 0 and chain.tick_at(1) == math.inf
+        assert chain.height_at(7) == 0
+        sealed = {}  # tick -> height once that tick's block is sealed
+        for tick in range(6, 31, 3):  # woken at tick 6
+            chain.apply_block([pay(A, B, 1)] if tick == 6 else [], now=tick)
+            sealed[tick] = chain.height
+            if tick == 21:
+                chain.reorg(2, [[pay(A, B, 1)], []], now=22)  # between two blocks
+        for tick in range(22, 31):
+            assert chain.height_at(tick) == sealed[tick - tick % 3], tick
+        for height in range(chain.height + 1, chain.height + 4):
+            assert chain.tick_at(height) == 30 + 3 * (height - chain.height)
+        assert chain.tick_at(chain.height) == 0
 
 
 class TestReorg:

@@ -1,10 +1,11 @@
-"""The scheduler's kept answers: wake ticks, settledness and deadlines.
+"""The scheduler's kept answers: horizons, wake ticks, settledness and deadlines.
 
-``Simulation._run_tick`` derives settledness again only after a tick that
-changed something, steps only the witnesses whose wake tick has come and
-that can act then, and pokes a chain's contracts only once its memoised
-earliest deadline has come.  These tests hold each kept answer to a full
-recomputation at every tick and at every skipped wake tick, and count what
+``Simulation._run_tick`` runs only the empty seals below its horizon,
+derives settledness again only after a tick that changed something, steps
+only the witnesses and owner daemons whose wake tick has come, and pokes a
+chain's contracts only once its memoised earliest deadline has come.  These
+tests hold each kept answer to a full recomputation at every tick, at every
+tick below a horizon and at every wake tick slept through, and count what
 the scheduler skips.
 """
 
@@ -62,9 +63,23 @@ def faulty():
     )
 
 
+def dropped_deposit():
+    """A reorg within omega drops a deposit's block, and the deposit with
+    it, before the witnesses could read its lock: the wake tick worked out
+    for that read is due to be worked out again."""
+    plan = {"reorg_schedule": [{
+        "tick": 72, "chain": presets.addr("token-chain"), "depth": 1,
+        "exclude": [presets.deposit_tx_digest("alice", "creator-side", 100)],
+    }]}
+    return presets.registered_with_transfers(deposits=[100, 60], withdrawals=[], spacing=40,
+                                             fault_plan=plan)
+
+
 RUNS = {f"{name}-{override}": (lambda name=name: fixture(name), override)
         for name, override in PINNED}
 RUNS["faulty-preset"] = (faulty, None)
+RUNS["dropped-deposit"] = (dropped_deposit, None)
+RUNS["stranded-lane"] = (lambda: restored_deadline(stranded=True), None)
 
 
 def fresh_deadline(chain):
@@ -89,43 +104,85 @@ def assert_nothing_to_read(cursor, chain, watched, where):
 
 @pytest.fixture
 def every_tick(monkeypatch):
-    """Checks each kept answer against a full recomputation after every tick,
-    and each skipped wake tick against a reading from scratch: nothing to
-    read, no vote due, and the behavior of the witness's last live step.
-    Returns the ticks seen and the skipped (witness, tick) pairs."""
-    seen = {"ticks": [], "skips": []}
-    run_tick, step, skip = simnet.Simulation._run_tick, WitnessNode.step, WitnessNode.skip
-    live_as = {}
+    """Checks each kept answer against a full recomputation after every tick.
+    Below a horizon it checks from scratch that only empty blocks are due: no
+    scheduled event, no queued transaction and no lane deadline at a chain
+    that seals a block, and no step.  At every polling wake tick at which a
+    live witness does not step, and every tick at which a watching owner
+    daemon does not, it checks from scratch that the step could not act:
+    nothing to read, and for a witness no vote due and the behavior of its
+    last live step.  Every witness step acts, follows a behavior change or
+    moves a cursor whose ``omega`` is 0: no wake tick comes early.  Returns
+    the ticks seen, those below a horizon, and the (name, tick) of each wake
+    tick slept through."""
+    seen = {"ticks": [], "quiet": [], "slept": []}
+    run_tick, step, daemon_step = (simnet.Simulation._run_tick, WitnessNode.step,
+                                   simnet.OwnerDaemon.step)
+    live_as, stepped = {}, []
 
     def checked(sim):
+        tick = sim.tick
+        quiet = tick < sim.horizon
+        if quiet:
+            assert not (sim.events and sim.events[0][0] <= tick), f"tick {tick}: an event"
+            for chain_id, host in sim.hosts.items():
+                deadline = fresh_deadline(host.chain)
+                if tick % host.chain.interval == 0:
+                    assert not host.mempool and (deadline is None or deadline > tick), \
+                        f"tick {tick}: a block of {chain_id} is offered a transaction"
+            seen["quiet"].append(tick)
+        stepped.clear()
         run_tick(sim)
+        assert not (quiet and stepped), f"tick {tick}: a step below the horizon"
         settled, finished = sim._settled()
-        assert sim.was_settled == settled, f"tick {sim.tick}: settledness"
-        assert (sim.ended_at == sim.tick) == finished, f"tick {sim.tick}: finished"
+        assert sim.was_settled == settled, f"tick {tick}: settledness"
+        assert (sim.ended_at == tick) == finished, f"tick {tick}: finished"
         for chain_id, host in sim.hosts.items():
             assert host.chain.earliest_deadline() == fresh_deadline(host.chain), \
-                f"tick {sim.tick}: earliest deadline of {chain_id}"
-        seen["ticks"].append(sim.tick)
+                f"tick {tick}: earliest deadline of {chain_id}"
+        # Nothing a witness or a daemon reads changes after its phase.
+        for witness in sim.witnesses:
+            cfg = witness.config
+            if witness in stepped or cfg.behavior == Behavior.CRASHED or \
+                    (witness.anchored and tick % cfg.sleep):
+                continue
+            where = f"{cfg.name} at tick {tick}"
+            assert cfg.behavior == live_as.get(cfg.name), where
+            assert not [vote for vote in witness.pending.values()
+                        if vote.last_submit is None
+                        or tick - vote.last_submit >= cfg.timeout], where
+            for chain, cursor, watched in witness.watches:
+                assert_nothing_to_read(cursor, chain, watched, where)
+            seen["slept"].append((cfg.name, tick))
+        for daemon in sim.owner_daemons:
+            if daemon not in stepped:
+                for chain, cursor, watched in daemon.watches:
+                    assert_nothing_to_read(cursor, chain, watched, f"owner at tick {tick}")
+        seen["ticks"].append(tick)
 
-    def stepped(witness, view, tick):
-        if witness.config.behavior != Behavior.CRASHED:
-            live_as[witness.config.name] = witness.config.behavior
-        return step(witness, view, tick)
+    def witness_stepped(witness, view, tick):
+        stepped.append(witness)
+        cfg = witness.config
+        changed = cfg.behavior != live_as.get(cfg.name)
+        if cfg.behavior != Behavior.CRASHED:
+            live_as[cfg.name] = cfg.behavior
 
-    def skipped(witness, tick):
-        where = f"{witness.config.name} at tick {tick}"
-        assert witness.config.behavior == live_as.get(witness.config.name), where
-        assert not [vote for vote in witness.pending.values()
-                    if vote.last_submit is None
-                    or tick - vote.last_submit >= witness.config.timeout], where
-        for chain, cursor, watched in witness.watches:
-            assert_nothing_to_read(cursor, chain, watched, where)
-        seen["skips"].append((witness.config.name, tick))
-        skip(witness, tick)
+        def zero_omega_starts():
+            return [cursor.next_start for _, cursor, _ in witness.watches if not cursor.omega]
+
+        before = zero_omega_starts()
+        acted = step(witness, view, tick)
+        assert acted or changed or zero_omega_starts() != before, \
+            f"{cfg.name} at tick {tick}: an idle step"
+        return acted
+
+    def daemon_stepped(daemon):
+        stepped.append(daemon)
+        return daemon_step(daemon)
 
     monkeypatch.setattr(simnet.Simulation, "_run_tick", checked)
-    monkeypatch.setattr(WitnessNode, "step", stepped)
-    monkeypatch.setattr(WitnessNode, "skip", skipped)
+    monkeypatch.setattr(WitnessNode, "step", witness_stepped)
+    monkeypatch.setattr(simnet.OwnerDaemon, "step", daemon_stepped)
     return seen
 
 
@@ -134,7 +191,7 @@ def test_kept_answers_match_a_full_recomputation_at_every_tick(case, every_tick)
     build, override = RUNS[case]
     result = simnet.run_scenario(parse_scenario(build()), threshold_override=override)
     assert every_tick["ticks"] == list(range(result.sim.ended_at + 1))
-    assert every_tick["skips"]
+    assert every_tick["quiet"] and every_tick["slept"]
 
 
 @pytest.mark.parametrize("case", sorted(RUNS))
@@ -207,9 +264,11 @@ def test_witnesses_step_only_on_sleep_and_first_time_ticks(monkeypatch):
 def test_quiet_steps_leave_settledness_alone(monkeypatch):
     """Between the deposit's payout and the withdrawal nothing is read or
     submitted, so nothing asks for settledness to be derived again: no
-    witness acts in that idle stretch, and settledness is derived not once."""
-    step, settled = WitnessNode.step, simnet.Simulation._settled
-    acted, derived = [], []
+    witness acts in that idle stretch, settledness is derived not once, and
+    every tick there only seals its empty blocks."""
+    step, settled, run_tick = WitnessNode.step, simnet.Simulation._settled, \
+        simnet.Simulation._run_tick
+    acted, derived, phased = [], [], []
 
     def stepped(witness, view, tick):
         result = step(witness, view, tick)
@@ -221,14 +280,21 @@ def test_quiet_steps_leave_settledness_alone(monkeypatch):
         derived.append(sim.tick)
         return settled(sim)
 
+    def ran(sim):
+        if sim.tick >= sim.horizon:
+            phased.append(sim.tick)
+        run_tick(sim)
+
     monkeypatch.setattr(WitnessNode, "step", stepped)
     monkeypatch.setattr(simnet.Simulation, "_settled", counted)
+    monkeypatch.setattr(simnet.Simulation, "_run_tick", ran)
     data = presets.registered_with_transfers(deposits=[100], withdrawals=[40], spacing=300)
     result = simnet.run_scenario(parse_scenario(data))
     assert result.quiescent and result.failures == []
     idle = range(120, 350)
     assert acted and not any(tick in idle for tick in acted)
     assert derived and not any(tick in idle for tick in derived)
+    assert phased and not any(tick in idle for tick in phased)
 
 
 def test_a_recovered_witness_steps_on_its_next_sleep_tick(monkeypatch):
@@ -241,8 +307,8 @@ def test_a_recovered_witness_steps_on_its_next_sleep_tick(monkeypatch):
     live_after = [step.tick for step in calls
                   if step.name == "side-1-w1" and step.live and step.tick >= recover]
     assert live_after[0] == (recover // sleep + 1) * sleep
-    crashed = [step.tick for step in calls if step.name == "side-1-w1" and not step.live]
-    assert crashed and all(tick % sleep == 0 for tick in crashed)
+    # A crashed witness does nothing, so it is not stepped.
+    assert [step for step in calls if step.name == "side-1-w1" and not step.live] == []
 
 
 def timeouts(result):
@@ -265,18 +331,23 @@ def test_pokes_land_where_a_scan_before_every_block_puts_them(case, monkeypatch)
         assert timeouts(gated)
 
 
-def restored_deadline(reorg_tick=None, exclude=()):
+def restored_deadline(reorg_tick=None, exclude=(), depth=2, stranded=False):
     """A deposit whose inbound lane opens below quorum at tick 92, because
     two of four witnesses are down, and concludes at tick 132 once one of
     them recovers.  With ``reorg_tick``, a side-chain reorg then drops the
-    concluding vote's block and the empty block after it, and every witness
-    goes down, so nothing but a poke can close the lane again."""
-    flips = [(60, "side-1-w2", "crashed"), (60, "side-1-w3", "crashed"),
-             (125, "side-1-w2", "honest")]
+    concluding vote's block and the blocks after it (``depth`` in all), and
+    every witness goes down, so nothing but a poke can close the lane again.
+    ``stranded``: the other two witnesses go down at tick 95 instead, and
+    nobody recovers, so nothing but a poke ever closes the lane."""
+    flips = [(60, "side-1-w2", "crashed"), (60, "side-1-w3", "crashed")]
+    if stranded:
+        flips += [(95, "side-1-w0", "crashed"), (95, "side-1-w1", "crashed")]
+    else:
+        flips.append((125, "side-1-w2", "honest"))
     plan = {"reorg_schedule": [], "behavior_schedule": []}
     if reorg_tick is not None:
         plan["reorg_schedule"].append({"tick": reorg_tick, "chain": presets.addr("side-1"),
-                                       "depth": 2, "exclude": list(exclude)})
+                                       "depth": depth, "exclude": list(exclude)})
         flips += [(reorg_tick, f"side-1-w{i}", "crashed") for i in range(3)]
     plan["behavior_schedule"] = [{"tick": tick, "witness": name, "behavior": behavior}
                                  for tick, name, behavior in flips]
@@ -284,13 +355,17 @@ def restored_deadline(reorg_tick=None, exclude=()):
                                              max_ticks=300)
 
 
-def test_a_deadline_restored_by_a_reorg_is_poked_on_time(monkeypatch):
+@pytest.mark.parametrize("reorg_tick, depth", [(135, 2), (141, 6)])
+def test_a_deadline_restored_by_a_reorg_is_poked_on_time(reorg_tick, depth, monkeypatch):
+    """At tick 141 the deadline the concluded lane no longer had has been
+    forgotten by a production at a tick that ran the phases; the reorg
+    brings it back a tick before it falls due."""
     side = presets.addr("side-1")
     first = simnet.run_scenario(parse_scenario(restored_deadline()))
     records = [json.loads(line) for line in first.trace_lines]
     (late_vote,) = [r["payload"]["tx"] for r in records if r["kind"] == "submit"
                     and r["payload"].get("witness") == "side-1-w2" and r["tick"] >= 125]
-    data = restored_deadline(reorg_tick=135, exclude=[late_vote])
+    data = restored_deadline(reorg_tick=reorg_tick, exclude=[late_vote], depth=depth)
     gated = simnet.run_scenario(parse_scenario(data))
     # The reorg left the concluding vote's block (side height 49) empty.
     assert gated.sim.hosts[Address.from_hex(side)].chain.blocks[49].transactions == ()
@@ -299,6 +374,18 @@ def test_a_deadline_restored_by_a_reorg_is_poked_on_time(monkeypatch):
     monkeypatch.setattr(Chain, "earliest_deadline", lambda chain: 0)
     scanned = simnet.run_scenario(parse_scenario(data))
     assert gated.trace_lines == scanned.trace_lines
+
+
+def test_a_stranded_lane_is_poked_on_time(monkeypatch):
+    """No wake tick, event or queued transaction comes between the votes
+    that open the lane and its deadline: the horizon stops there for the
+    poke alone, as the run that scans every contract before every block
+    does."""
+    data = restored_deadline(stranded=True)
+    gated = simnet.run_scenario(parse_scenario(data))
+    assert timeouts(gated) == [(142, presets.addr("side-1"))]
+    monkeypatch.setattr(Chain, "earliest_deadline", lambda chain: 0)
+    assert gated.trace_lines == simnet.run_scenario(parse_scenario(data)).trace_lines
 
 
 def test_poke_scans_run_only_once_a_deadline_has_come(monkeypatch):
@@ -358,7 +445,8 @@ def test_an_owner_submission_on_a_quiet_tick_unsettles_the_bridge():
     """The owner phase marks its tick as changed.  In a run the witnesses
     scan at sleep ticks what the daemon scans every tick, so they are still
     waiting for the payout when the daemon submits; rewinding the daemon's
-    cursors while the bridge rests builds the quiet case by hand."""
+    cursors while the bridge rests, and waking it, builds the quiet case by
+    hand."""
     sim = simnet.Simulation(parse_scenario(presets.happy_path()))
     daemon = sim.owner_daemons[0]
     watches = daemon.watches  # the daemon drops them when it submits
@@ -371,6 +459,7 @@ def test_an_owner_submission_on_a_quiet_tick_unsettles_the_bridge():
     daemon.watches = watches
     for watch in watches:
         watch.cursor.next_start = 0
+    daemon.wake = sim.horizon = sim.tick
     mempool = sim.hosts[daemon.side.chain_id].mempool
     sim._run_tick()
     assert not daemon.watches and mempool
@@ -378,16 +467,18 @@ def test_an_owner_submission_on_a_quiet_tick_unsettles_the_bridge():
 
 
 def test_idle_owner_daemons_are_not_stepped(monkeypatch):
-    """A daemon that watches nothing leaves the owner phase: the native-gas
-    chain's daemon is never stepped, and the gasless chain's daemon steps on
-    every tick up to the one on which it submits, and on none after."""
+    """A daemon steps only at the ticks at which it can read: the native-gas
+    chain's daemon, which watches nothing, is never stepped, and the gasless
+    chain's daemon steps only where it anchors a first window or reads a
+    batch, up to the tick on which it submits, and on none after."""
     sim = simnet.Simulation(parse_scenario(fixture("mixed_variants")))
     step = simnet.OwnerDaemon.step
     steps = []
 
     def counted(daemon):
-        steps.append((daemon, sim.tick))
-        return step(daemon)
+        acted, txs = step(daemon)
+        steps.append((daemon, sim.tick, acted))
+        return acted, txs
 
     monkeypatch.setattr(simnet.OwnerDaemon, "step", counted)
     result = sim.run()
@@ -398,4 +489,5 @@ def test_idle_owner_daemons_are_not_stepped(monkeypatch):
     submits = [r["tick"] for r in map(json.loads, result.trace_lines)
                if r["kind"] == "submit" and "owner" in r["payload"]]
     assert submits and set(submits) == {submits[0]}
-    assert steps == [(gasless, tick) for tick in range(submits[0] + 1)]
+    assert {daemon for daemon, _, _ in steps} == {gasless}
+    assert all(acted for _, _, acted in steps) and steps[-1][1] == submits[0]

@@ -423,14 +423,18 @@ def test_each_chain_keeps_undo_records_as_deep_as_its_deepest_scheduled_reorg(mo
         deposits=[100, 50], withdrawals=[40], fault_plan=plan)))
     token, side_chain = sim.chain(sim.token_id), sim.chain(Address.from_hex(side))
     assert (token.undo_depth, side_chain.undo_depth) == (0, 3)
-    apply_block, kept = Chain.apply_block, {token: [], side_chain: []}
+    kept = {token: [], side_chain: []}
 
-    def recorded(chain, *args, **kwargs):
-        out = apply_block(chain, *args, **kwargs)
-        kept[chain].append([chain.height - h for h in chain._undo])
-        return out
+    def recorded(seal):
+        def sealed(chain, *args, **kwargs):
+            out = seal(chain, *args, **kwargs)
+            kept[chain].append([chain.height - h for h in chain._undo])
+            return out
+        return sealed
 
-    monkeypatch.setattr(Chain, "apply_block", recorded)
+    # A block that is offered no transaction is sealed by ``seal_empty``.
+    monkeypatch.setattr(Chain, "apply_block", recorded(Chain.apply_block))
+    monkeypatch.setattr(Chain, "seal_empty", recorded(Chain.seal_empty))
     result = sim.run()
     assert result.ok and result.quiescent
     assert not any(kept[token])

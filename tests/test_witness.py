@@ -335,7 +335,7 @@ class TestReadyHeight:
     """The least head at which a scan could anchor the first window or read
     an event of a watched contract."""
 
-    WATCHED = {EMITTERS[0]}
+    WATCHED = frozenset({EMITTERS[0]})
 
     def test_an_unanchored_cursor_is_ready_two_windows_deep(self):
         chain = emitter_chain({}, height=30)
@@ -382,7 +382,7 @@ def test_a_scan_acts_from_the_ready_height_on(omega, watched, events, start):
     a batch, and when ``omega`` is 0 it does not move; at every head from
     there on it does.  ``start`` None is an unanchored cursor."""
     chain = emitter_chain(events, height=28)
-    watched = {EMITTERS[i] for i in watched}
+    watched = frozenset(EMITTERS[i] for i in watched)
     cursor = RelayCursor(omega=omega) if start is None else anchored(omega, start)
     ready = cursor.ready_height(chain, watched)
     for head in range(chain.height + 1):
@@ -396,43 +396,71 @@ def test_a_scan_acts_from_the_ready_height_on(omega, watched, events, start):
 def test_a_catch_up_leaves_the_cursors_where_polling_steps_leave_them():
     """Two witnesses over the same chains, whose blocks hold events of
     contracts they do not watch: one steps at every wake tick, as the
-    polling loop does, the other only when ``can_act`` says so.  The second
-    lags behind by the windows it skipped, and a catch-up brings its cursors
-    exactly where the first one's are."""
+    polling loop does, the other only at the wake tick ``next_wake`` gives,
+    worked out again on every tick as new events come.  The second lags
+    behind by the windows it slept through, and a catch-up brings its
+    cursors exactly where the first one's are."""
     config = witness_config()
     events = {at: [at % 3] for at in range(3, 200, 7)}
     token = emitter_chain(events)
     side = emitter_chain(events, chain_id=config.genesis.chain_id)
     polling = WitnessNode(config, token, side, seed=1)
-    skipping = WitnessNode(witness_config(), token, side, seed=1)
+    sleeping = WitnessNode(witness_config(), token, side, seed=1)
     view = RecordingView()
+    steps = {polling: 0, sleeping: 0}
     for tick in range(1, 120):
         for chain in (token, side):
             chain.apply_block([Transaction(SENDER, EMITTERS[i], 0, 1, IoTRecord(""))
-                               for i in events.get(chain.height + 1, ())])
-        if polling.wake <= tick:
-            polling.step(view, tick)
-        if skipping.wake <= tick:
-            if skipping.can_act(tick):
-                skipping.step(view, tick)
-            else:
-                skipping.skip(tick)
+                               for i in events.get(chain.height + 1, ())], now=tick)
+        sleeping.wake = sleeping.next_wake(tick)
+        for node in (polling, sleeping):
+            if node.wake <= tick:
+                node.step(view, tick)
+                steps[node] += 1
+        polling.wake = (tick // config.sleep + 1) * config.sleep if polling.anchored else tick + 1
 
     def state(node):
         return [(w.cursor.next_start, w.cursor.first_time, w.cursor.last_end, w.cursor.gaps)
                 for w in node.watches]
 
-    assert view.sent == [] and skipping.skipped_heads is not None
-    lags = [s[0] - p[0] for s, p in zip(state(skipping), state(polling))]
+    assert view.sent == [] and 0 < steps[sleeping] < steps[polling]
+    lags = [s[0] - p[0] for s, p in zip(state(sleeping), state(polling))]
     assert all(lag < 0 for lag in lags)
-    skipping.catch_up()
-    assert state(skipping) == state(polling) and skipping.skipped_heads is None
+    sleeping.catch_up(120)
+    assert state(sleeping) == state(polling) and sleeping.caught_up_to == 119
 
 
-def test_a_catch_up_drops_the_ready_heights_a_reorg_may_move():
+def test_a_crashed_stretch_is_not_caught_up():
+    """The polling loop's crashed witness reads nothing, so a catch-up at
+    the end of a crash moves no cursor, and one at its start moves them to
+    the last wake tick before it.  A crashed witness never wakes."""
+    config = witness_config()
+    token, side = emitter_chain({}, height=25), emitter_chain({}, config.genesis.chain_id, 25)
+    node = WitnessNode(config, token, side, seed=1)
+    node.step(RecordingView(), 1)  # anchors both cursors
+    starts = [w.cursor.next_start for w in node.watches]
+    for tick in range(2, 61):
+        for chain in (token, side):
+            chain.seal_empty(tick)
+    node.catch_up(45)  # the crash begins at tick 45
+    config.behavior = Behavior.CRASHED
+    assert node.next_wake(45) == math.inf
+    caught_up = [w.cursor.next_start for w in node.watches]
+    assert caught_up != starts and node.caught_up_to == 44
+    # Past the windows ready at height 64, the heads of tick 40, the last
+    # wake tick before the crash: token windows [24, 25] to [60, 61], side
+    # windows [25, 25] to [63, 63].
+    assert starts == [24, 25] and caught_up == [62, 64]
+    node.catch_up(60)  # the crash ends at tick 60
+    config.behavior = Behavior.HONEST
+    assert [w.cursor.next_start for w in node.watches] == caught_up
+    assert node.caught_up_to == 59
+
+
+def test_a_wake_tick_worked_out_after_a_reorg_reads_a_moved_event_on_time():
     """A reorg can move a watched event without changing how many blocks
-    hold events.  The catch-up that precedes it drops the ready heights
-    worked out before it, so the event's new window is read on time."""
+    hold events.  Worked out again after it, the wake tick is the one at
+    which the event's new window is ready."""
     config = witness_config()
     token = Chain(TOKEN_ID, ChainKind.TOKEN, {"Chain_ID": TOKEN_ID}, 100, {SENDER: 100})
     token.register_contract(config.bridge_head, Emitter(config.bridge_head))
@@ -443,13 +471,13 @@ def test_a_catch_up_drops_the_ready_heights_a_reorg_may_move():
         token.apply_block([])
     node.step(view, 1)  # anchors the token cursor at next_start 24, windows [24, 25], ...
     lock = Transaction(SENDER, config.bridge_head, 0, 1, IoTRecord(""))
-    for txs in ([lock], [], []):  # the event at height 26 is ready at head 29
-        token.apply_block(txs)
-    assert not node.can_act(10)
-    node.catch_up()
-    token.reorg(5, [[lock], [], [], [], []], now=10)  # the event moves to 24
+    for tick, txs in zip((18, 19, 20), ([lock], [], [])):  # one block per tick
+        token.apply_block(txs, now=tick)
+    # The event at height 26 is ready at head 29, at tick 21.
+    assert node.next_wake(20) == 30
+    token.reorg(5, [[lock], [], [], [], []], now=20)  # the event moves to 24
     assert len(token.event_heights) == 1
-    assert node.can_act(10)
+    assert node.next_wake(20) == 20
 
 
 def witness_node(behavior=Behavior.HONEST, height=0):
@@ -562,7 +590,7 @@ class TestRelayAndVote:
         assert tx.payload.subject == entries_subject(INBOUND, tx.payload.entries) != bound
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.tuples(st.sampled_from(["token", "side"]), st.integers(0, 4),
                           st.integers(0, 2), st.integers(1, 9)), min_size=1, max_size=12))
 def test_queued_entries_stay_in_origin_order(queued):
