@@ -49,8 +49,8 @@ _BRACES = str.maketrans({"{": "{{", "}": "}}"})  # literal braces in an f-string
 
 def canonical_dumps(value: Any) -> str:
     """The canonical text of a str, int, bool, None, bytes, list, tuple,
-    str-keyed dict, ``Encoded`` value or object with ``canonical()``, nested;
-    anything else, floats included, raises ``SerializationError``."""
+    str-keyed dict or ``Encoded`` value, nested; anything else, floats
+    included, raises ``SerializationError``."""
     # The members of composite values come here one by one; an ``Encoded``
     # member is its cached text, not walked again.
     kind = type(value)
@@ -78,8 +78,6 @@ def canonical_dumps(value: Any) -> str:
         return _quote(value)
     if isinstance(value, float):
         raise SerializationError("floats are not canonical; use integer units")
-    if hasattr(value, "canonical"):
-        return canonical_dumps(value.canonical())
     raise SerializationError(f"cannot canonicalize {type(value).__name__}")
 
 

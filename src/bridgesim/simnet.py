@@ -9,34 +9,33 @@ ticks; each tick executes fixed phases in a fixed order:
      data), and the handler is a plain function called with the simulation;
   2. block production for every chain whose interval divides the tick; a
      block's trace line reuses the chain's texts of its hash and state digest;
-  3. the witness phase: each witness whose wake tick has come steps, in
-     roster order.  The paper's polling loop wakes on every tick until the
-     cursors anchor their first windows, then on every multiple of the sleep
-     period T; a witness's wake tick is the first of those at which a step
-     could read, anchor or send (``WitnessNode.next_wake``).  A step reads
-     every window that has become ready and sends the votes that are due,
-     and the trace is the polling loop's (see ``witness``);
-  4. the owner phase: the daemons still watching for registration success and
-     the vault payout step at the first tick at which they could read, and
-     submit the vault-suicide approvals;
-  5. settledness bookkeeping: when the bridge comes to rest, the peg
-     invariants are evaluated and recorded, and the run ends at the first rest
-     point with nothing left to do.  One rest test answers both, reading each
-     watch at most once.  It runs again only after a tick that changed
-     something: one that dispatched an event, offered a block a transaction,
-     or had a witness or an owner daemon act (read a batch, anchor a first
-     window, or submit or drop a vote).  A tick that did none of these leaves
-     every input of that answer as it was.
+  3. the node phase: each witness, then each owner daemon, whose wake tick
+     has come steps, in roster order.  The paper's polling loop wakes on
+     every tick until the cursors anchor their first windows, then on every
+     multiple of the sleep period T; a witness's wake tick is the first of
+     those at which a step could read, anchor or send
+     (``WitnessNode.next_wake``).  A step reads every window that has become
+     ready and sends the votes that are due, and the trace is the polling
+     loop's (see ``witness``);
+  4. within the node phase, the owner daemons still watching for
+     registration success and the vault payout step at the first tick at
+     which they could read, and queue the vault-suicide approvals;
+  5. settledness bookkeeping, at every tick that runs the phases: when the
+     bridge comes to rest, the peg invariants are evaluated and recorded, and
+     the run ends at the first rest point with nothing left to do.  One rest
+     test answers both, reading each watch at most once.
 
 Time advances to the next event.  After a tick that runs the phases, the
 horizon is the least of the next scheduled event, every wake tick, and each
 chain's next block that is offered a transaction (a queued one, or a poke
-once a lane's deadline has come).  A tick below it only seals the empty
-blocks that are due, in chain order.  A live chain seals one block at every
-multiple of its interval, so the tick at which a head reaches a height is
-arithmetic (``Chain.tick_at``), and a wake tick moves only when its witness
-or daemon steps, a behavior changes, a chain reorganizes, or a block holds
-an event of a contract it watches or wakes a dormant chain.
+once the chain's exact earliest lane deadline has come).  A tick below it
+only seals the empty blocks that are due, in chain order, so every tick at
+or past it dispatches an event, offers a block a transaction or steps a
+node.  A live chain seals one block at every multiple of its interval, so
+the tick at which a head reaches a height is arithmetic (``Chain.tick_at``),
+and a wake tick moves only when its witness or daemon steps, a behavior
+changes, a chain reorganizes, or a block holds an event of a contract it
+watches or wakes a dormant chain.
 
 Faults exist only on the message and block channels: witness submissions can
 be dropped, duplicated or delayed (seeded), chains can be reorganized, and
@@ -93,8 +92,6 @@ class ChainHost:
     chain: Chain
     mempool: list[Transaction] = field(default_factory=list)
     label: str = field(init=False)  # the chain id's text, for trace lines
-    # No lane deadline of the chain is earlier (see ``_produce``).
-    deadline_floor: float = math.inf
 
     def __post_init__(self) -> None:
         self.label = str(self.chain.chain_id)
@@ -158,10 +155,10 @@ class OwnerDaemon:
     def catch_up(self, tick: int) -> None:
         pass_over(self.watches, tick - 1)
 
-    def step(self) -> tuple[bool, list[Transaction]]:
-        """Scan what is confirmed: (whether it read a batch, anchored a
-        cursor's first window or submitted, the approvals due).  Called only
-        while the daemon has something to watch."""
+    def step(self, view: Simulation, tick: int) -> bool:
+        """Scan what is confirmed and queue the approvals once both are seen;
+        True if it read a batch, anchored a cursor's first window or queued.
+        Called only while the daemon has something to watch."""
         acted, batches = read_ready(self.watches)
         for _, events, _ in batches:
             for ev in events:
@@ -180,17 +177,16 @@ class OwnerDaemon:
                     self.seen_payout = True
         if self.seen_registry_success and self.seen_payout:
             self.watches = ()
-            return True, [
-                Transaction(
+            for owner in self.side.owners:
+                view.queue(self, Transaction(
                     sender=owner,
                     to=self.side.genesis.register_contract,
                     value=0,
                     gasprice=0,
                     payload=MultisigAction(action="suicide"),
-                )
-                for owner in self.side.owners
-            ]
-        return acted, []
+                ))
+            return True
+        return acted
 
 
 class Simulation(WorldView):
@@ -458,6 +454,14 @@ class Simulation(WorldView):
             self.trace.record(self.tick, "dup", str(chain_id),
                               {"witness": witness.config.name, "tx": digest})
 
+    def queue(self, daemon: OwnerDaemon, tx: Transaction) -> None:
+        """An owner's transaction, straight into its side chain's mempool."""
+        chain_id = daemon.side.chain_id
+        self.hosts[chain_id].mempool.append(tx)
+        self.trace.record(self.tick, "submit", str(chain_id), {
+            "owner": tx.sender, "tx": tx.digest(), "payload": tx.payload.TAG, "round": None,
+        })
+
     def log_batch(self, witness: WitnessNode, chain_id: Address,
                   window: tuple[int, int], count: int) -> None:
         self.trace.record(self.tick, "batch", str(chain_id),
@@ -501,46 +505,27 @@ class Simulation(WorldView):
                 if tick % chain.interval == 0 and chain.height:
                     self.trace.empty_block(tick, host.label, *chain.seal_empty(tick))
             return
-        changed = tick == 0  # no earlier answer to keep
         while self.events and self.events[0][0] <= tick:
             _, _, handler, data = heapq.heappop(self.events)
             self._dispatch(handler, data)
-            changed = True
         for host in self.hosts.values():
             # A dormant chain (height 0, nothing queued) produces no blocks, so a
             # side chain is still at height 0 when its registration is validated;
             # once alive it produces on every interval to advance confirmations.
             if tick % host.chain.interval == 0 and tick and (host.mempool or host.chain.height):
-                changed |= self._produce(host)
+                self._produce(host)
         if self._stale:
             stale, self._stale = self._stale, {}
             for node in stale:
                 node.wake = node.next_wake(tick)
         horizon = math.inf
-        for witness in self.witnesses:
-            if witness.wake <= tick:
-                changed |= witness.step(self, tick)
-                witness.wake = witness.next_wake(tick + 1)
-            if witness.wake < horizon:
-                horizon = witness.wake
-        for daemon in self.owner_daemons:
-            if daemon.wake <= tick:
-                acted, txs = daemon.step()
-                daemon.wake = daemon.next_wake(tick + 1)
-                changed |= acted
-                for tx in txs:
-                    self.hosts[daemon.side.chain_id].mempool.append(tx)
-                    self.trace.record(tick, "submit", str(daemon.side.chain_id), {
-                        "owner": tx.sender, "tx": tx.digest(),
-                        "payload": tx.payload.TAG, "round": None,
-                    })
-            if daemon.wake < horizon:
-                horizon = daemon.wake
+        for node in self._nodes:
+            if node.wake <= tick:
+                node.step(self, tick)
+                node.wake = node.next_wake(tick + 1)
+            if node.wake < horizon:
+                horizon = node.wake
         self.horizon = self._horizon(tick, horizon)
-        if not changed:
-            # The last answer stands: unsettled, or settled, checked and
-            # not finished.
-            return
         settled, finished = self._settled()
         if settled and not self.was_settled:
             results = self.check_invariants()
@@ -557,8 +542,8 @@ class Simulation(WorldView):
         chain's next block that is offered a queued transaction or a poke."""
         horizon = min(self.events[0][0], wake) if self.events else wake
         for host in self.hosts.values():
-            due = tick + 1 if host.mempool else host.deadline_floor
-            if due < horizon:
+            due = tick + 1 if host.mempool else host.chain.earliest_deadline()
+            if due is not None and due < horizon:
                 interval = host.chain.interval
                 horizon = min(horizon, -(-max(due, tick + 1) // interval) * interval)
         return horizon
@@ -588,8 +573,8 @@ class Simulation(WorldView):
             "witness": change.witness, "behavior": change.behavior.value,
         })
 
-    def _produce(self, host: ChainHost) -> bool:
-        """Seal one block; True if it was offered any transaction."""
+    def _produce(self, host: ChainHost) -> None:
+        """Seal one block, offered the queued transactions and the pokes due."""
         chain, now = host.chain, self.tick
         txs = host.mempool
         deadline = chain.earliest_deadline()
@@ -602,15 +587,10 @@ class Simulation(WorldView):
             ] + txs
         if not txs:
             self.trace.empty_block(now, host.label, *chain.seal_empty(now))
-            host.deadline_floor = math.inf if deadline is None else deadline
-            return False
+            return
         host.mempool = []
         waking = not chain.height
         _, rejections = chain.apply_block(txs, now=now)
-        # A block sets a lane's deadline only to ``timeout`` past it, so the
-        # deadline is worked out again at the chain's next production.
-        host.deadline_floor = min(math.inf if deadline is None else deadline,
-                                  now + self.scenario.timeout)
         self.trace.record(now, "block", host.label, trace_mod.block_payload(chain, rejections))
         if waking:
             self._stale.update(dict.fromkeys(self._nodes))
@@ -622,7 +602,6 @@ class Simulation(WorldView):
             for node, cursor in self._watchers.get(contract, ()):
                 if node.wake > soonest:
                     node.wake_by(chain.tick_at(cursor.ready_for(height)))
-        return True
 
     # ---------------------------------------------------------------- reorgs
 
@@ -655,8 +634,6 @@ class Simulation(WorldView):
                 kept[slot].append(tx)
         fork_height = chain.height - depth
         chain.reorg(depth, kept, now=self.tick)
-        deadline = chain.earliest_deadline()
-        self.hosts[chain_id].deadline_floor = math.inf if deadline is None else deadline
         self._progress[chain_id] = ScanProgress()
         self._stale.update(dict.fromkeys(self._nodes))
         # The state changed under a bridge that may be at rest: check it again.
@@ -825,10 +802,10 @@ class Simulation(WorldView):
 
     def _check_relay_canon(self) -> list[InvariantResult]:
         out = []
-        changed = {c.witness for c in self.scenario.fault_plan.behavior_schedule}
+        flipped = {c.witness for c in self.scenario.fault_plan.behavior_schedule}
         for witness in self.witnesses:
             cfg = witness.config
-            if cfg.behavior != Behavior.HONEST or cfg.name in changed:
+            if cfg.behavior != Behavior.HONEST or cfg.name in flipped:
                 continue
             wanted = self._relay_worthy(witness)
             got = set(witness.relayed_origins)

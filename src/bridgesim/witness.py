@@ -532,11 +532,11 @@ class WitnessNode:
         """Scan and submit at this witness's wake tick; True if it acted.
 
         It acted when it read a batch, anchored a cursor's first window, or
-        submitted or dropped a vote: only these change what the scheduler's
-        settledness reads, so a step that did none of them leaves it as it was.
-        A crashed witness does nothing.  A vote is due while unsent
-        (``last_submit`` is None) and again once ``timeout`` ticks have passed
-        since it went.
+        submitted or dropped a vote.  The scheduler does not read the answer:
+        it wakes a witness only at a tick at which a step can act, and tests
+        hold each step to that.  A crashed witness does nothing.  A vote is
+        due while unsent (``last_submit`` is None) and again once ``timeout``
+        ticks have passed since it went.
         """
         cfg = self.config
         acted = False

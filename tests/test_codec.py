@@ -39,6 +39,20 @@ def test_non_string_keys_rejected():
         codec.canonical_dumps({1: "x"})
 
 
+def test_an_object_with_only_a_canonical_method_is_rejected():
+    """Only ``Encoded`` values are encoded as themselves; any other object,
+    such as a genesis spec, is passed through its ``canonical()`` first."""
+
+    class Canonical:
+        def canonical(self):
+            return {"a": 1}
+
+    with pytest.raises(codec.SerializationError):
+        codec.canonical_dumps(Canonical())
+    with pytest.raises(codec.SerializationError):
+        codec.canonical_dumps({"spec": Canonical()})
+
+
 @pytest.mark.parametrize("value", [[{"x": [2.0]}], (1, 0.5), {"a": {None: 1}}, [{(1,): 2}]])
 def test_nested_floats_and_non_string_keys_rejected(value):
     with pytest.raises(codec.SerializationError):

@@ -1,12 +1,12 @@
 """The scheduler's kept answers: horizons, wake ticks, settledness and deadlines.
 
-``Simulation._run_tick`` runs only the empty seals below its horizon,
-derives settledness again only after a tick that changed something, steps
+``Simulation._run_tick`` runs only the empty seals below its horizon, steps
 only the witnesses and owner daemons whose wake tick has come, and pokes a
-chain's contracts only once its memoised earliest deadline has come.  These
-tests hold each kept answer to a full recomputation at every tick, at every
-tick below a horizon and at every wake tick slept through, and count what
-the scheduler skips.
+chain's contracts only once its memoised earliest deadline has come.  At or
+past the horizon every tick does something, so settledness is derived again
+at each of them.  These tests hold each kept answer to a full recomputation
+at every tick, at every tick below a horizon and at every wake tick slept
+through, and count what the scheduler skips.
 """
 
 import copy
@@ -88,6 +88,11 @@ def fresh_deadline(chain):
     return min(deadlines, default=None)
 
 
+def poke_due(chain, tick):
+    deadline = fresh_deadline(chain)
+    return deadline is not None and deadline <= tick
+
+
 def assert_nothing_to_read(cursor, chain, watched, where):
     """Read window by window, every height of every window ready at the
     head, on a copy of ``cursor``: no window anchors, none is ready when
@@ -107,14 +112,16 @@ def every_tick(monkeypatch):
     """Checks each kept answer against a full recomputation after every tick.
     Below a horizon it checks from scratch that only empty blocks are due: no
     scheduled event, no queued transaction and no lane deadline at a chain
-    that seals a block, and no step.  At every polling wake tick at which a
-    live witness does not step, and every tick at which a watching owner
-    daemon does not, it checks from scratch that the step could not act:
-    nothing to read, and for a witness no vote due and the behavior of its
-    last live step.  Every witness step acts, follows a behavior change or
-    moves a cursor whose ``omega`` is 0: no wake tick comes early.  Returns
-    the ticks seen, those below a horizon, and the (name, tick) of each wake
-    tick slept through."""
+    that seals a block, and no step.  At or past it, every tick after tick 0
+    does something: it dispatches an event, offers a producing chain a queued
+    transaction or a poke whose deadline has come, or steps a node.  At every
+    polling wake tick at which a live witness does not step, and every tick at
+    which a watching owner daemon does not, it checks from scratch that the
+    step could not act: nothing to read, and for a witness no vote due and the
+    behavior of its last live step.  Every witness step acts, follows a
+    behavior change or moves a cursor whose ``omega`` is 0: no wake tick
+    comes early.  Returns the ticks seen, those below a horizon, and the
+    (name, tick) of each wake tick slept through."""
     seen = {"ticks": [], "quiet": [], "slept": []}
     run_tick, step, daemon_step = (simnet.Simulation._run_tick, WitnessNode.step,
                                    simnet.OwnerDaemon.step)
@@ -126,14 +133,19 @@ def every_tick(monkeypatch):
         if quiet:
             assert not (sim.events and sim.events[0][0] <= tick), f"tick {tick}: an event"
             for chain_id, host in sim.hosts.items():
-                deadline = fresh_deadline(host.chain)
                 if tick % host.chain.interval == 0:
-                    assert not host.mempool and (deadline is None or deadline > tick), \
+                    assert not host.mempool and not poke_due(host.chain, tick), \
                         f"tick {tick}: a block of {chain_id} is offered a transaction"
             seen["quiet"].append(tick)
+        # An event due, or a producing chain offered a transaction or a poke.
+        offered = bool(sim.events and sim.events[0][0] <= tick) or any(
+            tick % host.chain.interval == 0
+            and (host.mempool or host.chain.height and poke_due(host.chain, tick))
+            for host in sim.hosts.values())
         stepped.clear()
         run_tick(sim)
         assert not (quiet and stepped), f"tick {tick}: a step below the horizon"
+        assert quiet or not tick or offered or stepped, f"tick {tick}: nothing to do"
         settled, finished = sim._settled()
         assert sim.was_settled == settled, f"tick {tick}: settledness"
         assert (sim.ended_at == tick) == finished, f"tick {tick}: finished"
@@ -176,9 +188,9 @@ def every_tick(monkeypatch):
             f"{cfg.name} at tick {tick}: an idle step"
         return acted
 
-    def daemon_stepped(daemon):
+    def daemon_stepped(daemon, view, tick):
         stepped.append(daemon)
-        return daemon_step(daemon)
+        return daemon_step(daemon, view, tick)
 
     monkeypatch.setattr(simnet.Simulation, "_run_tick", checked)
     monkeypatch.setattr(WitnessNode, "step", witness_stepped)
@@ -263,9 +275,9 @@ def test_witnesses_step_only_on_sleep_and_first_time_ticks(monkeypatch):
 
 def test_quiet_steps_leave_settledness_alone(monkeypatch):
     """Between the deposit's payout and the withdrawal nothing is read or
-    submitted, so nothing asks for settledness to be derived again: no
-    witness acts in that idle stretch, settledness is derived not once, and
-    every tick there only seals its empty blocks."""
+    submitted, so no tick there runs the phases: no witness acts in that
+    idle stretch, settledness is derived not once, and every tick there only
+    seals its empty blocks."""
     step, settled, run_tick = WitnessNode.step, simnet.Simulation._settled, \
         simnet.Simulation._run_tick
     acted, derived, phased = [], [], []
@@ -442,11 +454,12 @@ def test_a_reorg_at_rest_is_checked_before_the_run_ends(tmp_path, capsys):
 
 
 def test_an_owner_submission_on_a_quiet_tick_unsettles_the_bridge():
-    """The owner phase marks its tick as changed.  In a run the witnesses
-    scan at sleep ticks what the daemon scans every tick, so they are still
-    waiting for the payout when the daemon submits; rewinding the daemon's
-    cursors while the bridge rests, and waking it, builds the quiet case by
-    hand."""
+    """An owner daemon's approvals unsettle the bridge at the tick it queues
+    them, as every tick that steps a node derives settledness again.  In a
+    run the witnesses scan at sleep ticks what the daemon scans every tick,
+    so they are still waiting for the payout when the daemon submits;
+    rewinding the daemon's cursors while the bridge rests, and waking it,
+    builds the quiet case by hand."""
     sim = simnet.Simulation(parse_scenario(presets.happy_path()))
     daemon = sim.owner_daemons[0]
     watches = daemon.watches  # the daemon drops them when it submits
@@ -475,10 +488,10 @@ def test_idle_owner_daemons_are_not_stepped(monkeypatch):
     step = simnet.OwnerDaemon.step
     steps = []
 
-    def counted(daemon):
-        acted, txs = step(daemon)
-        steps.append((daemon, sim.tick, acted))
-        return acted, txs
+    def counted(daemon, view, tick):
+        acted = step(daemon, view, tick)
+        steps.append((daemon, tick, acted))
+        return acted
 
     monkeypatch.setattr(simnet.OwnerDaemon, "step", counted)
     result = sim.run()

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,8 @@ from bridgesim.chain import (
 )
 from bridgesim.contracts import INBOUND, OUTBOUND, REGISTRATION, Contract, entries_subject
 from bridgesim.genesis import genesis_hash, parse_genesis
+from bridgesim.scenario import BridgeHeadConfig, SideChainConfig
+from bridgesim.simnet import OwnerDaemon
 from bridgesim.witness import (
     Behavior,
     PendingVote,
@@ -428,6 +431,45 @@ def test_a_catch_up_leaves_the_cursors_where_polling_steps_leave_them():
     assert all(lag < 0 for lag in lags)
     sleeping.catch_up(120)
     assert state(sleeping) == state(polling) and sleeping.caught_up_to == 119
+
+
+def test_an_owner_catch_up_leaves_the_cursors_where_polling_steps_leave_them():
+    """Two owner daemons over the same chains, whose blocks hold events of
+    contracts they do not watch: one steps at every tick, as its polling
+    loop does, the other only at the tick ``next_wake`` gives.  The second
+    lags behind by the windows it slept through, and a catch-up brings its
+    cursors exactly where the first one's are.  Neither queues an approval."""
+    genesis = gasless_genesis()
+    side_config = SideChainConfig(
+        block_interval=1, omega=1, genesis=genesis,
+        bridge_head=BridgeHeadConfig(Address.from_label("bridge-head"), 3, 0, 0))
+    events = {at: [at % 3] for at in range(3, 200, 7)}
+    token = emitter_chain(events)
+    side = emitter_chain(events, chain_id=genesis.chain_id)
+    polling, sleeping = (OwnerDaemon(side_config, Address.from_label("registry"), token, side,
+                                     omega_token=2) for _ in range(2))
+    queued = []
+    view = SimpleNamespace(queue=lambda daemon, tx: queued.append(tx))
+    steps = {polling: 0, sleeping: 0}
+    for tick in range(1, 120):
+        for chain in (token, side):
+            chain.apply_block([Transaction(SENDER, EMITTERS[i], 0, 1, IoTRecord(""))
+                               for i in events.get(chain.height + 1, ())], now=tick)
+        sleeping.wake = sleeping.next_wake(tick)
+        for node in (polling, sleeping):
+            if node is polling or node.wake <= tick:
+                node.step(view, tick)
+                steps[node] += 1
+
+    def state(node):
+        return [(w.cursor.next_start, w.cursor.first_time, w.cursor.last_end, w.cursor.gaps)
+                for w in node.watches]
+
+    assert queued == [] and 0 < steps[sleeping] < steps[polling]
+    lags = [s[0] - p[0] for s, p in zip(state(sleeping), state(polling))]
+    assert len(lags) == 2 and all(lag < 0 for lag in lags)
+    sleeping.catch_up(120)
+    assert state(sleeping) == state(polling)
 
 
 def test_a_crashed_stretch_is_not_caught_up():
